@@ -8,16 +8,19 @@ cut each edge independently with probability ``p_e`` and give every
 resulting component the fresh draw of its vertex closest to the root.
 
 Probabilities are exact ``fractions.Fraction`` values throughout; the
-message-passing core only uses ring operations so it also accepts
-truncated-jet coefficients for derivative work.
+message-passing core only uses ring operations, so it also accepts
+truncated-jet coefficients for derivative work and, for verdicts, plain
+integers that are every probability times one common denominator.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,40 +117,110 @@ def _parent_edges(tree):
     return tuple(idx)
 
 
+class Weights(NamedTuple):
+    """The encoding one message-passing sweep runs on.
+
+    ``r[v]`` and ``rbar[v]`` weigh a fresh draw of 0 and of 1 at ``v``;
+    ``p[c]`` and ``copy[c]`` weigh resampling and copying on the edge
+    from ``c`` up to its parent (unused at the root).  ``one`` is the
+    value of the sure event.  :func:`ring_weights` gives probabilities
+    themselves; :func:`scaled_params` gives integers that are all
+    probabilities times one common factor.
+    """
+
+    r: tuple
+    rbar: tuple
+    p: tuple
+    copy: tuple
+    one: object
+
+
+def ring_weights(tree, params):
+    """Weights with ``rbar = 1 - r`` and ``copy = 1 - p``.
+
+    Entries of ``params`` may be Fractions or jet values; the sweep then
+    returns probabilities of the same kind.  Callers that sweep many
+    masks of one chain build these once and pass them as ``params``.
+    """
+    pedge = _parent_edges(tree)
+    p = tuple(None if e < 0 else params.p[e] for e in pedge)
+    return Weights(
+        r=params.r,
+        rbar=tuple(1 - x for x in params.r),
+        p=p,
+        copy=tuple(None if x is None else 1 - x for x in p),
+        one=Fraction(1),
+    )
+
+
+def scaled_params(tree, params):
+    """Integer weights under which the sweep returns ``den * P(X(A) = 0)``.
+
+    With ``r_v = a_v / b_v`` and ``p_e = c_e / d_e`` in lowest terms,
+    ``den`` is the product of every ``b_v`` and every ``d_e``.  Each
+    probability is multilinear in every parameter, so scaling vertex
+    ``v`` by ``b_v`` and the edge above ``c`` by ``d_e * b_c`` clears
+    all denominators: the weights are ``r = a``, ``rbar = b - a``,
+    ``p = c`` and ``copy = (d - c) * b_c``, and ``one = den``.  Ratios
+    of equally many such values equal the ratios of the probabilities,
+    with no gcd anywhere.  ``params`` must hold Fractions.
+    """
+    pedge = _parent_edges(tree)
+    den = math.prod(x.denominator for x in params.r + params.p)
+    p = []
+    copy = []
+    for v, e in enumerate(pedge):
+        if e < 0:
+            p.append(None)
+            copy.append(None)
+        else:
+            pe = params.p[e]
+            p.append(pe.numerator)
+            copy.append((pe.denominator - pe.numerator) * params.r[v].denominator)
+    return Weights(
+        r=tuple(x.numerator for x in params.r),
+        rbar=tuple(x.denominator - x.numerator for x in params.r),
+        p=tuple(p),
+        copy=tuple(copy),
+        one=den,
+    )
+
+
 def prob_all_zero(tree, params, zero_on, cache=None):
     """Exact probability that the chain is 0 everywhere on ``zero_on``.
 
     One bottom-up sweep: ``f_v(x)`` is the probability that the subtree
     below ``v`` respects the zero constraint given ``X(v) = x``; an edge
     passes its child's table through the copy/resample kernel.  Only ring
-    operations are used, so parameter entries may be Fractions or jet
-    values.  ``cache`` (a dict) memoises results per ``zero_on`` bitmask
-    for a fixed (tree, params).
+    operations are used.  ``params`` is a :class:`ChainParams` of
+    Fractions or jet values, or :class:`Weights` from
+    :func:`ring_weights` or :func:`scaled_params`; with the latter the
+    result is the integer ``den * P``.  ``cache`` (a dict) memoises
+    results per ``zero_on`` bitmask for a fixed (tree, params).
     """
     a = zero_on.bits
     if a >> tree.n:
         raise ValueError("zero_on contains ids outside the tree")
+    w = ring_weights(tree, params) if isinstance(params, ChainParams) else params
     if a == 0:
-        return Fraction(1)
+        return w.one
     if cache is not None and a in cache:
         return cache[a]
 
-    pedge = _parent_edges(tree)
+    r, rbar, p, copy = w.r, w.rbar, w.p, w.copy
+    children = tree.children
     f0 = [None] * tree.n
     f1 = [None] * tree.n
     for v in reversed(tree.preorder):
-        m0 = Fraction(1)
-        m1 = Fraction(1)
-        for c in tree.children[v]:
-            pe = params.p[pedge[c]]
-            rc = params.r[c]
-            mix = rc * f0[c] + (1 - rc) * f1[c]
-            m0 = m0 * ((1 - pe) * f0[c] + pe * mix)
-            m1 = m1 * ((1 - pe) * f1[c] + pe * mix)
+        m0 = m1 = 1
+        for c in children[v]:
+            mix = p[c] * (r[c] * f0[c] + rbar[c] * f1[c])
+            m0 = m0 * (copy[c] * f0[c] + mix)
+            m1 = m1 * (copy[c] * f1[c] + mix)
         f0[v] = m0
         f1[v] = 0 * m1 if (a >> v) & 1 else m1
-    ro = params.r[tree.root]
-    result = ro * f0[tree.root] + (1 - ro) * f1[tree.root]
+    ro = tree.root
+    result = r[ro] * f0[ro] + rbar[ro] * f1[ro]
     if cache is not None:
         cache[a] = result
     return result

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.stats import chi2
 
-from .chain_model import _rng, prob_all_zero
+from .chain_model import _rng, prob_all_zero, ring_weights
 from .signed_measure import SignedMeasure, nu_full
 from .tree_core import VertexSet
 
@@ -197,13 +197,13 @@ def poisson_closure_report(tree, params, n_draws, seed, tolerance=4.0):
     field = field_from_chain(tree, params)
     words = sample_poisson_field_many(field, n_draws, seed)
     zeros_on = _zeros_on_table(_pattern_histogram(words, tree.n), tree.n)
-    cache = {}
+    weights = ring_weights(tree, params)
     worst = 0.0
     worst_set = None
     checked = 0
     for bits in range(1, 1 << tree.n):
         checked += 1
-        exact = float(prob_all_zero(tree, params, VertexSet(bits), cache=cache))
+        exact = float(prob_all_zero(tree, weights, VertexSet(bits)))
         sigma = math.sqrt(exact * (1.0 - exact) / n_draws)
         gap = abs(zeros_on(bits) / n_draws - exact)
         sigmas = gap / sigma if sigma > 0 else (0.0 if gap == 0 else math.inf)

@@ -5,7 +5,9 @@ everywhere.  Disconnected sets carry exactly zero mass on trees, so the
 verdict only has to sweep connected sets, whose count stays far below
 2^n on sparse trees; each connected set gets its exact sign from
 boundary-indexed inclusion-exclusion with a probability table shared
-across the whole sweep.
+across the whole sweep.  The table holds the integer encoding of
+:func:`~treerep.chain_model.scaled_params`, so each sign is one
+comparison of two int products.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .chain_model import as_fraction, uniform_params
+from .chain_model import as_fraction, scaled_params, uniform_params
 from .signed_measure import nu_connected, nu_full, restrict_measure
 from .tree_core import VertexSet, connected_subsets, subdivide
 
@@ -63,11 +65,12 @@ def is_representable(tree, params) -> Verdict:
             raise ValueError("vertex laws must lie in (0, 1] for verdicts")
 
     order = sorted(connected_subsets(tree), key=lambda b: (b.bit_count(), b))
+    weights = scaled_params(tree, params)
     cache = {}
     checked = 0
     for bits in order:
         checked += 1
-        value = nu_connected(tree, params, VertexSet(bits), prob_cache=cache)
+        value = nu_connected(tree, weights, VertexSet(bits), prob_cache=cache)
         if value.sign < 0:
             return Verdict(
                 representable=False, witness=VertexSet(bits), checked_sets=checked

@@ -10,7 +10,7 @@ Then ``exp(-nu(union of sets hitting I)) = P(X(I) == 0)`` for every I, and
 ``X`` arises as the complement-indicator of a union of Poisson atoms iff
 ``nu`` is nonnegative everywhere.
 
-Every value is carried as an exact pair of positive rationals
+Every value is carried as an exact pair of positive integers
 ``(num, den)`` with ``nu = log(num/den)``, so signs are decided by integer
 comparison; the float ``log_value`` is advisory.  ``nu`` vanishes on
 disconnected sets, and for connected sets there is a boundary-indexed
@@ -22,10 +22,11 @@ boundary size rather than in |K|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .chain_model import prob_all_zero
+from .chain_model import prob_all_zero, ring_weights
 from .tree_core import VertexSet, boundaries, is_connected
 
 # Full-lattice measures keep 2^n exact entries; above this width entries
@@ -33,18 +34,17 @@ from .tree_core import VertexSet, boundaries, is_connected
 EAGER_WIDTH = 16
 
 
-def _log_fraction(x: Fraction) -> float:
-    """log of a positive rational, relatively accurate even when x ~ 1."""
-    num, den = x.numerator, x.denominator
+def _log_ratio(num: int, den: int) -> float:
+    """log(num/den) of positive ints, relatively accurate even when num ~ den."""
     if num == den:
         return 0.0
     try:
-        return math.log1p(float(Fraction(num - den, den)))
+        return math.log1p((num - den) / den)
     except OverflowError:
         return (math.log2(num) - math.log2(den)) * math.log(2)
 
 
-def _product(factors) -> Fraction:
+def _product(factors):
     """Balanced product; keeps intermediate integers from going quadratic."""
     items = list(factors)
     if not items:
@@ -61,36 +61,32 @@ def _product(factors) -> Fraction:
 class MeasureValue:
     """One measure entry: exact positive pair with ``value = log(num/den)``.
 
-    ``num`` and ``den`` are coprime positive integers (as Fractions), so
-    the sign of the entry is the three-way comparison of num against den.
-    ``log_value`` is a float companion accurate to ~1 ulp relative.
+    ``num`` and ``den`` are positive ints, not necessarily coprime, so the
+    sign of the entry is the three-way comparison of num against den.
+    ``ratio`` reduces on demand; ``log_value`` is a float companion
+    accurate to ~1 ulp relative, computed on first use.
     """
 
-    num: Fraction
-    den: Fraction
-    log_value: float
+    num: int
+    den: int
 
     @classmethod
     def from_ratio(cls, x: Fraction):
         if x <= 0:
             raise ValueError("measure entries are logs of positive ratios")
-        return cls(
-            num=Fraction(x.numerator),
-            den=Fraction(x.denominator),
-            log_value=_log_fraction(x),
-        )
+        return cls(num=x.numerator, den=x.denominator)
 
     @property
     def ratio(self) -> Fraction:
-        return Fraction(self.num.numerator, self.den.numerator)
+        return Fraction(self.num, self.den)
+
+    @cached_property
+    def log_value(self) -> float:
+        return _log_ratio(self.num, self.den)
 
     @property
     def sign(self) -> int:
-        if self.num > self.den:
-            return 1
-        if self.num < self.den:
-            return -1
-        return 0
+        return (self.num > self.den) - (self.num < self.den)
 
 
 def nu_sign(value: MeasureValue) -> int:
@@ -160,11 +156,12 @@ def nu_full(tree, params, prob_cache=None) -> SignedMeasure:
     n = tree.n
     full = (1 << n) - 1
     cache = {} if prob_cache is None else prob_cache
+    weights = ring_weights(tree, params)
 
     def prob(bits):
         got = cache.get(bits)
         if got is None:
-            got = prob_all_zero(tree, params, VertexSet(bits))
+            got = prob_all_zero(tree, weights, VertexSet(bits))
             cache[bits] = got
         return got
 
@@ -239,6 +236,12 @@ def nu_connected(tree, params, subset, prob_cache=None) -> MeasureValue:
     Agrees exactly with the corresponding :func:`nu_full` entry but costs
     2^|boundary-with-leaves| probability evaluations instead of 2^|S|
     lattice work, which is what makes verdicts on skinny trees cheap.
+
+    ``params`` is a :class:`~treerep.chain_model.ChainParams` or the
+    integer weights of :func:`~treerep.chain_model.scaled_params`.  The
+    events split evenly between the two signs, so the common factor of
+    the integer encoding cancels and the entry is the pair of products,
+    with no gcd.  ``prob_cache`` must hold values of the same encoding.
     """
     _require_positive_r(params)
     cache = {} if prob_cache is None else prob_cache
@@ -254,7 +257,12 @@ def nu_connected(tree, params, subset, prob_cache=None) -> MeasureValue:
     odds = []
     for sign, bits in connected_log_events(tree, subset):
         (evens if sign > 0 else odds).append(prob(bits))
-    return MeasureValue.from_ratio(_product(evens) / _product(odds))
+    if len(evens) != len(odds):
+        raise AssertionError("boundary events must split evenly between the signs")
+    even, odd = _product(evens), _product(odds)
+    return MeasureValue(
+        num=even.numerator * odd.denominator, den=even.denominator * odd.numerator
+    )
 
 
 def restrict_measure(measure: SignedMeasure, keep: VertexSet) -> SignedMeasure:

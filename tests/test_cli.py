@@ -281,6 +281,20 @@ def test_usage_errors_exit_2(capsys):
     assert "treerep:" in err
 
 
+def test_broken_kernel_invariant_escapes_instead_of_exit_2(monkeypatch, tmp_path):
+    import treerep.signed_measure as signed_measure
+
+    events = signed_measure.connected_log_events
+    monkeypatch.setattr(
+        signed_measure,
+        "connected_log_events",
+        lambda tree, subset: events(tree, subset) + [(1, 0)],
+    )
+    args = ["analyze", "--tree", "octopus:3x2", "--r", "9/20", "--p", "19/20"]
+    with pytest.raises(AssertionError, match="split evenly"):
+        main(args + ["--out", str(tmp_path / "analyze.json")])
+
+
 def test_unknown_flags_and_commands_are_rejected():
     with pytest.raises(SystemExit) as info:
         main(["analyze", "--tree", "path:3", "--r", "1/2", "--p", "1/2", "--frobnicate"])
