@@ -80,7 +80,6 @@ from .signed_measure import (
     connected_log_events,
     nu_connected,
     nu_full,
-    nu_sign,
     restrict_measure,
 )
 from .thresholds import (
@@ -152,7 +151,6 @@ __all__ = [
     "connected_log_events",
     "nu_connected",
     "nu_full",
-    "nu_sign",
     "restrict_measure",
     # thresholds
     "ThresholdTable",

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
-from .chain_model import _rng, prob_all_zero, ring_weights
+from .chain_model import _rng, prob_all_zero, scaled_params
 from .signed_measure import SignedMeasure, nu_full
 from .tree_core import VertexSet
 
@@ -40,11 +40,14 @@ class PoissonField:
     atoms: tuple
 
 
+def _require_field_order(n):
+    if n > MAX_FIELD_ORDER:
+        raise ValueError("fields are capped at %d vertices" % MAX_FIELD_ORDER)
+
+
 def poisson_field(measure: SignedMeasure) -> PoissonField:
     """Validate nonnegativity and collect the positive atoms."""
-    if measure.n > MAX_FIELD_ORDER:
-        raise ValueError("fields are capped at %d vertices" % MAX_FIELD_ORDER)
-    measure.materialize()
+    _require_field_order(measure.n)
     atoms = []
     for bits in measure:
         value = measure.value(bits)
@@ -59,6 +62,7 @@ def poisson_field(measure: SignedMeasure) -> PoissonField:
 
 def field_from_chain(tree, params) -> PoissonField:
     """Poisson field of a representable chain (raises if any mass is negative)."""
+    _require_field_order(tree.n)
     return poisson_field(nu_full(tree, params))
 
 
@@ -163,7 +167,7 @@ def compare_laws(sampler_a, sampler_b, n, n_draws=100_000, alpha=0.01, seed=0):
         statistic += (count_a - expect_a) ** 2 / expect_a
         statistic += (count_b - expect_b) ** 2 / expect_b
     dof = len(cells) - 1
-    p_value = float(chi2.sf(statistic, dof))
+    p_value = float(chdtrc(dof, statistic))
     return ComparisonReport(
         statistic=statistic,
         dof=dof,
@@ -197,13 +201,14 @@ def poisson_closure_report(tree, params, n_draws, seed, tolerance=4.0):
     field = field_from_chain(tree, params)
     words = sample_poisson_field_many(field, n_draws, seed)
     zeros_on = _zeros_on_table(_pattern_histogram(words, tree.n), tree.n)
-    weights = ring_weights(tree, params)
+    weights = scaled_params(tree, params)
     worst = 0.0
     worst_set = None
     checked = 0
     for bits in range(1, 1 << tree.n):
         checked += 1
-        exact = float(prob_all_zero(tree, weights, VertexSet(bits)))
+        # int / int is correctly rounded, so this is float() of the exact Fraction
+        exact = prob_all_zero(tree, weights, VertexSet(bits)) / weights.one
         sigma = math.sqrt(exact * (1.0 - exact) / n_draws)
         gap = abs(zeros_on(bits) / n_draws - exact)
         sigmas = gap / sigma if sigma > 0 else (0.0 if gap == 0 else math.inf)

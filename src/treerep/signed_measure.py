@@ -12,11 +12,13 @@ Then ``exp(-nu(union of sets hitting I)) = P(X(I) == 0)`` for every I, and
 
 Every value is carried as an exact pair of positive integers
 ``(num, den)`` with ``nu = log(num/den)``, so signs are decided by integer
-comparison; the float ``log_value`` is advisory.  ``nu`` vanishes on
+comparison; the float ``log_value`` is advisory.  :func:`nu_full` builds
+every entry at once as a multiplicative Möbius transform of the integer
+probability table, in n * 2^(n-1) divisions.  ``nu`` vanishes on
 disconnected sets, and for connected sets there is a boundary-indexed
-short formula (:func:`nu_connected`) that agrees with the full
-inclusion-exclusion but only needs exponentially many terms in the
-boundary size rather than in |K|.
+short formula (:func:`nu_connected`) that agrees with the full lattice
+but only needs exponentially many terms in the boundary size rather
+than in |V|.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .chain_model import prob_all_zero, ring_weights
+from .chain_model import prob_all_zero, scaled_params
 from .tree_core import VertexSet, boundaries, is_connected
 
-# Full-lattice measures keep 2^n exact entries; above this width entries
-# are assembled per-subset on demand instead.
-EAGER_WIDTH = 16
+# Full-lattice measures keep 2^n exact entries; wider trees are refused.
+MAX_LATTICE_ORDER = 16
 
 
 def _log_ratio(num: int, den: int) -> float:
@@ -89,24 +90,18 @@ class MeasureValue:
         return (self.num > self.den) - (self.num < self.den)
 
 
-def nu_sign(value: MeasureValue) -> int:
-    """Exact sign (-1, 0, +1) of a measure entry."""
-    return value.sign
-
-
 class SignedMeasure:
     """Measure entries keyed by subset bitmask over a width-``n`` id space.
 
-    ``entries`` maps nonempty bitmasks to :class:`MeasureValue`.  Wide
-    measures may be lazy: entries are then assembled on first access via
-    :meth:`value`.  Restriction results are dense dictionaries living on
-    the sub-id-space of the kept vertices (original ids retained).
+    ``entries`` maps nonempty bitmasks to :class:`MeasureValue`.  A full
+    measure holds every nonempty subset; restriction and conditioning
+    results hold the nonempty subsets of the kept vertices (original ids
+    retained).
     """
 
-    def __init__(self, n, entries, assembler=None):
+    def __init__(self, n, entries):
         self.n = n
         self.entries = entries
-        self._assembler = assembler
 
     def value(self, subset) -> MeasureValue:
         bits = subset.bits if isinstance(subset, VertexSet) else int(subset)
@@ -114,19 +109,8 @@ class SignedMeasure:
             raise KeyError("measure entries are indexed by nonempty subsets")
         got = self.entries.get(bits)
         if got is None:
-            if self._assembler is None:
-                raise KeyError("no entry for subset %r" % bits)
-            got = self._assembler(bits)
-            self.entries[bits] = got
+            raise KeyError("no entry for subset %r" % bits)
         return got
-
-    def materialize(self):
-        """Force every entry (all nonempty bitmasks) into ``entries``."""
-        if self._assembler is not None:
-            for bits in range(1, 1 << self.n):
-                if bits not in self.entries:
-                    self.entries[bits] = self._assembler(bits)
-        return self
 
     def __iter__(self):
         return iter(sorted(self.entries))
@@ -144,45 +128,36 @@ def _require_positive_r(params):
             )
 
 
-def nu_full(tree, params, prob_cache=None) -> SignedMeasure:
-    """Exact measure of the chain via full inclusion-exclusion.
+def nu_full(tree, params) -> SignedMeasure:
+    """Exact measure of the chain on every nonempty subset.
 
-    Zero-pattern probabilities are computed once per mask (memoised in
-    ``prob_cache`` if given); each entry is then a balanced product of the
-    even-signed terms over the odd-signed ones.  Beyond width
-    ``EAGER_WIDTH`` the entries are assembled lazily per subset.
+    The table starts as ``den * P(X(V\\m) = 0)`` for every mask m, in the
+    integer encoding of :func:`~treerep.chain_model.scaled_params`.  Then,
+    bit by bit, every mask containing the bit is divided by the mask
+    without it (a multiplicative Möbius transform); afterwards entry K
+    is the alternating product over the subsets I of K, that is
+    ``exp(nu(K))``.  ``den`` cancels at each mask's first division, and
+    Fraction division keeps every entry reduced.  Trees above
+    ``MAX_LATTICE_ORDER`` vertices are refused.
     """
     _require_positive_r(params)
     n = tree.n
+    if n > MAX_LATTICE_ORDER:
+        raise ValueError("full measures are capped at %d vertices" % MAX_LATTICE_ORDER)
     full = (1 << n) - 1
-    cache = {} if prob_cache is None else prob_cache
-    weights = ring_weights(tree, params)
-
-    def prob(bits):
-        got = cache.get(bits)
-        if got is None:
-            got = prob_all_zero(tree, weights, VertexSet(bits))
-            cache[bits] = got
-        return got
-
-    def assemble(k_bits):
-        evens = []
-        odds = []
-        k_size = k_bits.bit_count()
-        # iterate I over submasks of K
-        sub = k_bits
-        while True:
-            target = evens if (k_size - sub.bit_count()) % 2 == 0 else odds
-            target.append(prob(full & ~sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & k_bits
-        return MeasureValue.from_ratio(_product(evens) / _product(odds))
-
-    measure = SignedMeasure(n, {}, assembler=assemble)
-    if n <= EAGER_WIDTH:
-        measure.materialize()
-    return measure
+    weights = scaled_params(tree, params)
+    table = [
+        Fraction(prob_all_zero(tree, weights, VertexSet(full & ~m)))
+        for m in range(full + 1)
+    ]
+    for b in range(n):
+        bit = 1 << b
+        for m in range(full + 1):
+            if m & bit:
+                table[m] /= table[m ^ bit]
+    return SignedMeasure(
+        n, {m: MeasureValue.from_ratio(table[m]) for m in range(1, full + 1)}
+    )
 
 
 def connected_log_events(tree, subset):
@@ -271,9 +246,8 @@ def restrict_measure(measure: SignedMeasure, keep: VertexSet) -> SignedMeasure:
     The restricted chain's measure evaluates each A as the total mass of
     all sets whose trace on ``keep`` is exactly A:
     ``nu_keep(A) = sum over A' with A' & keep == A of nu(A')``.
-    The input must cover (or be able to assemble) the full lattice.
+    The input must cover the full lattice.
     """
-    measure.materialize()
     kb = keep.bits
     rest = ((1 << measure.n) - 1) & ~kb
     out = {}

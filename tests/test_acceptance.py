@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from treerep.chain_model import (
     make_params,
+    prob_all_zero,
     sample_percolation_many,
     sample_recursive_many,
     scaled_params,
@@ -129,9 +130,9 @@ def _consistency_matrix():
     for _ in range(200):
         tree = _random_tree(rng, rng.randint(2, 10))
         params = _random_params(rng, tree)
-        prob_cache = {}
-        measure = nu_full(tree, params, prob_cache=prob_cache)
-        matrix.append((tree, params, measure, prob_cache))
+        measure = nu_full(tree, params)
+        probs = {m: prob_all_zero(tree, params, VertexSet(m)) for m in range(1 << tree.n)}
+        matrix.append((tree, params, measure, probs))
     return matrix
 
 
@@ -142,11 +143,13 @@ def test_criterion_02_mobius_inversion_consistency():
     invert the inclusion-exclusion exactly: in ratio form,
     P(all zero) * prod_{nonempty K disjoint from I} ratio(K) equals
     P(X(I) = 0) as a Fraction identity for every nonempty I.  The
-    product over all K inside each complement comes from one exact
-    subset-product transform per tree.  Under two minutes.
+    measure comes from the integer butterfly of ``nu_full``; the
+    probabilities from an independent Fraction sweep.  The product over
+    all K inside each complement comes from one exact subset-product
+    transform per tree.  Under two minutes.
     """
     started = time.perf_counter()
-    for tree, _, measure, prob_cache in _consistency_matrix():
+    for tree, _, measure, probs in _consistency_matrix():
         full = (1 << tree.n) - 1
         prod = [Fraction(1)] * (full + 1)
         for bits in range(1, full + 1):
@@ -156,9 +159,9 @@ def test_criterion_02_mobius_inversion_consistency():
             for mask in range(full + 1):
                 if mask & bit:
                     prod[mask] *= prod[mask ^ bit]
-        p_all = prob_cache[full]
+        p_all = probs[full]
         for i_bits in range(1, full + 1):
-            assert p_all * prod[full & ~i_bits] == prob_cache[i_bits]
+            assert p_all * prod[full & ~i_bits] == probs[i_bits]
     assert time.perf_counter() - started < 120
 
 
@@ -177,9 +180,9 @@ def test_criterion_04_connected_formula_agreement():
     evaluation (a signed sum over boundary events only) must reproduce
     the full-lattice entry as an exact Fraction.
     """
-    for tree, params, measure, prob_cache in _consistency_matrix():
+    for tree, params, measure, probs in _consistency_matrix():
         for bits in connected_subsets(tree):
-            direct = nu_connected(tree, params, VertexSet(bits), prob_cache)
+            direct = nu_connected(tree, params, VertexSet(bits), probs)
             assert direct.ratio == measure.value(bits).ratio
 
 

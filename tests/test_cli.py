@@ -295,6 +295,17 @@ def test_broken_kernel_invariant_escapes_instead_of_exit_2(monkeypatch, tmp_path
         main(args + ["--out", str(tmp_path / "analyze.json")])
 
 
+def test_verify_refuses_a_wide_tree_before_the_full_lattice(monkeypatch, capsys):
+    import treerep.mc_verify as mc_verify
+
+    def no_lattice(tree, params):
+        raise AssertionError("the field cap must be checked before nu_full")
+
+    monkeypatch.setattr(mc_verify, "nu_full", no_lattice)
+    assert main(["verify", "--tree", "path:13", "--r", "1/2", "--p", "1/2"]) == 2
+    assert "capped at 12 vertices" in capsys.readouterr().err
+
+
 def test_unknown_flags_and_commands_are_rejected():
     with pytest.raises(SystemExit) as info:
         main(["analyze", "--tree", "path:3", "--r", "1/2", "--p", "1/2", "--frobnicate"])

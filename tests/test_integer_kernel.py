@@ -54,11 +54,25 @@ def test_scaled_sweep_is_den_times_the_fraction_sweep(case):
     weights = scaled_params(tree, params)
     den = math.prod(x.denominator for x in params.r + params.p)
     assert weights.one == den
+    exact = []
     for mask in range(1 << tree.n):
         zero_on = VertexSet(mask)
         scaled = prob_all_zero(tree, weights, zero_on)
+        exact.append(prob_all_zero(tree, params, zero_on))
         assert type(scaled) is int
-        assert scaled == den * prob_all_zero(tree, params, zero_on)
+        assert scaled == den * exact[mask]
+    if all(x > 0 for x in params.r):
+        # nu_full's butterfly inverts back to the Fraction sweep: for every I,
+        # P(X(V)=0) * prod over nonempty K inside V\I of ratio(K) = P(X(I)=0)
+        measure = nu_full(tree, params)
+        full = (1 << tree.n) - 1
+        prod = [Fraction(1)] + [measure.value(k).ratio for k in range(1, full + 1)]
+        for b in range(tree.n):
+            for mask in range(full + 1):
+                if mask >> b & 1:
+                    prod[mask] *= prod[mask ^ (1 << b)]
+        for mask in range(full + 1):
+            assert exact[full] * prod[full & ~mask] == exact[mask]
 
 
 def _mixed_params(rng, tree):
@@ -114,6 +128,3 @@ def test_nu_connected_on_a_partly_filled_shared_cache():
             got = nu_connected(tree, params, VertexSet(bits), shared)
             assert got.ratio == reference.value(bits).ratio
         assert all(isinstance(x, Fraction) for x in shared.values())
-        again = nu_full(tree, params, prob_cache=shared)
-        for bits in range(1, 1 << tree.n):
-            assert again.value(bits).ratio == reference.value(bits).ratio
