@@ -95,6 +95,7 @@ from .thresholds import (
 )
 from .tree_core import (
     BoundaryReport,
+    DomainError,
     RootedTree,
     SpanningSubtree,
     VertexSet,
@@ -118,6 +119,7 @@ __all__ = [
     "__version__",
     # tree_core
     "BoundaryReport",
+    "DomainError",
     "RootedTree",
     "SpanningSubtree",
     "VertexSet",

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tree_core import VertexSet
+from .tree_core import DomainError, VertexSet
 
 
 def as_fraction(x):
@@ -74,7 +74,7 @@ def make_params(tree, r_spec, p_spec):
         for key, val in r_spec.items():
             r[int(key)] = as_fraction(val)
         if any(x is None for x in r):
-            raise ValueError("per-vertex r must cover all %d vertices" % tree.n)
+            raise DomainError("per-vertex r must cover all %d vertices" % tree.n)
     else:
         r = [as_fraction(r_spec)] * tree.n
 
@@ -87,16 +87,16 @@ def make_params(tree, r_spec, p_spec):
                 u, v = key
             p[tree.edge_index(u, v)] = as_fraction(val)
         if any(x is None for x in p):
-            raise ValueError("per-edge p must cover all %d edges" % len(tree.edges))
+            raise DomainError("per-edge p must cover all %d edges" % len(tree.edges))
     else:
         p = [as_fraction(p_spec)] * len(tree.edges)
 
     for x in r:
         if not 0 <= x <= 1:
-            raise ValueError("r values must lie in [0, 1]")
+            raise DomainError("r values must lie in [0, 1]")
     for x in p:
         if not 0 <= x <= 1:
-            raise ValueError("p values must lie in [0, 1]")
+            raise DomainError("p values must lie in [0, 1]")
     return ChainParams(r=tuple(r), p=tuple(p))
 
 
@@ -104,7 +104,7 @@ def params_from_json(tree, text):
     """Parse ``{"r": ..., "p": ...}`` with decimals kept exact."""
     obj = json.loads(text, parse_float=Fraction)
     if not isinstance(obj, dict) or "r" not in obj or "p" not in obj:
-        raise ValueError('params JSON needs "r" and "p" entries')
+        raise DomainError('params JSON needs "r" and "p" entries')
     return make_params(tree, obj["r"], obj["p"])
 
 
@@ -186,6 +186,51 @@ def scaled_params(tree, params):
     )
 
 
+def float_weights(tree, params):
+    """:func:`ring_weights` rounded to float64, each entry correctly rounded.
+
+    Each entry is one int/int true division, which rounds correctly:
+    ``1 - r`` is ``(b - a) / b``, never ``1.0 - float(r)``.  The root's
+    unused edge entries are those of p = 0.  ``params`` must hold
+    Fractions.
+    """
+    pedge = _parent_edges(tree)
+    p = [params.p[e] if e >= 0 else Fraction(0) for e in pedge]
+    return Weights(
+        r=tuple(x.numerator / x.denominator for x in params.r),
+        rbar=tuple((x.denominator - x.numerator) / x.denominator for x in params.r),
+        p=tuple(x.numerator / x.denominator for x in p),
+        copy=tuple((x.denominator - x.numerator) / x.denominator for x in p),
+        one=1.0,
+    )
+
+
+def prob_all_zero_many(tree, weights, masks):
+    """:func:`prob_all_zero` in float64 for every mask of an int64 array.
+
+    The sweep of :func:`prob_all_zero` on :func:`float_weights`, one
+    numpy operation per step for all masks at once.  Every value is a
+    sum or product of values in [0, 1], and the zero constraint is an
+    exact ``np.where``; along any input-to-output path of one mask's
+    sweep there are at most 7 roundings per edge (two inputs, five
+    operations) and 3 at the root.
+    """
+    r, rbar, p, copy = weights.r, weights.rbar, weights.p, weights.copy
+    zero = (masks >> np.arange(tree.n)[:, None]) & 1 == 1
+    f0 = [None] * tree.n
+    f1 = [None] * tree.n
+    for v in reversed(tree.preorder):
+        m0 = m1 = 1.0
+        for c in tree.children[v]:
+            mix = p[c] * (r[c] * f0[c] + rbar[c] * f1[c])
+            m0 = m0 * (copy[c] * f0[c] + mix)
+            m1 = m1 * (copy[c] * f1[c] + mix)
+        f0[v] = m0
+        f1[v] = np.where(zero[v], 0.0, m1)
+    ro = tree.root
+    return r[ro] * f0[ro] + rbar[ro] * f1[ro]
+
+
 def prob_all_zero(tree, params, zero_on, cache=None):
     """Exact probability that the chain is 0 everywhere on ``zero_on``.
 
@@ -200,7 +245,7 @@ def prob_all_zero(tree, params, zero_on, cache=None):
     """
     a = zero_on.bits
     if a >> tree.n:
-        raise ValueError("zero_on contains ids outside the tree")
+        raise DomainError("zero_on contains ids outside the tree")
     w = ring_weights(tree, params) if isinstance(params, ChainParams) else params
     if a == 0:
         return w.one
@@ -235,10 +280,10 @@ def brute_force_prob_all_zero(tree, params, zero_on, max_edges=20):
     """
     m = len(tree.edges)
     if m > max_edges:
-        raise ValueError("brute force capped at %d edges" % max_edges)
+        raise DomainError("brute force capped at %d edges" % max_edges)
     a = zero_on.bits
     if a >> tree.n:
-        raise ValueError("zero_on contains ids outside the tree")
+        raise DomainError("zero_on contains ids outside the tree")
     if a == 0:
         return Fraction(1)
 

@@ -65,6 +65,7 @@ from .param_calculus import (
 from .representability import is_representable, phase_scan, scaling_check
 from .thresholds import threshold_table
 from .tree_core import (
+    DomainError,
     VertexSet,
     is_connected,
     octopus,
@@ -412,8 +413,12 @@ def _cmd_deriv_check(config):
         )
         try:
             edges = EdgeMultiset.from_string(config.multiset)
+            for u, v in edges.support:
+                tree.edge_index(u, v)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        except KeyError as exc:
+            raise UsageError(exc.args[0]) from None
         value = d_nu_dp(tree, params, subset, edges, at=config.at)
         uniform_r = len(set(params.r)) == 1
         if uniform_r and is_connected(tree, subset):
@@ -560,7 +565,10 @@ def run(config: RunConfig) -> int:
     written but an asserted outcome failed (``--expect`` mismatch, a
     rejected sampler comparison, a failed closure or scaling identity,
     or a closed-form mismatch); 2: usage or input error, including
-    malformed files, out-of-range parameters and exceeded size caps.
+    malformed files, out-of-range parameters and exceeded size caps
+    (:class:`UsageError` and the library's
+    :class:`~treerep.tree_core.DomainError`).  Anything else is a bug
+    and propagates.
     """
     handler = _DISPATCH.get(config.command)
     if handler is None:
@@ -568,11 +576,7 @@ def run(config: RunConfig) -> int:
         return 2
     try:
         return handler(config)
-    except UsageError as exc:
-        print("treerep: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
-        # Domain errors raised by the library: caps, ranges, bad edges.
+    except (UsageError, DomainError) as exc:
         print("treerep: %s" % exc, file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ from scipy.special import chdtrc
 
 from .chain_model import _rng, prob_all_zero, scaled_params
 from .signed_measure import SignedMeasure, nu_full
-from .tree_core import VertexSet
+from .tree_core import DomainError, VertexSet
 
 MAX_FIELD_ORDER = 12
 
@@ -42,7 +42,7 @@ class PoissonField:
 
 def _require_field_order(n):
     if n > MAX_FIELD_ORDER:
-        raise ValueError("fields are capped at %d vertices" % MAX_FIELD_ORDER)
+        raise DomainError("fields are capped at %d vertices" % MAX_FIELD_ORDER)
 
 
 def poisson_field(measure: SignedMeasure) -> PoissonField:
@@ -52,7 +52,7 @@ def poisson_field(measure: SignedMeasure) -> PoissonField:
     for bits in measure:
         value = measure.value(bits)
         if value.sign < 0:
-            raise ValueError(
+            raise DomainError(
                 "negative intensity on %r: not a Poisson field" % VertexSet(bits)
             )
         if value.sign > 0:
@@ -133,9 +133,9 @@ def compare_laws(sampler_a, sampler_b, n, n_draws=100_000, alpha=0.01, seed=0):
     threshold.  Fails loudly if pooling cannot get there.
     """
     if not 1 <= n <= MAX_FIELD_ORDER:
-        raise ValueError("pattern chi-square needs 1 <= n <= %d" % MAX_FIELD_ORDER)
+        raise DomainError("pattern chi-square needs 1 <= n <= %d" % MAX_FIELD_ORDER)
     if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+        raise DomainError("alpha must lie in (0, 1)")
     hist_a = _pattern_histogram(sampler_a(n_draws, seed), n)
     hist_b = _pattern_histogram(sampler_b(n_draws, seed + 1), n)
     total_a = int(hist_a.sum())
@@ -157,7 +157,7 @@ def compare_laws(sampler_a, sampler_b, n, n_draws=100_000, alpha=0.01, seed=0):
             at += 1
         cells.insert(at, merged)
     if len(cells) < 2 or cells[0][0] * share < 5:
-        raise ValueError("not enough draws: pooling cannot reach expected counts of 5")
+        raise DomainError("not enough draws: pooling cannot reach expected counts of 5")
 
     statistic = 0.0
     grand = total_a + total_b

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .chain_model import ChainParams, as_fraction, prob_all_zero
 from .signed_measure import connected_log_events
 from .thresholds import f_poly
-from .tree_core import VertexSet, is_connected, spanning_subtree
+from .tree_core import DomainError, VertexSet, is_connected, spanning_subtree
 
 DEFAULT_JET_CAP = 6
 
@@ -144,7 +144,7 @@ class DualValue:
         """
         c = self.constant_term
         if c <= 0:
-            raise ValueError("log needs a positive constant term")
+            raise DomainError("log needs a positive constant term")
         t = self * (Fraction(1) / c) - 1
         out = DualValue.constant(self.caps, self.order, 0)
         power = t
@@ -190,7 +190,7 @@ class EdgeMultiset:
         counts = {}
         for u, v in edges:
             if u == v:
-                raise ValueError("edge endpoints must differ")
+                raise DomainError("edge endpoints must differ")
             key = (min(u, v), max(u, v))
             counts[key] = counts.get(key, 0) + 1
         return cls(items=tuple(sorted(counts.items())))
@@ -281,7 +281,7 @@ def _extract(series, mults):
 def _require_positive(values, what):
     for x in values:
         if x <= 0:
-            raise ValueError("%s must be positive for log derivatives" % what)
+            raise DomainError("%s must be positive for log derivatives" % what)
 
 
 def d_nu_dp(tree, params, subset, edges, at="params", degree_cap=DEFAULT_JET_CAP):
@@ -300,11 +300,11 @@ def d_nu_dp(tree, params, subset, edges, at="params", degree_cap=DEFAULT_JET_CAP
     else:
         multiset = EdgeMultiset.of(*edges)
     if not subset.bits:
-        raise ValueError("subset must be nonempty")
+        raise DomainError("subset must be nonempty")
     if multiset.total == 0:
-        raise ValueError("derivative needs at least one edge")
+        raise DomainError("derivative needs at least one edge")
     if multiset.total > degree_cap:
-        raise ValueError(
+        raise DomainError(
             "jet cap exceeded: order %d > cap %d" % (multiset.total, degree_cap)
         )
     slots = [tree.edge_index(u, v) for u, v in multiset.support]
@@ -316,7 +316,7 @@ def d_nu_dp(tree, params, subset, edges, at="params", degree_cap=DEFAULT_JET_CAP
     elif at == "p1":
         base_p = (Fraction(1),) * len(tree.edges)
     else:
-        raise ValueError('at must be "params", "p0" or "p1"')
+        raise DomainError('at must be "params", "p0" or "p1"')
     if not is_connected(tree, subset):
         return Fraction(0)
 
@@ -348,22 +348,22 @@ def d_nu_dr(tree, params, subset, vertices, at="params", degree_cap=DEFAULT_JET_
         for v in vertices:
             counts[int(v)] = counts.get(int(v), 0) + 1
     if not subset.bits:
-        raise ValueError("subset must be nonempty")
+        raise DomainError("subset must be nonempty")
     if not counts:
-        raise ValueError("derivative needs at least one vertex")
+        raise DomainError("derivative needs at least one vertex")
     for v in counts:
         if not 0 <= v < tree.n:
-            raise ValueError("vertex %d outside the tree" % v)
+            raise DomainError("vertex %d outside the tree" % v)
     order = sum(counts.values())
     if order > degree_cap:
-        raise ValueError("jet cap exceeded: order %d > cap %d" % (order, degree_cap))
+        raise DomainError("jet cap exceeded: order %d > cap %d" % (order, degree_cap))
     if at == "params":
         base_r = params.r
         _require_positive(base_r, "vertex laws")
     elif at == "r1":
         base_r = (Fraction(1),) * tree.n
     else:
-        raise ValueError('at must be "params" or "r1"')
+        raise DomainError('at must be "params" or "r1"')
     if not is_connected(tree, subset):
         return Fraction(0)
 
@@ -400,10 +400,10 @@ def closed_form_p0(b, r) -> Fraction:
     not this coefficient for b >= 3.
     """
     if b < 2:
-        raise ValueError("outer boundary must have at least 2 vertices")
+        raise DomainError("outer boundary must have at least 2 vertices")
     r = as_fraction(r)
     if not 0 < r < 1:
-        raise ValueError("r must lie strictly inside (0, 1)")
+        raise DomainError("r must lie strictly inside (0, 1)")
     return (1 - r) * r ** (b - 1)
 
 
@@ -421,10 +421,10 @@ def closed_form_p1(tree, subset, r) -> Fraction:
     the ``r1(j)`` thresholds track.
     """
     if not is_connected(tree, subset) or len(subset) < 2:
-        raise ValueError("subset must be connected with at least 2 vertices")
+        raise DomainError("subset must be connected with at least 2 vertices")
     r = as_fraction(r)
     if not 0 < r < 1:
-        raise ValueError("r must lie strictly inside (0, 1)")
+        raise DomainError("r must lie strictly inside (0, 1)")
     sub = spanning_subtree(tree, subset)
     value = Fraction(-1) ** (sub.tree.n - 1) * (1 - r) / r
     for j, count in sub.degree_counts().items():
@@ -447,14 +447,14 @@ def d_nu_dr_octopus(m, p_first, p_second) -> Fraction:
     exactly; see the companion tests.
     """
     if m < 3:
-        raise ValueError("octopus needs at least 3 arms")
+        raise DomainError("octopus needs at least 3 arms")
     p_first = [as_fraction(x) for x in p_first]
     p_second = [as_fraction(x) for x in p_second]
     if len(p_first) != m or len(p_second) != m:
-        raise ValueError("need one (p_{j,1}, p_{j,2}) pair per arm")
+        raise DomainError("need one (p_{j,1}, p_{j,2}) pair per arm")
     for x in p_first + p_second:
         if not 0 <= x <= 1:
-            raise ValueError("edge parameters must lie in [0, 1]")
+            raise DomainError("edge parameters must lie in [0, 1]")
     value = Fraction(-1)
     for a, b in zip(p_first, p_second):
         value *= (1 - a) * b

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .chain_model import prob_all_zero, scaled_params
-from .tree_core import VertexSet, boundaries, is_connected
+from .tree_core import DomainError, VertexSet, boundaries, is_connected
 
 # Full-lattice measures keep 2^n exact entries; wider trees are refused.
 MAX_LATTICE_ORDER = 16
@@ -74,7 +74,7 @@ class MeasureValue:
     @classmethod
     def from_ratio(cls, x: Fraction):
         if x <= 0:
-            raise ValueError("measure entries are logs of positive ratios")
+            raise DomainError("measure entries are logs of positive ratios")
         return cls(num=x.numerator, den=x.denominator)
 
     @property
@@ -122,7 +122,7 @@ class SignedMeasure:
 def _require_positive_r(params):
     for x in params.r:
         if x <= 0:
-            raise ValueError(
+            raise DomainError(
                 "fresh-draw probabilities must be > 0: zero-probability "
                 "events have no finite log"
             )
@@ -143,7 +143,7 @@ def nu_full(tree, params) -> SignedMeasure:
     _require_positive_r(params)
     n = tree.n
     if n > MAX_LATTICE_ORDER:
-        raise ValueError("full measures are capped at %d vertices" % MAX_LATTICE_ORDER)
+        raise DomainError("full measures are capped at %d vertices" % MAX_LATTICE_ORDER)
     full = (1 << n) - 1
     weights = scaled_params(tree, params)
     table = [
@@ -178,9 +178,9 @@ def connected_log_events(tree, subset):
     """
     s = subset.bits
     if s == 0:
-        raise ValueError("subset must be nonempty")
+        raise DomainError("subset must be nonempty")
     if not is_connected(tree, subset):
-        raise ValueError("subset must induce a connected subgraph")
+        raise DomainError("subset must induce a connected subgraph")
 
     rep = boundaries(tree, subset)
     if s & (s - 1) == 0:

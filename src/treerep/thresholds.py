@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .tree_core import DomainError
+
 MAX_BELL_INDEX = 64
 _BISECT_TOL = Fraction(1, 10**13)
 
@@ -47,7 +49,7 @@ def complementary_bell(n):
     surplus of even- over odd-block set partitions.
     """
     if not 0 <= n <= MAX_BELL_INDEX:
-        raise ValueError("complementary Bell index must be in 0..%d" % MAX_BELL_INDEX)
+        raise DomainError("complementary Bell index must be in 0..%d" % MAX_BELL_INDEX)
     row = _stirling2_row(n)
     return sum((-1) ** k * row[k] for k in range(n + 1))
 
@@ -60,7 +62,7 @@ def eulerian_coeffs(m):
     <m,k> = (k+1)<m-1,k> + (m-k)<m-1,k-1>.
     """
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise DomainError("m must be nonnegative")
     if m == 0:
         return (1,)
     prev = eulerian_coeffs(m - 1)
@@ -86,10 +88,10 @@ def polylog_neg_order(n, z):
     ``m = n - 1`` and the Eulerian polynomial ``A_m``.
     """
     if n < 2:
-        raise ValueError("order 1-n with n >= 2 required")
+        raise DomainError("order 1-n with n >= 2 required")
     z = Fraction(z)
     if z == 1:
-        raise ValueError("polylogarithm of negative order has a pole at z=1")
+        raise DomainError("polylogarithm of negative order has a pole at z=1")
     m = n - 1
     return z * _eval_poly(eulerian_coeffs(m), z) / (1 - z) ** (m + 1)
 
@@ -132,14 +134,14 @@ def r_star(n) -> float:
     polynomial ``A_{n-1}``; these are simple, real and negative.
     """
     if n < 3:
-        raise ValueError("r_star needs n >= 3")
+        raise DomainError("r_star needs n >= 3")
     return float(_largest_negative_eulerian_root(n - 1))
 
 
 def r1(m) -> float:
     """Sign-change location of ``f_poly(m, .)`` in (0, 1): 1/(1 - r_star)."""
     if m < 3:
-        raise ValueError("r1 needs m >= 3")
+        raise DomainError("r1 needs m >= 3")
     rho = _largest_negative_eulerian_root(m - 1)
     return float(1 / (1 - rho))
 
@@ -157,7 +159,7 @@ def r0(k):
     is kept to reproduce the table's ``r0`` column.
     """
     if k < 3:
-        raise ValueError("r0 needs k >= 3")
+        raise DomainError("r0 needs k >= 3")
     best = None
     for j in range(2, k + 1):
         v = (-1) ** j * complementary_bell(j)
@@ -191,7 +193,7 @@ def f_poly(j, r):
     """
     r = Fraction(r)
     if not 0 < r < 1:
-        raise ValueError("r must lie strictly between 0 and 1")
+        raise DomainError("r must lie strictly between 0 and 1")
     return polylog_neg_order(j, -(1 - r) / r) / (r ** (j - 1) * (1 - r))
 
 

@@ -16,6 +16,15 @@ from dataclasses import dataclass, field
 MAX_TREE_ORDER = 24
 
 
+class DomainError(ValueError):
+    """An input outside the library's domain (exit 2 on the command line).
+
+    Raised for bad trees, vertex sets and parameters and for exceeded
+    size caps.  Any other exception, a plain ``ValueError`` included,
+    is a bug.
+    """
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """An immutable set of vertex ids packed into an integer bitmask.
@@ -37,7 +46,7 @@ class VertexSet:
         bits = 0
         for v in vertices:
             if v < 0:
-                raise ValueError("vertex ids are nonnegative integers")
+                raise DomainError("vertex ids are nonnegative integers")
             bits |= 1 << v
         return cls(bits)
 
@@ -134,22 +143,22 @@ def build_tree(edges, root=0, max_order=MAX_TREE_ORDER):
     for e in edges:
         u, v = int(e[0]), int(e[1])
         if u == v:
-            raise ValueError("self-loop at vertex %d" % u)
+            raise DomainError("self-loop at vertex %d" % u)
         if u < 0 or v < 0:
-            raise ValueError("vertex ids must be nonnegative")
+            raise DomainError("vertex ids must be nonnegative")
         key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise ValueError("duplicate edge %s-%s" % key)
+            raise DomainError("duplicate edge %s-%s" % key)
         seen.add(key)
         norm.append(key)
         max_id = max(max_id, u, v)
     n = max_id + 1
     if n > max_order:
-        raise ValueError("tree order %d exceeds cap %d" % (n, max_order))
+        raise DomainError("tree order %d exceeds cap %d" % (n, max_order))
     if not 0 <= root < n:
-        raise ValueError("root %d not a vertex" % root)
+        raise DomainError("root %d not a vertex" % root)
     if len(norm) != n - 1:
-        raise ValueError(
+        raise DomainError(
             "edge count %d != n-1 = %d (cycle or missing vertices)" % (len(norm), n - 1)
         )
 
@@ -169,7 +178,7 @@ def build_tree(edges, root=0, max_order=MAX_TREE_ORDER):
                 depth[w] = depth[v] + 1
                 order.append(w)
     if len(order) != n:
-        raise ValueError("edge list is disconnected")
+        raise DomainError("edge list is disconnected")
 
     children = [[] for _ in range(n)]
     for v in order[1:]:
@@ -195,14 +204,14 @@ def path(n):
     """Path on ``n`` vertices 0-1-...-(n-1), rooted at 0.  ``path(1)`` is
     the degenerate single vertex."""
     if n < 1:
-        raise ValueError("path needs at least one vertex")
+        raise DomainError("path needs at least one vertex")
     return build_tree([(i, i + 1) for i in range(n - 1)], root=0)
 
 
 def star(k):
     """Star with center 0 and leaves ``1..k``."""
     if k < 1:
-        raise ValueError("star needs at least one leaf")
+        raise DomainError("star needs at least one leaf")
     return build_tree([(0, i) for i in range(1, k + 1)], root=0)
 
 
@@ -215,7 +224,7 @@ def spider(k, leg_len):
     ``spider(k, 1)`` equals ``star(k)``.
     """
     if k < 1 or leg_len < 1:
-        raise ValueError("spider needs k >= 1 legs of length >= 1")
+        raise DomainError("spider needs k >= 1 legs of length >= 1")
     edges = []
     for j in range(k):
         base = 1 + j * leg_len
@@ -233,7 +242,7 @@ def octopus(m, depth):
     branching center.
     """
     if m < 3:
-        raise ValueError("octopus needs at least 3 arms")
+        raise DomainError("octopus needs at least 3 arms")
     return spider(m, depth)
 
 
@@ -270,7 +279,7 @@ def boundaries(tree, subset):
     """Boundary report for ``subset`` (see :class:`BoundaryReport`)."""
     s = subset.bits
     if s >> tree.n:
-        raise ValueError("subset contains ids outside the tree")
+        raise DomainError("subset contains ids outside the tree")
     inner = 0
     outer = 0
     for v in subset:
@@ -291,7 +300,7 @@ def is_connected(tree, subset):
     """True iff ``subset`` induces a connected subgraph (empty set counts)."""
     s = subset.bits
     if s >> tree.n:
-        raise ValueError("subset contains ids outside the tree")
+        raise DomainError("subset contains ids outside the tree")
     if s == 0:
         return True
     start = (s & -s).bit_length() - 1
@@ -344,9 +353,9 @@ def spanning_subtree(tree, subset):
     """
     s = subset.bits
     if s == 0:
-        raise ValueError("subset must be nonempty")
+        raise DomainError("subset must be nonempty")
     if s >> tree.n:
-        raise ValueError("subset contains ids outside the tree")
+        raise DomainError("subset contains ids outside the tree")
 
     alive = set(range(tree.n))
     deg = [len(tree.neighbors[v]) for v in range(tree.n)]
@@ -399,7 +408,7 @@ def subdivide(tree, k):
     ``originals`` is the vertex set of the surviving original ids.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise DomainError("k must be >= 1")
     originals = VertexSet((1 << tree.n) - 1)
     if k == 1:
         return tree, originals
@@ -428,23 +437,30 @@ def connected_subsets(tree, min_size=1, max_size=None):
         max_size = tree.n
     nbr_bits = [tree.neighbor_bits(v) for v in range(tree.n)]
 
-    def grow(cur, size, cand, banned):
-        if size >= min_size:
-            yield cur
-        if size == max_size:
-            return
-        c = cand
-        while c:
-            low = c & -c
-            c ^= low
-            u = low.bit_length() - 1
-            new_cand = (c | (nbr_bits[u] & allowed & ~banned)) & ~cur & ~low
-            yield from grow(cur | low, size + 1, new_cand & ~banned, banned)
-            banned |= low
-
     for v0 in range(tree.n):
         allowed = -1 << (v0 + 1)
-        yield from grow(1 << v0, 1, nbr_bits[v0] & allowed, 0)
+        if min_size <= 1:
+            yield 1 << v0
+        # depth-first with an explicit stack of [set, size, candidates, banned]
+        stack = [[1 << v0, 1, nbr_bits[v0] & allowed, 0]] if max_size > 1 else []
+        while stack:
+            frame = stack[-1]
+            cur, size, cand, banned = frame
+            if not cand:
+                stack.pop()
+                continue
+            low = cand & -cand
+            cand ^= low
+            frame[2] = cand
+            frame[3] = banned | low
+            grown = cur | low
+            size += 1
+            if size >= min_size:
+                yield grown
+            if size < max_size:
+                u = low.bit_length() - 1
+                new_cand = (cand | (nbr_bits[u] & allowed)) & ~grown & ~banned
+                stack.append([grown, size, new_cand, banned])
 
 
 # ---------------------------------------------------------------------------
@@ -462,5 +478,5 @@ def tree_from_json(text):
     obj = json.loads(text)
     t = build_tree([tuple(e) for e in obj["edges"]], root=obj.get("root", 0))
     if "n" in obj and obj["n"] != t.n:
-        raise ValueError("declared n=%d but edges span %d vertices" % (obj["n"], t.n))
+        raise DomainError("declared n=%d but edges span %d vertices" % (obj["n"], t.n))
     return t

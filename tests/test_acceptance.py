@@ -26,6 +26,7 @@ from fractions import Fraction
 from treerep.chain_model import (
     make_params,
     prob_all_zero,
+    ring_weights,
     sample_percolation_many,
     sample_recursive_many,
     scaled_params,
@@ -131,7 +132,8 @@ def _consistency_matrix():
         tree = _random_tree(rng, rng.randint(2, 10))
         params = _random_params(rng, tree)
         measure = nu_full(tree, params)
-        probs = {m: prob_all_zero(tree, params, VertexSet(m)) for m in range(1 << tree.n)}
+        weights = ring_weights(tree, params)  # the same Fractions, built once per tree
+        probs = {m: prob_all_zero(tree, weights, VertexSet(m)) for m in range(1 << tree.n)}
         matrix.append((tree, params, measure, probs))
     return matrix
 

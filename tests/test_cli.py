@@ -295,6 +295,23 @@ def test_broken_kernel_invariant_escapes_instead_of_exit_2(monkeypatch, tmp_path
         main(args + ["--out", str(tmp_path / "analyze.json")])
 
 
+def test_plain_value_error_in_the_sweep_escapes(monkeypatch):
+    import treerep.representability as representability
+
+    def broken(tree, weights, masks):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(representability, "prob_all_zero_many", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["analyze", "--tree", "octopus:3x2", "--r", "9/20", "--p", "19/20"])
+
+
+def test_multiset_naming_a_non_edge_exits_2(capsys):
+    argv = ["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "p0", "--r", "1/2"]
+    assert main(argv + ["--multiset", "0-2"]) == 2
+    assert "no edge 0-2" in capsys.readouterr().err
+
+
 def test_verify_refuses_a_wide_tree_before_the_full_lattice(monkeypatch, capsys):
     import treerep.mc_verify as mc_verify
 
