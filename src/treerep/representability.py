@@ -5,12 +5,12 @@ everywhere.  Disconnected sets carry exactly zero mass on trees, so the
 verdict only has to sweep connected sets, whose count stays far below
 2^n on sparse trees.  Each connected set's nu(S) is a signed sum of the
 log-probabilities of its boundary events.  A float64 pass evaluates the
-events of many sets at once in numpy and certifies a sign wherever a
-proved forward-error bound allows (:func:`certified_signs`).  Every set
-it does not certify positive gets its exact sign from the integer
-encoding of :func:`~treerep.chain_model.scaled_params`, one comparison
-of two int products, so near-ties and witnesses are always decided
-exactly.  The witness is the first negative set in (size, bit pattern)
+events of many sets at once in numpy and certifies a sign wherever it
+clears a proved forward-error bound by the factor ``MARGIN``
+(:func:`certified_signs`).  Every set it does not certify positive gets
+its exact sign from the integer encoding of
+:func:`~treerep.chain_model.scaled_params`, one comparison of two int
+products, so near-ties and witnesses are always decided exactly.  The witness is the first negative set in (size, bit pattern)
 order, and ``Verdict.checked_sets`` is its position in that order.
 """
 
@@ -42,6 +42,10 @@ MAX_SCALING_ORDER = 14
 # 1 MB on any tree (star(16) has 86M events), and a sweep stops at its
 # witness's chunk.
 CHUNK_EVENTS = 1 << 13
+
+# A float sign is kept only when it clears its proved error bound by
+# this factor (see certified_signs); closer sets go to the exact path.
+MARGIN = 2.0**20
 
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-900  # smaller probabilities are left to the exact path
@@ -186,12 +190,20 @@ def certified_signs(nu, mag, lam_size, n):
     less than the factor 2 it carries, so ``b`` >= B, and |nu| > b proves
     that nu(S) has the sign of nu.  An exact zero has |nu| <= B <= b and
     is never certified.
+
+    A sign is kept only when |nu| > ``MARGIN`` * b.  Steps 1-3 and 5
+    follow from IEEE float64 and the code of the sweep, but step 4 rests
+    on the platform's ``log``, which the code cannot check; the margin lets that premise fail by a
+    factor of ``MARGIN`` before a kept sign could be wrong.  The sets
+    inside the margin are those nearest a sign change, such as the large
+    sets of octopus(3, 2) at p = 19/20 near r = 1/2, and they go to the
+    exact path.
     """
     count = np.ldexp(1.0, lam_size)
     gamma_k = 10 * n * _U / (1 - 10 * n * _U)
     gamma_n = count * _U / (1 - count * _U)
     b = 2 * (count * (2 * gamma_k + 8 * _U) + (8 * _U + gamma_n) * mag)
-    return nu > b, nu < -b
+    return nu > MARGIN * b, nu < -MARGIN * b
 
 
 def float_signs(plan, params):

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 import treerep.representability as representability
-from treerep.chain_model import ChainParams, scaled_params
+from treerep.chain_model import ChainParams, scaled_params, uniform_params
 from treerep.representability import SweepPlan, float_signs, is_representable, phase_scan
 from treerep.signed_measure import connected_log_events, nu_connected
 from treerep.tree_core import VertexSet, build_tree, octopus
@@ -174,3 +174,17 @@ def test_scan_threads_share_one_plan(monkeypatch):
         sys.setswitchinterval(interval)
     assert threaded == serial
     assert {point.verdict.representable for point in serial} == {True, False}
+
+
+def test_sets_inside_the_margin_go_to_the_exact_path(monkeypatch):
+    # at p = 19/20 the large sets of octopus(3, 2) clear the proved bound
+    # but not MARGIN times it; the verdicts do not depend on the margin
+    tree = octopus(3, 2)
+    chains = [(tree, uniform_params(tree, Fraction(k, 20), Fraction(19, 20))) for k in (9, 11)]
+    expect = _verdicts(chains)
+    assert [v[0] for v in expect] == [False, True]
+    near = _outcomes(chains[1:])
+    assert set(near) == {(1, 0), (1, 1)} and near[(1, 0)] >= 2
+    monkeypatch.setattr(representability, "MARGIN", 1.0)
+    assert _outcomes(chains[1:]) == {(1, 1): sum(near.values())}
+    assert _verdicts(chains) == expect
