@@ -231,7 +231,7 @@ def prob_all_zero_many(tree, weights, masks):
     return r[ro] * f0[ro] + rbar[ro] * f1[ro]
 
 
-def prob_all_zero(tree, params, zero_on, cache=None):
+def prob_all_zero(tree, params, zero_on):
     """Exact probability that the chain is 0 everywhere on ``zero_on``.
 
     One bottom-up sweep: ``f_v(x)`` is the probability that the subtree
@@ -240,8 +240,7 @@ def prob_all_zero(tree, params, zero_on, cache=None):
     operations are used.  ``params`` is a :class:`ChainParams` of
     Fractions or jet values, or :class:`Weights` from
     :func:`ring_weights` or :func:`scaled_params`; with the latter the
-    result is the integer ``den * P``.  ``cache`` (a dict) memoises
-    results per ``zero_on`` bitmask for a fixed (tree, params).
+    result is the integer ``den * P``.
     """
     a = zero_on.bits
     if a >> tree.n:
@@ -249,8 +248,6 @@ def prob_all_zero(tree, params, zero_on, cache=None):
     w = ring_weights(tree, params) if isinstance(params, ChainParams) else params
     if a == 0:
         return w.one
-    if cache is not None and a in cache:
-        return cache[a]
 
     r, rbar, p, copy = w.r, w.rbar, w.p, w.copy
     children = tree.children
@@ -265,10 +262,7 @@ def prob_all_zero(tree, params, zero_on, cache=None):
         f0[v] = m0
         f1[v] = 0 * m1 if (a >> v) & 1 else m1
     ro = tree.root
-    result = r[ro] * f0[ro] + rbar[ro] * f1[ro]
-    if cache is not None:
-        cache[a] = result
-    return result
+    return r[ro] * f0[ro] + rbar[ro] * f1[ro]
 
 
 def brute_force_prob_all_zero(tree, params, zero_on, max_edges=20):

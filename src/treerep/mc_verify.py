@@ -196,9 +196,8 @@ class ClosureReport:
     passed: bool
 
 
-def poisson_closure_report(tree, params, n_draws, seed, tolerance=4.0):
-    """Sample the chain's Poisson field and compare all zero patterns."""
-    field = field_from_chain(tree, params)
+def poisson_closure_report(tree, params, field, n_draws, seed, tolerance=4.0):
+    """Sample ``field``, the chain's Poisson field, and compare all zero patterns."""
     words = sample_poisson_field_many(field, n_draws, seed)
     zeros_on = _zeros_on_table(_pattern_histogram(words, tree.n), tree.n)
     weights = scaled_params(tree, params)

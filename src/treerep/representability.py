@@ -16,7 +16,6 @@ order, and ``Verdict.checked_sets`` is its position in that order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -64,7 +63,6 @@ class Verdict:
     representable: bool
     witness: Optional[VertexSet]
     checked_sets: int
-    restricted_to_connected: bool = True
 
 
 @dataclass(frozen=True)
@@ -271,29 +269,22 @@ def is_representable(tree, params, sweep=None) -> Verdict:
     return Verdict(representable=True, witness=None, checked_sets=len(plan.sets))
 
 
-def phase_scan(tree, r_values, p_values, threads=1):
+def phase_scan(tree, r_values, p_values):
     """Verdict at every grid point; returns PhasePoints sorted by (r, p).
 
-    Grid values must lie strictly inside (0, 1).  All points share one
-    :class:`SweepPlan`.  ``threads`` > 1 farms grid points out to a
-    thread pool; the output order is independent of scheduling.
+    Grid values must lie strictly inside (0, 1).  The points run one
+    after another on one shared :class:`SweepPlan`.
     """
     rs = [as_fraction(r) for r in r_values]
     ps = [as_fraction(p) for p in p_values]
     for x in rs + ps:
         if not 0 < x < 1:
             raise DomainError("scan grids must lie strictly inside (0, 1)")
-    points = sorted((r, p) for r in set(rs) for p in set(ps))
     plan = SweepPlan(tree)
-
-    def solve(point):
-        r, p = point
-        return PhasePoint(r, p, is_representable(tree, uniform_params(tree, r, p), plan))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, points))
-    return [solve(point) for point in points]
+    return [
+        PhasePoint(r, p, is_representable(tree, uniform_params(tree, r, p), plan))
+        for r, p in sorted((r, p) for r in set(rs) for p in set(ps))
+    ]
 
 
 def scaling_check(tree, r, p, k) -> bool:

@@ -2,8 +2,7 @@
 
 Vertices are integers ``0..n-1`` and subsets of vertices are packed into
 integer bitmasks, so set algebra stays cheap and hashable.  Everything in
-this module is immutable after construction and safe to share across
-threads.
+this module is immutable after construction.
 """
 
 from __future__ import annotations

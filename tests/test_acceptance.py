@@ -33,7 +33,7 @@ from treerep.chain_model import (
     uniform_params,
 )
 from treerep.cli import RunConfig, run
-from treerep.mc_verify import compare_laws, poisson_closure_report
+from treerep.mc_verify import compare_laws, field_from_chain, poisson_closure_report
 from treerep.param_calculus import (
     EdgeMultiset,
     boundary_edge_multiset,
@@ -474,7 +474,8 @@ def test_criterion_11_monte_carlo_closure():
         params = uniform_params(tree, HALF, HALF)
         assert is_representable(tree, params).representable
 
-        closure = poisson_closure_report(tree, params, draws, seed=2026, tolerance=4.0)
+        field = field_from_chain(tree, params)
+        closure = poisson_closure_report(tree, params, field, draws, seed=2026, tolerance=4.0)
         assert closure.checked == (1 << tree.n) - 1
         assert closure.passed, "worst set %r at %.2f sigmas" % (
             closure.worst_set,

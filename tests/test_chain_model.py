@@ -124,15 +124,6 @@ def test_prob_all_zero_positive_association():
         assert prob_all_zero(t, params, a) >= r ** len(a)
 
 
-def test_prob_all_zero_cache():
-    t = path(4)
-    params = uniform_params(t, HALF, HALF)
-    cache = {}
-    x = prob_all_zero(t, params, VertexSet.of(0, 3), cache)
-    assert cache[VertexSet.of(0, 3).bits] == x
-    assert prob_all_zero(t, params, VertexSet.of(0, 3), cache) == x
-
-
 def test_samplers_deterministic_by_seed():
     t = star(3)
     params = uniform_params(t, HALF, Fraction(1, 3))

@@ -94,7 +94,7 @@ def test_scan_golden_and_thread_independence(tmp_path):
     assert lines[1] == "9/20,19/20,false,0;1;3;5"
     assert lines[2] == "11/20,19/20,true,"
 
-    # worker count shapes neither the rows nor the config digest
+    # --threads is accepted and ignored: neither the rows nor the digest change
     code, threaded = run_to_file(args + ["--threads", "3"], tmp_path)
     assert code == 0
     assert threaded == blob
@@ -306,6 +306,24 @@ def test_plain_value_error_in_the_sweep_escapes(monkeypatch):
         main(["analyze", "--tree", "octopus:3x2", "--r", "9/20", "--p", "19/20"])
 
 
+@pytest.mark.parametrize(
+    "attr, argv",
+    [
+        ("field_from_chain", ["verify", "--tree", "path:3", "--r", "1/2", "--p", "1/2"]),
+        ("threshold_table", ["thresholds", "--n", "3..5"]),
+    ],
+)
+def test_plain_value_error_in_verify_or_thresholds_escapes(monkeypatch, attr, argv):
+    import treerep.cli as cli
+
+    def broken(*args):
+        raise ValueError("an internal bug")
+
+    monkeypatch.setattr(cli, attr, broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(argv)
+
+
 def test_multiset_naming_a_non_edge_exits_2(capsys):
     argv = ["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "p0", "--r", "1/2"]
     assert main(argv + ["--multiset", "0-2"]) == 2
@@ -321,6 +339,26 @@ def test_verify_refuses_a_wide_tree_before_the_full_lattice(monkeypatch, capsys)
     monkeypatch.setattr(mc_verify, "nu_full", no_lattice)
     assert main(["verify", "--tree", "path:13", "--r", "1/2", "--p", "1/2"]) == 2
     assert "capped at 12 vertices" in capsys.readouterr().err
+
+
+def test_verify_builds_the_lattice_once(monkeypatch, tmp_path):
+    import treerep.mc_verify as mc_verify
+
+    calls = []
+    real = mc_verify.nu_full
+
+    def counted(tree, params):
+        calls.append(tree.n)
+        return real(tree, params)
+
+    monkeypatch.setattr(mc_verify, "nu_full", counted)
+    code, blob = run_to_file(
+        ["verify", "--tree", "path:4", "--r", "1/2", "--p", "1/2", "--draws", "20000"],
+        tmp_path,
+    )
+    assert code == 0
+    assert blob == (GOLDEN / "verify.json").read_bytes()
+    assert calls == [4]
 
 
 def test_unknown_flags_and_commands_are_rejected():
@@ -408,7 +446,7 @@ def test_deriv_check_closed_form_wiring(tmp_path):
 def test_config_digest_scope():
     base = RunConfig(command="scan", tree="path:3", r_grid="1/4", p_grid="1/2")
     assert config_digest(base) == config_digest(
-        RunConfig(command="scan", tree="path:3", r_grid="1/4", p_grid="1/2", threads=8, out="x")
+        RunConfig(command="scan", tree="path:3", r_grid="1/4", p_grid="1/2", out="x")
     )
     assert config_digest(base) != config_digest(
         RunConfig(command="scan", tree="path:3", r_grid="1/4", p_grid="3/4")

@@ -11,7 +11,6 @@ into the subnormal range (r or p = 1/10^k for k up to 400), where the
 """
 
 import random
-import sys
 import warnings
 from fractions import Fraction
 
@@ -159,21 +158,18 @@ def test_a_wrong_proved_sign_raises(monkeypatch):
         is_representable(tree, params)
 
 
-def test_scan_threads_share_one_plan(monkeypatch):
-    # chunks of 16 events, so the threads also expand chunks past the kept first one
+def test_scan_points_share_one_plan(monkeypatch):
+    # chunks of 16 events, so every point after the first re-expands the
+    # chunks past the kept first one from the shared plan
     monkeypatch.setattr(representability, "CHUNK_EVENTS", 16)
     tree = octopus(3, 2)
     rs = [Fraction(k, 20) for k in range(7, 14)]
     ps = [Fraction(9, 10), Fraction(19, 20)]
-    serial = phase_scan(tree, rs, ps)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = phase_scan(tree, rs, ps, threads=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
-    assert {point.verdict.representable for point in serial} == {True, False}
+    points = phase_scan(tree, rs, ps)
+    assert [(point.r, point.p) for point in points] == [(r, p) for r in rs for p in ps]
+    for point in points:
+        assert point.verdict == is_representable(tree, uniform_params(tree, point.r, point.p))
+    assert {point.verdict.representable for point in points} == {True, False}
 
 
 def test_sets_inside_the_margin_go_to_the_exact_path(monkeypatch):

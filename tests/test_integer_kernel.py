@@ -123,7 +123,7 @@ def test_nu_connected_on_a_partly_filled_shared_cache():
         reference = nu_full(tree, params)
         shared = {}
         for mask in range(1, 1 << tree.n, 3):
-            prob_all_zero(tree, params, VertexSet(mask), shared)
+            shared[mask] = prob_all_zero(tree, params, VertexSet(mask))
         for bits in connected_subsets(tree):
             got = nu_connected(tree, params, VertexSet(bits), shared)
             assert got.ratio == reference.value(bits).ratio

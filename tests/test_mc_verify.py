@@ -75,7 +75,8 @@ def test_field_sampling_is_seed_deterministic():
 
 def test_closure_on_a_small_representable_chain():
     t = path(3)
-    report = poisson_closure_report(t, uniform_params(t, F(1, 2), F(1, 2)),
+    params = uniform_params(t, F(1, 2), F(1, 2))
+    report = poisson_closure_report(t, params, field_from_chain(t, params),
                                     n_draws=120_000, seed=2024)
     assert report.checked == 7
     assert report.passed, report
