@@ -66,13 +66,17 @@ def make_params(tree, r_spec, p_spec):
     """Build :class:`ChainParams` from scalars or per-vertex / per-edge maps.
 
     ``r_spec``: scalar, or mapping ``vertex -> value`` (all vertices
-    required).  ``p_spec``: scalar, or mapping ``"u-v" -> value`` covering
-    every edge.  Values may be anything :func:`as_fraction` accepts.
+    required, each key an integer in 0..n-1).  ``p_spec``: scalar, or
+    mapping ``"u-v"`` or ``(u, v)`` to value, covering every edge.  Values
+    may be anything :func:`as_fraction` accepts.
     """
     if isinstance(r_spec, dict):
         r = [None] * tree.n
         for key, val in r_spec.items():
-            r[int(key)] = as_fraction(val)
+            v = str(key)
+            if not (v.isdecimal() and int(v) < tree.n):
+                raise DomainError("no vertex %r in a tree of %d vertices" % (key, tree.n))
+            r[int(v)] = as_fraction(val)
         if any(x is None for x in r):
             raise DomainError("per-vertex r must cover all %d vertices" % tree.n)
     else:
@@ -81,11 +85,12 @@ def make_params(tree, r_spec, p_spec):
     if isinstance(p_spec, dict):
         p = [None] * len(tree.edges)
         for key, val in p_spec.items():
-            if isinstance(key, str):
-                u, v = (int(part) for part in key.split("-"))
-            else:
-                u, v = key
-            p[tree.edge_index(u, v)] = as_fraction(val)
+            try:
+                u, v = (int(part) for part in key.split("-")) if isinstance(key, str) else key
+                e = tree.edge_index(u, v)
+            except (KeyError, TypeError, ValueError):
+                raise DomainError("no edge %r in the tree" % (key,)) from None
+            p[e] = as_fraction(val)
         if any(x is None for x in p):
             raise DomainError("per-edge p must cover all %d edges" % len(tree.edges))
     else:

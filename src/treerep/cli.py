@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import __version__
 from .chain_model import (
     make_params,
     params_from_json,
@@ -74,8 +75,6 @@ from .tree_core import (
     star,
     tree_from_json,
 )
-
-VERSION = "0.1.0"
 
 
 class UsageError(Exception):
@@ -196,10 +195,7 @@ def parse_tree(spec):
             raise UsageError(
                 "tree %r needs %d integer size(s), e.g. %s" % (spec, arity, _EXAMPLE[kind])
             )
-        try:
-            return builder(*args)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return builder(*args)
     try:
         with open(spec, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -247,10 +243,7 @@ def resolve_params(tree, config):
     p_spec = _param_spec(config.p, len(tree.edges), "--p")
     if isinstance(p_spec, list):
         p_spec = {"%d-%d" % edge: value for edge, value in zip(tree.edges, p_spec)}
-    try:
-        return make_params(tree, r_spec, p_spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return make_params(tree, r_spec, p_spec)
 
 
 def parse_vertex_set(text) -> VertexSet:
@@ -270,7 +263,7 @@ def _fractions(values):
 
 
 def _json_artifact(payload, config):
-    payload["version"] = VERSION
+    payload["version"] = __version__
     payload["config"] = config_digest(config)
     return json.dumps(payload, indent=2) + "\n"
 
@@ -279,7 +272,7 @@ def _csv_artifact(header, rows, config, notes=()):
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     lines.extend("# %s" % note for note in notes)
-    lines.append("# treerep %s config %s" % (VERSION, config_digest(config)))
+    lines.append("# treerep %s config %s" % (__version__, config_digest(config)))
     return "\n".join(lines) + "\n"
 
 

@@ -4,12 +4,14 @@ Every probability the chain produces is a polynomial in the edge
 parameters ``p_e`` and vertex laws ``r_v`` (multilinear in each), so
 running the message-passing recursion on truncated-polynomial
 coefficients instead of plain rationals yields exact mixed partials —
-no finite differences, no floats.  Logarithms are handled symbolically:
-inside the truncated algebra ``log u = log c + log1p(u/c - 1)`` and the
-second term is a terminating series because ``u/c - 1`` is nilpotent.
-The constant terms stay positive at every base point we differentiate
-at (they are products of the ``r_v``, or exactly 1 when ``r == 1``), so
-the series is always legal.
+no finite differences, no floats.  nu(S) comes from the verdicts' own
+:func:`~treerep.signed_measure.signed_products` on jet weights, and only
+its two products go through a logarithm.  Inside the truncated algebra
+``log u = log c + log1p(u/c - 1)``; the second term is a terminating
+series, because ``u/c - 1`` is nilpotent, and it turns products into
+sums.  The constant terms stay positive at every base point we
+differentiate at (products of the ``r_v``, or exactly 1 when ``r == 1``),
+so the series is always legal.
 
 The closed forms at the degenerate base points ``p == 0`` and ``p == 1``
 live here as well, next to the jet oracle that certifies them.
@@ -21,8 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain_model import ChainParams, as_fraction, prob_all_zero
-from .signed_measure import connected_log_events
+from .chain_model import ChainParams, as_fraction, prob_all_zero, ring_weights
+from .signed_measure import connected_log_events, signed_products
 from .thresholds import f_poly
 from .tree_core import DomainError, VertexSet, is_connected, spanning_subtree
 
@@ -139,8 +141,8 @@ class DualValue:
         """``log(self) - log(constant term)``, exact in the truncated ring.
 
         The constant term must be positive.  Only the polynomial part of
-        the log is representable over the rationals; callers track the
-        dropped ``log c`` separately (as a product of the constants).
+        the log is representable over the rationals; the dropped
+        ``log c`` is a constant, which no derivative sees.
         """
         c = self.constant_term
         if c <= 0:
@@ -254,28 +256,22 @@ def subtree_edge_multiset(tree, subset) -> EdgeMultiset:
     return EdgeMultiset.of(*edges)
 
 
-def _nu_jet(tree, params, subset, caps, order):
-    """Constant ratio and jet series with ``nu(S) = log(ratio) + series``."""
-    const = Fraction(1)
-    series = DualValue.constant(caps, order, 0)
-    for sign, bits in connected_log_events(tree, subset):
-        if bits == 0:
-            continue
-        prob = prob_all_zero(tree, params, VertexSet(bits))
-        if not isinstance(prob, DualValue):
-            prob = DualValue.constant(caps, order, prob)
-        if sign > 0:
-            const *= prob.constant_term
-            series = series + prob.log_series()
-        else:
-            const /= prob.constant_term
-            series = series - prob.log_series()
-    return const, series
+def _nu_jet(tree, weights, subset, mults):
+    """``nu(S)`` less its constant term, on jet-valued ``weights``."""
+    even, odd = signed_products(
+        connected_log_events(tree, subset),
+        lambda bits: prob_all_zero(tree, weights, VertexSet(bits)),
+    )
+    zero = DualValue.constant(mults, sum(mults), 0)
+    return (zero + even).log_series() - (zero + odd).log_series()
 
 
-def _extract(series, mults):
-    scale = math.prod(math.factorial(m) for m in mults)
-    return series.coefficient(mults) * scale
+def _derivative(tree, subset, jet_params, mults):
+    """The mixed partial that the jet variables of ``jet_params`` carry."""
+    if not is_connected(tree, subset):
+        return Fraction(0)
+    series = _nu_jet(tree, ring_weights(tree, jet_params), subset, mults)
+    return series.coefficient(mults) * math.prod(math.factorial(m) for m in mults)
 
 
 def _require_positive(values, what):
@@ -317,19 +313,14 @@ def d_nu_dp(tree, params, subset, edges, at="params", degree_cap=DEFAULT_JET_CAP
         base_p = (Fraction(1),) * len(tree.edges)
     else:
         raise DomainError('at must be "params", "p0" or "p1"')
-    if not is_connected(tree, subset):
-        return Fraction(0)
 
     mults = tuple(m for _, m in multiset.items)
-    order = multiset.total
     jet_p = list(base_p)
     for slot_pos, edge_slot in enumerate(slots):
         jet_p[edge_slot] = DualValue.variable(
-            mults, order, slot_pos, base_p[edge_slot]
+            mults, multiset.total, slot_pos, base_p[edge_slot]
         )
-    jet_params = ChainParams(r=params.r, p=tuple(jet_p))
-    _, series = _nu_jet(tree, jet_params, subset, mults, order)
-    return _extract(series, mults)
+    return _derivative(tree, subset, ChainParams(r=params.r, p=tuple(jet_p)), mults)
 
 
 def d_nu_dr(tree, params, subset, vertices, at="params", degree_cap=DEFAULT_JET_CAP):
@@ -364,17 +355,13 @@ def d_nu_dr(tree, params, subset, vertices, at="params", degree_cap=DEFAULT_JET_
         base_r = (Fraction(1),) * tree.n
     else:
         raise DomainError('at must be "params" or "r1"')
-    if not is_connected(tree, subset):
-        return Fraction(0)
 
     support = tuple(sorted(counts))
     mults = tuple(counts[v] for v in support)
     jet_r = list(base_r)
     for slot_pos, v in enumerate(support):
         jet_r[v] = DualValue.variable(mults, order, slot_pos, base_r[v])
-    jet_params = ChainParams(r=tuple(jet_r), p=params.p)
-    _, series = _nu_jet(tree, jet_params, subset, mults, order)
-    return _extract(series, mults)
+    return _derivative(tree, subset, ChainParams(r=tuple(jet_r), p=params.p), mults)
 
 
 def closed_form_p0(b, r) -> Fraction:

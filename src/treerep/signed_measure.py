@@ -205,6 +205,21 @@ def connected_log_events(tree, subset):
     return events
 
 
+def signed_products(events, prob):
+    """``(even, odd)``, the products of ``prob(bits)`` over the + and - events.
+
+    ``nu(S) = log(even / odd)`` for the events of :func:`connected_log_events`.
+    Only ring operations are used, so ``prob`` may return ints, Fractions or jets.
+    """
+    evens = []
+    odds = []
+    for sign, bits in events:
+        (evens if sign > 0 else odds).append(prob(bits))
+    if len(evens) != len(odds):
+        raise AssertionError("boundary events must split evenly between the signs")
+    return _product(evens), _product(odds)
+
+
 def nu_connected(tree, params, subset, prob_cache=None) -> MeasureValue:
     """Measure of a connected set from boundary-indexed inclusion-exclusion.
 
@@ -213,8 +228,8 @@ def nu_connected(tree, params, subset, prob_cache=None) -> MeasureValue:
     lattice work, which is what makes verdicts on skinny trees cheap.
 
     ``params`` is a :class:`~treerep.chain_model.ChainParams` or the
-    integer weights of :func:`~treerep.chain_model.scaled_params`.  The
-    events split evenly between the two signs, so the common factor of
+    integer weights of :func:`~treerep.chain_model.scaled_params`.  There
+    are as many + events as - events, so the common factor of
     the integer encoding cancels and the entry is the pair of products,
     with no gcd.  ``prob_cache`` must hold values of the same encoding.
     """
@@ -228,13 +243,7 @@ def nu_connected(tree, params, subset, prob_cache=None) -> MeasureValue:
             cache[bits] = got
         return got
 
-    evens = []
-    odds = []
-    for sign, bits in connected_log_events(tree, subset):
-        (evens if sign > 0 else odds).append(prob(bits))
-    if len(evens) != len(odds):
-        raise AssertionError("boundary events must split evenly between the signs")
-    even, odd = _product(evens), _product(odds)
+    even, odd = signed_products(connected_log_events(tree, subset), prob)
     return MeasureValue(
         num=even.numerator * odd.denominator, den=even.denominator * odd.numerator
     )

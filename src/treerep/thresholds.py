@@ -96,6 +96,7 @@ def polylog_neg_order(n, z):
     return z * _eval_poly(eulerian_coeffs(m), z) / (1 - z) ** (m + 1)
 
 
+@lru_cache(maxsize=None)
 def _largest_negative_eulerian_root(m) -> Fraction:
     """Largest negative root of A_m, bracketed by an outward doubling scan.
 

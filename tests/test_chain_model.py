@@ -17,7 +17,7 @@ from treerep.chain_model import (
     sample_recursive_many,
     uniform_params,
 )
-from treerep.tree_core import VertexSet, build_tree, path, star
+from treerep.tree_core import DomainError, VertexSet, build_tree, path, star
 
 from conftest import random_params, random_tree
 
@@ -40,6 +40,20 @@ def test_make_params_maps():
         make_params(t, {0: "1/2"}, "1/2")
     with pytest.raises(ValueError):
         make_params(t, "1/2", "3/2")
+
+
+@pytest.mark.parametrize("key", [9, -1, "9", "-1", "x", "1-5", 1.5])
+def test_make_params_refuses_a_vertex_key_outside_the_tree(key):
+    t = path(2)
+    with pytest.raises(DomainError, match="no vertex"):
+        make_params(t, {0: HALF, 1: HALF, key: HALF}, HALF)
+
+
+@pytest.mark.parametrize("key", ["1-5", "0-0", "x", "0-1-2", "1", (0, 5), 7])
+def test_make_params_refuses_an_edge_key_naming_no_edge(key):
+    t = path(3)
+    with pytest.raises(DomainError, match="no edge"):
+        make_params(t, HALF, {"0-1": HALF, "1-2": HALF, key: HALF})
 
 
 def test_params_from_json():

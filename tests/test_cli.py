@@ -324,6 +324,39 @@ def test_plain_value_error_in_verify_or_thresholds_escapes(monkeypatch, attr, ar
         main(argv)
 
 
+@pytest.mark.parametrize(
+    "r_spec",
+    [{"0": "1/2", "1": "1/2", "9": "1/2"}, {"0": "1/2", "-1": "1/3"}],
+)
+def test_params_file_with_a_vertex_key_outside_the_tree_exits_2(tmp_path, capsys, r_spec):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"r": r_spec, "p": "1/2"}))
+    assert main(["analyze", "--tree", "path:2", "--params", str(params)]) == 2
+    assert "no vertex" in capsys.readouterr().err
+
+
+def test_plain_value_error_from_a_tree_builder_escapes(monkeypatch):
+    import treerep.cli as cli
+
+    def broken(n):
+        raise ValueError("an internal bug")
+
+    monkeypatch.setitem(cli._GENERATORS, "path", (broken, 1))
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["analyze", "--tree", "path:3", "--r", "1/2", "--p", "1/2"])
+
+
+def test_plain_value_error_from_make_params_escapes(monkeypatch):
+    import treerep.cli as cli
+
+    def broken(tree, r_spec, p_spec):
+        raise ValueError("an internal bug")
+
+    monkeypatch.setattr(cli, "make_params", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["analyze", "--tree", "path:3", "--r", "1/2", "--p", "1/2"])
+
+
 def test_multiset_naming_a_non_edge_exits_2(capsys):
     argv = ["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "p0", "--r", "1/2"]
     assert main(argv + ["--multiset", "0-2"]) == 2
@@ -454,3 +487,14 @@ def test_config_digest_scope():
     assert config_digest(base) != config_digest(
         RunConfig(command="scan", tree="path:4", r_grid="1/4", p_grid="1/2")
     )
+
+
+def test_pyproject_version_is_the_package_version():
+    import re
+
+    import treerep
+
+    text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == treerep.__version__

@@ -358,3 +358,34 @@ def test_derivative_request_errors():
         closed_form_p1(t, VertexSet.of(1), F(1, 2))
     with pytest.raises(ValueError):
         closed_form_p1(t, VertexSet.of(0, 2), F(1, 2))
+
+
+def test_single_vertex_jet_has_a_constant_plus_product():
+    # events are (+, empty mask) and (-, {0}): the + product holds no jet
+    t = path(1)
+    params = uniform_params(t, F(1, 3), F(1, 2))
+    assert d_nu_dr(t, params, VertexSet.of(0), [0]) == -3
+
+
+def test_whole_path_jet_includes_the_empty_mask():
+    t = path(3)
+    params = uniform_params(t, F(1, 3), F(1, 2))
+    whole = t.all_vertices()
+    edges = [(0, 1), (1, 2)]
+    assert d_nu_dp(t, params, whole, edges) == F(8, 9)
+    assert d_nu_dp(t, params, whole, edges, at="p1") == 2
+
+
+def test_uneven_event_split_in_a_jet_is_a_kernel_error(monkeypatch):
+    import treerep.param_calculus as param_calculus
+
+    events = param_calculus.connected_log_events
+    monkeypatch.setattr(
+        param_calculus,
+        "connected_log_events",
+        lambda tree, subset: events(tree, subset) + [(1, 0)],
+    )
+    t = path(3)
+    params = uniform_params(t, F(1, 3), F(1, 2))
+    with pytest.raises(AssertionError, match="split evenly"):
+        d_nu_dp(t, params, VertexSet.of(0, 1), [(0, 1)])
