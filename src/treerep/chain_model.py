@@ -15,7 +15,6 @@ integers that are every probability times one common denominator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tree_core import DomainError, VertexSet
+from .tree_core import DomainError, VertexSet, decode_json_object
 
 
 def as_fraction(x):
@@ -62,6 +61,14 @@ def uniform_params(tree, r, p):
     return make_params(tree, r, p)
 
 
+def _spec_value(x):
+    """:func:`as_fraction` for a parameter spec; a non-rational is a DomainError."""
+    try:
+        return as_fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError("not an exact rational: %r" % (x,)) from None
+
+
 def make_params(tree, r_spec, p_spec):
     """Build :class:`ChainParams` from scalars or per-vertex / per-edge maps.
 
@@ -76,11 +83,13 @@ def make_params(tree, r_spec, p_spec):
             v = str(key)
             if not (v.isdecimal() and int(v) < tree.n):
                 raise DomainError("no vertex %r in a tree of %d vertices" % (key, tree.n))
-            r[int(v)] = as_fraction(val)
+            if r[int(v)] is not None:
+                raise DomainError("vertex %d is named twice in r" % int(v))
+            r[int(v)] = _spec_value(val)
         if any(x is None for x in r):
             raise DomainError("per-vertex r must cover all %d vertices" % tree.n)
     else:
-        r = [as_fraction(r_spec)] * tree.n
+        r = [_spec_value(r_spec)] * tree.n
 
     if isinstance(p_spec, dict):
         p = [None] * len(tree.edges)
@@ -90,11 +99,13 @@ def make_params(tree, r_spec, p_spec):
                 e = tree.edge_index(u, v)
             except (KeyError, TypeError, ValueError):
                 raise DomainError("no edge %r in the tree" % (key,)) from None
-            p[e] = as_fraction(val)
+            if p[e] is not None:
+                raise DomainError("edge %d-%d is named twice in p" % tree.edges[e])
+            p[e] = _spec_value(val)
         if any(x is None for x in p):
             raise DomainError("per-edge p must cover all %d edges" % len(tree.edges))
     else:
-        p = [as_fraction(p_spec)] * len(tree.edges)
+        p = [_spec_value(p_spec)] * len(tree.edges)
 
     for x in r:
         if not 0 <= x <= 1:
@@ -107,8 +118,8 @@ def make_params(tree, r_spec, p_spec):
 
 def params_from_json(tree, text):
     """Parse ``{"r": ..., "p": ...}`` with decimals kept exact."""
-    obj = json.loads(text, parse_float=Fraction)
-    if not isinstance(obj, dict) or "r" not in obj or "p" not in obj:
+    obj = decode_json_object(text, "params JSON", parse_float=Fraction)
+    if "r" not in obj or "p" not in obj:
         raise DomainError('params JSON needs "r" and "p" entries')
     return make_params(tree, obj["r"], obj["p"])
 

@@ -199,12 +199,9 @@ def parse_tree(spec):
     try:
         with open(spec, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("cannot read tree file %r: %s" % (spec, exc)) from None
-    try:
-        return tree_from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError("malformed tree file %r: %s" % (spec, exc)) from None
+    return tree_from_json(text)
 
 
 _EXAMPLE = {"path": "path:5", "star": "star:4", "spider": "spider:3x2", "octopus": "octopus:3x2"}
@@ -229,12 +226,9 @@ def resolve_params(tree, config):
         try:
             with open(config.params, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError("cannot read params file %r: %s" % (config.params, exc)) from None
-        try:
-            return params_from_json(tree, text)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError("malformed params file %r: %s" % (config.params, exc)) from None
+        return params_from_json(tree, text)
     if config.r is None or config.p is None:
         raise UsageError("give --params FILE, or both --r and --p")
     r_spec = _param_spec(config.r, tree.n, "--r")
@@ -663,8 +657,22 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**data)
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Parse ``argv`` (default ``sys.argv[1:]``) and run it; returns the exit status.
+
+    One parser serves every call in a process: the first call builds it
+    and later calls reuse it, since building costs far more than
+    parsing.  Parsing keeps no state between calls; each call gets a
+    fresh namespace, and a usage error still raises ``SystemExit(2)``.
+    :func:`build_parser` returns a fresh parser on every call.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     return run(_config_from_args(args))
 
 

@@ -473,9 +473,42 @@ def tree_to_json(tree):
     )
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def decode_json_object(text, what, **options):
+    """``json.loads`` for an input file whose top level must be an object.
+
+    Text that does not decode, or decodes to anything but an object, is
+    a :class:`DomainError` naming ``what``.
+    """
+    try:
+        obj = json.loads(text, **options)
+    except ValueError as exc:
+        raise DomainError("%s is not valid JSON: %s" % (what, exc)) from None
+    if not isinstance(obj, dict):
+        raise DomainError("%s must be a JSON object" % what)
+    return obj
+
+
 def tree_from_json(text):
-    obj = json.loads(text)
-    t = build_tree([tuple(e) for e in obj["edges"]], root=obj.get("root", 0))
+    """Parse ``{"edges": [[u, v], ...], "root": r, "n": n}``; root and n optional.
+
+    Malformed input raises :class:`DomainError`.
+    """
+    obj = decode_json_object(text, "tree JSON")
+    edges = obj.get("edges")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+    ):
+        raise DomainError('tree JSON needs "edges": a list of [u, v] integer pairs')
+    root = obj.get("root", 0)
+    if not _is_int(root):
+        raise DomainError("tree JSON root must be an integer, got %r" % (root,))
+    if "n" in obj and not _is_int(obj["n"]):
+        raise DomainError("tree JSON n must be an integer, got %r" % (obj["n"],))
+    t = build_tree(edges, root=root)
     if "n" in obj and obj["n"] != t.n:
         raise DomainError("declared n=%d but edges span %d vertices" % (obj["n"], t.n))
     return t

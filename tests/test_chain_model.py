@@ -56,6 +56,44 @@ def test_make_params_refuses_an_edge_key_naming_no_edge(key):
         make_params(t, HALF, {"0-1": HALF, "1-2": HALF, key: HALF})
 
 
+@pytest.mark.parametrize(
+    "r_spec",
+    [{"1": HALF, "01": Fraction(1, 3), "0": HALF}, {0: HALF, 1: HALF, "1": HALF}],
+)
+def test_make_params_refuses_a_vertex_named_twice(r_spec):
+    with pytest.raises(DomainError, match="vertex 1 is named twice"):
+        make_params(path(2), r_spec, HALF)
+
+
+@pytest.mark.parametrize(
+    "p_spec",
+    [
+        {"0-1": Fraction(1, 3), "1-0": Fraction(1, 5)},
+        {"0-1": Fraction(1, 3), (0, 1): Fraction(1, 5)},
+        {(1, 0): Fraction(1, 3), "0-1": Fraction(1, 5)},
+    ],
+)
+def test_make_params_refuses_an_edge_named_twice(p_spec):
+    with pytest.raises(DomainError, match="edge 0-1 is named twice"):
+        make_params(path(2), HALF, p_spec)
+
+
+@pytest.mark.parametrize("value", ["x", "1/0", float("nan"), [1], None])
+def test_make_params_refuses_a_value_that_is_not_rational(value):
+    with pytest.raises(DomainError, match="not an exact rational"):
+        make_params(path(2), value, HALF)
+    with pytest.raises(DomainError, match="not an exact rational"):
+        make_params(path(2), HALF, {"0-1": value})
+
+
+@pytest.mark.parametrize(
+    "text", ["", "not json", "[0.5, 0.5]", '"1/2"', '{"p": 0.5}']
+)
+def test_params_from_json_refuses_malformed_text(text):
+    with pytest.raises(DomainError, match="params JSON"):
+        params_from_json(path(2), text)
+
+
 def test_params_from_json():
     t = path(3)
     params = params_from_json(t, '{"r": 0.45, "p": {"0-1": "1/5", "1-2": 0.5}}')

@@ -357,6 +357,80 @@ def test_plain_value_error_from_make_params_escapes(monkeypatch):
         main(["analyze", "--tree", "path:3", "--r", "1/2", "--p", "1/2"])
 
 
+MALFORMED_TREES = [
+    "not json",
+    "[[0, 1]]",
+    "{}",
+    '{"edges": [[0, 1, 2]]}',
+    '{"edges": [["a", "b"]]}',
+    '{"edges": [[0, 1]], "n": "x"}',
+    '{"edges": [[0, 1]], "root": "x"}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_TREES)
+def test_malformed_tree_file_exits_2(tmp_path, capsys, text):
+    tree = tmp_path / "tree.json"
+    tree.write_text(text)
+    assert main(["analyze", "--tree", str(tree), "--r", "1/2", "--p", "1/2"]) == 2
+    assert "treerep: tree JSON" in capsys.readouterr().err
+
+
+def test_input_files_that_are_not_utf8_exit_2(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    assert main(["analyze", "--tree", str(binary), "--r", "1/2", "--p", "1/2"]) == 2
+    assert main(["analyze", "--tree", "path:2", "--params", str(binary)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read tree file" in err and "cannot read params file" in err
+
+
+MALFORMED_PARAMS = [
+    ("not json", "params JSON"),
+    ('"1/2"', "params JSON"),
+    ('{"r": "1/2"}', "params JSON"),
+    ('{"p": "1/2"}', "params JSON"),
+    ('{"r": "x", "p": "1/2"}', "not an exact rational"),
+    ('{"r": "1/0", "p": "1/2"}', "not an exact rational"),
+    ('{"r": {"1": "1/2", "01": "1/3", "0": "1/2"}, "p": "1/2"}', "vertex 1 is named twice"),
+    ('{"r": "1/2", "p": {"0-1": "1/3", "1-0": "1/5"}}', "edge 0-1 is named twice"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_PARAMS)
+def test_malformed_params_file_exits_2(tmp_path, capsys, text, message):
+    params = tmp_path / "params.json"
+    params.write_text(text)
+    assert main(["analyze", "--tree", "path:2", "--params", str(params)]) == 2
+    assert "treerep: " + message in capsys.readouterr().err
+
+
+def test_key_error_under_the_params_file_parser_escapes(monkeypatch, tmp_path):
+    import treerep.chain_model as chain_model
+
+    def broken(tree, r_spec, p_spec):
+        raise KeyError("an internal bug")
+
+    monkeypatch.setattr(chain_model, "make_params", broken)
+    params = tmp_path / "params.json"
+    params.write_text('{"r": "1/2", "p": "1/2"}')
+    with pytest.raises(KeyError, match="internal bug"):
+        main(["analyze", "--tree", "path:2", "--params", str(params)])
+
+
+def test_key_error_under_the_tree_file_parser_escapes(monkeypatch, tmp_path):
+    import treerep.tree_core as tree_core
+
+    def broken(edges, root=0):
+        raise KeyError("an internal bug")
+
+    monkeypatch.setattr(tree_core, "build_tree", broken)
+    tree = tmp_path / "tree.json"
+    tree.write_text('{"edges": [[0, 1]]}')
+    with pytest.raises(KeyError, match="internal bug"):
+        main(["analyze", "--tree", str(tree), "--r", "1/2", "--p", "1/2"])
+
+
 def test_multiset_naming_a_non_edge_exits_2(capsys):
     argv = ["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "p0", "--r", "1/2"]
     assert main(argv + ["--multiset", "0-2"]) == 2
@@ -405,6 +479,39 @@ def test_unknown_flags_and_commands_are_rejected():
         main(["summon"])
     assert info.value.code == 2
     assert run(RunConfig(command="summon")) == 2
+
+
+def test_main_builds_one_parser_and_keeps_no_state_between_calls(monkeypatch, tmp_path):
+    import treerep.cli as cli
+
+    builds = []
+    real = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    analyze = ["analyze", "--tree", "octopus:3x2", "--r", "9/20", "--p", "19/20"]
+    scan = ["scan", "--tree", "octopus:3x2", "--r-grid", "9/20:11/20:1/10", "--p-grid", "19/20"]
+    scan += ["--threads", "2"]  # accepted and ignored, as in the benchmark's scan deck
+    assert run_to_file(analyze, tmp_path) == (0, (GOLDEN / "analyze.json").read_bytes())
+    assert run_to_file(scan, tmp_path) == (0, (GOLDEN / "scan.csv").read_bytes())
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", "--r", "9/20", "--p", "19/20"])  # no --tree
+    assert info.value.code == 2
+    thresholds = ["thresholds", "--n", "3..8"]
+    assert run_to_file(thresholds, tmp_path) == (0, (GOLDEN / "thresholds.csv").read_bytes())
+    # a value left over from an earlier call would change the config digest
+    assert run_to_file(analyze, tmp_path) == (0, (GOLDEN / "analyze.json").read_bytes())
+    assert len(builds) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    from treerep.cli import build_parser
+
+    assert build_parser() is not build_parser()
 
 
 def test_deriv_check_closed_form_wiring(tmp_path):

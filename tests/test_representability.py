@@ -16,7 +16,7 @@ from treerep.representability import (
     scaling_check,
 )
 from treerep.signed_measure import nu_full, restrict_measure
-from treerep.tree_core import VertexSet, build_tree, octopus, path, spider, star
+from treerep.tree_core import VertexSet, build_tree, is_connected, octopus, path, spider, star
 
 from conftest import random_params, random_tree
 
@@ -60,6 +60,24 @@ def test_spider_flips_near_its_degree_threshold_at_large_p():
     assert not low.representable
     assert low.witness == VertexSet.of(0, 1, 3, 5, 7)
     assert is_representable(t, uniform_params(t, F(4, 5), p)).representable
+
+
+def test_star4_column_at_three_fifths_is_re_entrant_in_r():
+    # representable at r = 1/20, not at 2/20..7/20, and again from 8/20:
+    # the phase picture is not one flip in r
+    t = star(4)
+    grid = [F(k, 20) for k in range(1, 20)]
+    pts = phase_scan(t, grid, [F(3, 5)])
+    assert [q.r for q in pts] == grid
+    assert "".join("R" if q.verdict.representable else "." for q in pts) == "R......RRRRRRRRRRRR"
+    for q in pts:
+        witness = q.verdict.witness
+        if q.verdict.representable:
+            assert witness is None
+            continue
+        assert is_connected(t, witness)
+        measure = nu_full(t, uniform_params(t, q.r, q.p))
+        assert measure.value(witness.bits).sign < 0
 
 
 def test_deep_positive_phase():

@@ -1,6 +1,7 @@
 import pytest
 
 from treerep.tree_core import (
+    DomainError,
     VertexSet,
     boundaries,
     build_tree,
@@ -199,3 +200,27 @@ def test_json_round_trip():
     assert back == t
     with pytest.raises(ValueError):
         tree_from_json('{"n": 9, "root": 0, "edges": [[0,1]]}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "{edges: []}",
+        "[[0, 1]]",
+        "{}",
+        '{"edges": 3}',
+        '{"edges": [0, 1]}',
+        '{"edges": [[0, 1, 2]]}',
+        '{"edges": [["0", "1"]]}',
+        '{"edges": [[0, 1.0]]}',
+        '{"edges": [[0, true]]}',
+        '{"edges": [[0, 1]], "n": "x"}',
+        '{"edges": [[0, 1]], "n": 2.0}',
+        '{"edges": [[0, 1]], "root": "x"}',
+        '{"edges": [[0, 1]], "root": 0.5}',
+    ],
+)
+def test_tree_from_json_refuses_malformed_text(text):
+    with pytest.raises(DomainError, match="tree JSON"):
+        tree_from_json(text)
