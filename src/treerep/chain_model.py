@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -30,10 +29,13 @@ def as_fraction(x):
     """Coerce ints, ``"a/b"`` / decimal strings, floats, and Fractions.
 
     Floats go through their shortest decimal repr, so ``0.45`` means the
-    exact rational 9/20, not the nearest binary double.
+    exact rational 9/20, not the nearest binary double.  A bool, such as
+    a JSON ``true``, is not a rational: :class:`DomainError`.
     """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise DomainError("not an exact rational: %r" % (x,))
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
@@ -124,15 +126,6 @@ def params_from_json(tree, text):
     return make_params(tree, obj["r"], obj["p"])
 
 
-@lru_cache(maxsize=None)
-def _parent_edges(tree):
-    """Edge index of (parent[v], v) for every non-root v, -1 at the root."""
-    idx = [-1] * tree.n
-    for v in tree.preorder[1:]:
-        idx[v] = tree.edge_index(tree.parent[v], v)
-    return tuple(idx)
-
-
 class Weights(NamedTuple):
     """The encoding one message-passing sweep runs on.
 
@@ -158,8 +151,7 @@ def ring_weights(tree, params):
     returns probabilities of the same kind.  Callers that sweep many
     masks of one chain build these once and pass them as ``params``.
     """
-    pedge = _parent_edges(tree)
-    p = tuple(None if e < 0 else params.p[e] for e in pedge)
+    p = tuple(None if e < 0 else params.p[e] for e in tree.parent_edge)
     return Weights(
         r=params.r,
         rbar=tuple(1 - x for x in params.r),
@@ -181,11 +173,10 @@ def scaled_params(tree, params):
     of equally many such values equal the ratios of the probabilities,
     with no gcd anywhere.  ``params`` must hold Fractions.
     """
-    pedge = _parent_edges(tree)
     den = math.prod(x.denominator for x in params.r + params.p)
     p = []
     copy = []
-    for v, e in enumerate(pedge):
+    for v, e in enumerate(tree.parent_edge):
         if e < 0:
             p.append(None)
             copy.append(None)
@@ -210,8 +201,7 @@ def float_weights(tree, params):
     unused edge entries are those of p = 0.  ``params`` must hold
     Fractions.
     """
-    pedge = _parent_edges(tree)
-    p = [params.p[e] if e >= 0 else Fraction(0) for e in pedge]
+    p = [params.p[e] if e >= 0 else Fraction(0) for e in tree.parent_edge]
     return Weights(
         r=tuple(x.numerator / x.denominator for x in params.r),
         rbar=tuple((x.denominator - x.numerator) / x.denominator for x in params.r),
@@ -353,13 +343,12 @@ def sample_recursive_many(tree, params, n_draws, seed):
     seed) and the first word matches :func:`sample_recursive`.
     """
     rng = _rng(seed)
-    pedge = _parent_edges(tree)
     x = np.zeros((tree.n, n_draws), dtype=bool)
     for v in tree.preorder:
         if v == tree.root:
             x[v] = ~_bern(rng, params.r[v], n_draws)
         else:
-            resample = _bern(rng, params.p[pedge[v]], n_draws)
+            resample = _bern(rng, params.p[tree.parent_edge[v]], n_draws)
             fresh = ~_bern(rng, params.r[v], n_draws)
             x[v] = np.where(resample, fresh, x[tree.parent[v]])
     return _pack(x)
@@ -371,10 +360,9 @@ def sample_percolation_many(tree, params, n_draws, seed):
     cut edges first, then color each component by its top vertex's draw.
     """
     rng = _rng(seed)
-    pedge = _parent_edges(tree)
     cut = np.zeros((tree.n, n_draws), dtype=bool)
     for v in tree.preorder[1:]:
-        cut[v] = _bern(rng, params.p[pedge[v]], n_draws)
+        cut[v] = _bern(rng, params.p[tree.parent_edge[v]], n_draws)
     fresh = np.zeros((tree.n, n_draws), dtype=bool)
     for v in range(tree.n):
         fresh[v] = ~_bern(rng, params.r[v], n_draws)

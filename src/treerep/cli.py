@@ -633,12 +633,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="sampler cross-checks and Poisson-field closure (JSON)"
     )
     _add_common(verify, params=True)
-    verify.add_argument("--draws", type=int, default=100_000, help="draws per sampler")
-    verify.add_argument("--seed", type=int, default=0, help="base seed; checks use split streams")
-    verify.add_argument("--alpha", default="1/100", metavar="RAT", help="chi-square level")
-    verify.add_argument(
-        "--tolerance", default="4", metavar="RAT", help="closure tolerance in sigma units"
-    )
+    # defaults live in RunConfig; an absent flag parses to None and is dropped
+    verify.add_argument("--draws", type=int, help="draws per sampler")
+    verify.add_argument("--seed", type=int, help="base seed; checks use split streams")
+    verify.add_argument("--alpha", metavar="RAT", help="chi-square level")
+    verify.add_argument("--tolerance", metavar="RAT", help="closure tolerance in sigma units")
 
     scaling = commands.add_parser(
         "scaling-check", help="edge-subdivision consistency of the measure (JSON)"

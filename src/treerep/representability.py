@@ -92,9 +92,8 @@ class SweepPlan:
             )
         self.tree = tree
         self._bit = np.left_shift(1, np.arange(tree.n, dtype=np.int64))
-        adjacency = np.array(
-            [[w in nbrs for w in range(tree.n)] for nbrs in tree.neighbors], dtype=np.int64
-        )
+        masks = np.array(tree.neighbor_masks, dtype=np.int64)
+        adjacency = masks[:, None] >> np.arange(tree.n) & 1
         degree = adjacency.sum(axis=0)
         sets = np.fromiter(connected_subsets(tree), dtype=np.int64)
         parts = []

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .chain_model import prob_all_zero, scaled_params
-from .tree_core import DomainError, VertexSet, boundaries, is_connected
+from .tree_core import DomainError, VertexSet
 
 # Full-lattice measures keep 2^n exact entries; wider trees are refused.
 MAX_LATTICE_ORDER = 16
@@ -163,36 +163,38 @@ def nu_full(tree, params) -> SignedMeasure:
 def connected_log_events(tree, subset):
     """Signed zero-pattern events whose log-probabilities sum to nu(S).
 
-    For a singleton the two events are (outer boundary) minus (vertex plus
-    outer boundary).  For larger connected S the sum runs over subsets J
-    of the inner boundary together with the leaves of the subtree induced
-    on S, each J joined with the full outer boundary:
+    For connected S the sum runs over subsets J of lam, the inner
+    boundary together with the leaves of the subtree induced on S, each
+    J joined with the full outer boundary:
 
         nu(S) = sum over J of (-1)^|J| * log P(X(J + outer) == 0)
 
     Indexing by inner-boundary vertices alone is only sound when every
     induced leaf touches the outside (true in doubly-infinite settings,
     false for e.g. the end pair of a path); adding the leaves fixes the
-    finite case and provably agrees with full inclusion-exclusion.
-    Returns a list of ``(sign, bits)`` pairs.
+    finite case and provably agrees with full inclusion-exclusion.  A
+    singleton {v} is its own leaf, so lam = {v} and its two events are
+    (outer boundary) minus (v plus outer boundary).  One pass over S
+    finds lam, the outer boundary and the edges inside S, which tell
+    whether S is connected.  Returns a list of ``(sign, bits)`` pairs.
     """
     s = subset.bits
     if s == 0:
         raise DomainError("subset must be nonempty")
-    if not is_connected(tree, subset):
-        raise DomainError("subset must induce a connected subgraph")
-
-    rep = boundaries(tree, subset)
-    if s & (s - 1) == 0:
-        v_bit = s
-        outer = rep.outer.bits
-        return [(1, outer), (-1, outer | v_bit)]
-
-    lam = rep.inner.bits
+    if s >> tree.n:
+        raise DomainError("subset contains ids outside the tree")
+    masks = tree.neighbor_masks
+    lam = outer = ends = 0
     for v in subset:
-        if (tree.neighbor_bits(v) & s).bit_count() <= 1:
+        nb = masks[v]
+        inside = (nb & s).bit_count()
+        ends += inside
+        if inside <= 1 or nb & ~s:
             lam |= 1 << v
-    outer = rep.outer.bits
+        outer |= nb
+    outer &= ~s
+    if ends != 2 * (s.bit_count() - 1):
+        raise DomainError("subset must induce a connected subgraph")
 
     events = []
     sub = lam

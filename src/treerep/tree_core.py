@@ -52,17 +52,8 @@ class VertexSet:
     def members(self):
         return tuple(self)
 
-    def add(self, v):
-        return VertexSet(self.bits | (1 << v))
-
-    def remove(self, v):
-        return VertexSet(self.bits & ~(1 << v))
-
     def issubset(self, other):
         return self.bits & ~other.bits == 0
-
-    def isdisjoint(self, other):
-        return self.bits & other.bits == 0
 
     def __contains__(self, v):
         return bool(self.bits >> v & 1)
@@ -100,6 +91,9 @@ class RootedTree:
     ``edges`` keeps construction order with each pair normalised to
     ``(min, max)``; ``parent[root] == -1``; ``preorder`` lists vertices
     root-first so a reversed scan is a valid post-order.
+    ``neighbor_masks[v]`` is the bitmask of ``v``'s neighbours, and
+    ``parent_edge[v]`` the index into ``edges`` of ``(parent[v], v)``,
+    -1 at the root.
     """
 
     n: int
@@ -110,6 +104,8 @@ class RootedTree:
     neighbors: tuple = field(repr=False)
     depth: tuple = field(repr=False)
     preorder: tuple = field(repr=False)
+    neighbor_masks: tuple = field(repr=False)
+    parent_edge: tuple = field(repr=False)
 
     def edge_index(self, u, v):
         """Index of edge {u, v} into ``edges`` (and per-edge parameter tuples)."""
@@ -122,12 +118,6 @@ class RootedTree:
     def all_vertices(self):
         return VertexSet((1 << self.n) - 1)
 
-    def neighbor_bits(self, v):
-        bits = 0
-        for w in self.neighbors[v]:
-            bits |= 1 << w
-        return bits
-
 
 def build_tree(edges, root=0, max_order=MAX_TREE_ORDER):
     """Validate an edge list and assemble a :class:`RootedTree`.
@@ -137,7 +127,7 @@ def build_tree(edges, root=0, max_order=MAX_TREE_ORDER):
     cycles, disconnection, duplicate edges, or an absent root.
     """
     norm = []
-    seen = set()
+    index = {}
     max_id = root
     for e in edges:
         u, v = int(e[0]), int(e[1])
@@ -146,9 +136,9 @@ def build_tree(edges, root=0, max_order=MAX_TREE_ORDER):
         if u < 0 or v < 0:
             raise DomainError("vertex ids must be nonnegative")
         key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if key in index:
             raise DomainError("duplicate edge %s-%s" % key)
-        seen.add(key)
+        index[key] = len(norm)
         norm.append(key)
         max_id = max(max_id, u, v)
     n = max_id + 1
@@ -162,11 +152,15 @@ def build_tree(edges, root=0, max_order=MAX_TREE_ORDER):
         )
 
     nbr = [[] for _ in range(n)]
+    masks = [0] * n
     for u, v in norm:
         nbr[u].append(v)
         nbr[v].append(u)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
 
     parent = [-2] * n
+    parent_edge = [-1] * n
     depth = [0] * n
     order = [root]
     parent[root] = -1
@@ -174,6 +168,7 @@ def build_tree(edges, root=0, max_order=MAX_TREE_ORDER):
         for w in nbr[v]:
             if parent[w] == -2:
                 parent[w] = v
+                parent_edge[w] = index[(v, w) if v < w else (w, v)]
                 depth[w] = depth[v] + 1
                 order.append(w)
     if len(order) != n:
@@ -192,6 +187,8 @@ def build_tree(edges, root=0, max_order=MAX_TREE_ORDER):
         neighbors=tuple(tuple(sorted(x)) for x in nbr),
         depth=tuple(depth),
         preorder=tuple(order),
+        neighbor_masks=tuple(masks),
+        parent_edge=tuple(parent_edge),
     )
 
 
@@ -270,7 +267,7 @@ class BoundaryReport:
         while sub:
             low = sub & -sub
             sub ^= low
-            bits |= self._tree.neighbor_bits(low.bit_length() - 1)
+            bits |= self._tree.neighbor_masks[low.bit_length() - 1]
         return VertexSet(bits & self.outer.bits)
 
 
@@ -282,7 +279,7 @@ def boundaries(tree, subset):
     inner = 0
     outer = 0
     for v in subset:
-        nb = tree.neighbor_bits(v)
+        nb = tree.neighbor_masks[v]
         if nb & ~s:
             inner |= 1 << v
         outer |= nb & ~s
@@ -296,24 +293,17 @@ def boundaries(tree, subset):
 
 
 def is_connected(tree, subset):
-    """True iff ``subset`` induces a connected subgraph (empty set counts)."""
+    """True iff ``subset`` induces a connected subgraph (empty set counts).
+
+    The induced subgraph is a forest, so its k vertices are connected
+    exactly when they span k - 1 edges.
+    """
     s = subset.bits
     if s >> tree.n:
         raise DomainError("subset contains ids outside the tree")
-    if s == 0:
-        return True
-    start = (s & -s).bit_length() - 1
-    seen = 1 << start
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        fresh = tree.neighbor_bits(v) & s & ~seen
-        seen |= fresh
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            stack.append(low.bit_length() - 1)
-    return seen == s
+    masks = tree.neighbor_masks
+    ends = sum((masks[v] & s).bit_count() for v in subset)
+    return s == 0 or ends == 2 * (s.bit_count() - 1)
 
 
 @dataclass(frozen=True)
@@ -346,9 +336,10 @@ class SpanningSubtree:
 def spanning_subtree(tree, subset):
     """Minimal subtree of ``tree`` whose vertex set contains ``subset``.
 
-    Computed by pruning leaves that are not in ``subset`` until none
-    remain.  The size of the result's boundary — its number of leaves —
-    is what the degree-profile closed forms consume downstream.
+    Computed by dropping, round after round, every vertex outside
+    ``subset`` with at most one remaining neighbour, until none is left.
+    The size of the result's boundary — its number of leaves — is what
+    the degree-profile closed forms consume downstream.
     """
     s = subset.bits
     if s == 0:
@@ -356,45 +347,29 @@ def spanning_subtree(tree, subset):
     if s >> tree.n:
         raise DomainError("subset contains ids outside the tree")
 
-    alive = set(range(tree.n))
-    deg = [len(tree.neighbors[v]) for v in range(tree.n)]
-    queue = [v for v in alive if deg[v] <= 1 and not (s >> v & 1)]
-    while queue:
-        v = queue.pop()
-        if v not in alive or (s >> v & 1):
-            continue
-        if deg[v] <= 1:
-            alive.discard(v)
-            for w in tree.neighbors[v]:
-                if w in alive:
-                    deg[w] -= 1
-                    if deg[w] <= 1 and not (s >> w & 1):
-                        queue.append(w)
+    masks = tree.neighbor_masks
+    alive = (1 << tree.n) - 1
+    while True:
+        drop = VertexSet.from_iter(
+            v for v in VertexSet(alive & ~s) if (masks[v] & alive).bit_count() <= 1
+        )
+        if not drop:
+            break
+        alive &= ~drop.bits
 
-    kept = sorted(alive)
+    kept = VertexSet(alive).members()
     new_id = {orig: i for i, orig in enumerate(kept)}
     sub_edges = [
-        (new_id[u], new_id[v]) for (u, v) in tree.edges if u in alive and v in alive
+        (new_id[u], new_id[v]) for (u, v) in tree.edges if alive >> u & 1 and alive >> v & 1
     ]
-    sub_root = new_id[min(alive, key=lambda v: (tree.depth[v], v))]
+    sub_root = new_id[min(kept, key=lambda v: (tree.depth[v], v))]
     sub = build_tree(sub_edges, root=sub_root) if sub_edges else build_tree([], root=0)
 
-    closure_bits = 0
-    for v in kept:
-        closure_bits |= 1 << v
-
-    removable = 0
-    for v in subset:
-        outside = tree.neighbor_bits(v) & ~s
-        inside_sub = sum(1 for w in tree.neighbors[v] if w in alive)
-        if outside and inside_sub >= 2:
-            removable |= 1 << v
-
+    removable = VertexSet.from_iter(
+        v for v in subset if masks[v] & ~s and (masks[v] & alive).bit_count() >= 2
+    )
     return SpanningSubtree(
-        tree=sub,
-        vertex_map=tuple(kept),
-        closure=VertexSet(closure_bits),
-        removable=VertexSet(removable),
+        tree=sub, vertex_map=kept, closure=VertexSet(alive), removable=removable
     )
 
 
@@ -434,7 +409,7 @@ def connected_subsets(tree, min_size=1, max_size=None):
     """
     if max_size is None:
         max_size = tree.n
-    nbr_bits = [tree.neighbor_bits(v) for v in range(tree.n)]
+    nbr_bits = tree.neighbor_masks
 
     for v0 in range(tree.n):
         allowed = -1 << (v0 + 1)

@@ -31,6 +31,15 @@ def test_as_fraction_exact_decimals():
     assert as_fraction(1) == 1
 
 
+def test_booleans_are_not_rationals():
+    with pytest.raises(DomainError, match="not an exact rational: True"):
+        make_params(path(2), True, False)
+    with pytest.raises(DomainError, match="not an exact rational: True"):
+        uniform_params(path(2), True, 0)
+    with pytest.raises(DomainError, match="not an exact rational: False"):
+        as_fraction(False)
+
+
 def test_make_params_maps():
     t = path(3)
     params = make_params(t, {0: "1/2", 1: "1/3", 2: "1/4"}, {"0-1": "1/5", "1-2": "1/6"})

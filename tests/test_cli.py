@@ -392,6 +392,8 @@ MALFORMED_PARAMS = [
     ('{"p": "1/2"}', "params JSON"),
     ('{"r": "x", "p": "1/2"}', "not an exact rational"),
     ('{"r": "1/0", "p": "1/2"}', "not an exact rational"),
+    ('{"r": true, "p": {"0-1": false}}', "not an exact rational: True"),
+    ('{"r": {"0": "1/2", "1": true}, "p": "1/2"}', "not an exact rational: True"),
     ('{"r": {"1": "1/2", "01": "1/3", "0": "1/2"}, "p": "1/2"}', "vertex 1 is named twice"),
     ('{"r": "1/2", "p": {"0-1": "1/3", "1-0": "1/5"}}', "edge 0-1 is named twice"),
 ]
@@ -506,6 +508,16 @@ def test_main_builds_one_parser_and_keeps_no_state_between_calls(monkeypatch, tm
     # a value left over from an earlier call would change the config digest
     assert run_to_file(analyze, tmp_path) == (0, (GOLDEN / "analyze.json").read_bytes())
     assert len(builds) == 1
+
+
+def test_verify_defaults_come_from_run_config(tmp_path):
+    code, blob = run_to_file(["verify", "--tree", "path:2", "--r", "1/2", "--p", "1/2"], tmp_path)
+    out = tmp_path / "direct"
+    config = RunConfig(command="verify", tree="path:2", r="1/2", p="1/2", out=str(out))
+    assert code == run(config) == 0
+    assert blob == out.read_bytes()
+    payload = json.loads(blob)
+    assert (payload["draws"], payload["seed"]) == (RunConfig.draws, RunConfig.seed)
 
 
 def test_build_parser_returns_a_fresh_parser():

@@ -1,0 +1,117 @@
+"""The one-pass vertex-set routines against oracles written from scratch.
+
+``is_connected``, ``connected_log_events`` and ``spanning_subtree`` read
+the neighbour masks that ``build_tree`` stores once.  Each is checked on
+every subset of 40 seeded random trees of 1-9 vertices against a
+recomputation that walks ``neighbors`` and ``parent`` directly.
+"""
+
+import random
+
+import pytest
+
+from treerep.signed_measure import connected_log_events
+from treerep.tree_core import DomainError, VertexSet, boundaries, is_connected, spanning_subtree
+
+from conftest import random_tree
+
+TREES = [random_tree(random.Random(seed), 1 + seed % 9) for seed in range(40)]
+EACH_TREE = pytest.mark.parametrize(
+    "tree", TREES, ids=["seed%d-n%d" % (seed, t.n) for seed, t in enumerate(TREES)]
+)
+
+
+def _bfs_connected(tree, bits):
+    if bits == 0:
+        return True
+    start = (bits & -bits).bit_length() - 1
+    seen = {start}
+    queue = [start]
+    for v in queue:
+        for w in tree.neighbors[v]:
+            if bits >> w & 1 and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == bits.bit_count()
+
+
+def _path(tree, u, w):
+    """Vertices on the tree path from u to w, by climbing parents."""
+    on_path = {u, w}
+    while u != w:
+        if tree.depth[u] < tree.depth[w]:
+            u, w = w, u
+        u = tree.parent[u]
+        on_path.add(u)
+    return on_path
+
+
+def _events_from_boundaries(tree, bits):
+    """(sign, mask) events of nu(S): J over subsets of lam, ascending."""
+    rep = boundaries(tree, VertexSet(bits))
+    lam = rep.inner.bits
+    for v in VertexSet(bits):
+        if sum(1 for w in tree.neighbors[v] if bits >> w & 1) <= 1:
+            lam |= 1 << v
+    return [
+        (-1 if j.bit_count() % 2 else 1, j | rep.outer.bits)
+        for j in range(lam + 1)
+        if j & lam == j
+    ]
+
+
+@EACH_TREE
+def test_stored_masks_and_parent_edges(tree):
+    for v in range(tree.n):
+        assert tree.neighbor_masks[v] == VertexSet.from_iter(tree.neighbors[v]).bits
+        if v == tree.root:
+            assert tree.parent_edge[v] == -1
+        else:
+            assert tree.parent_edge[v] == tree.edge_index(tree.parent[v], v)
+
+
+@EACH_TREE
+def test_is_connected_matches_bfs(tree):
+    for bits in range(1 << tree.n):
+        assert is_connected(tree, VertexSet(bits)) == _bfs_connected(tree, bits)
+
+
+@EACH_TREE
+def test_connected_log_events_match_boundaries_plus_leaves(tree):
+    with pytest.raises(DomainError, match="nonempty"):
+        connected_log_events(tree, VertexSet())
+    for bits in range(1, 1 << tree.n):
+        if _bfs_connected(tree, bits):
+            expected = _events_from_boundaries(tree, bits)
+            assert connected_log_events(tree, VertexSet(bits)) == expected
+        else:
+            with pytest.raises(DomainError, match="connected"):
+                connected_log_events(tree, VertexSet(bits))
+
+
+@EACH_TREE
+def test_spanning_subtree_matches_paths_between_members(tree):
+    for bits in range(1, 1 << tree.n):
+        members = VertexSet(bits).members()
+        closure = set().union(*(_path(tree, u, w) for u in members for w in members))
+        sub = spanning_subtree(tree, VertexSet(bits))
+        assert sub.closure == VertexSet.from_iter(closure)
+        assert sub.vertex_map == tuple(sorted(closure))
+
+        inside = {v: [w for w in tree.neighbors[v] if w in closure] for v in closure}
+        removable = [
+            v
+            for v in members
+            if len(inside[v]) >= 2 and any(not bits >> w & 1 for w in tree.neighbors[v])
+        ]
+        assert sub.removable == VertexSet.from_iter(removable)
+        degrees = {}
+        for v in closure:
+            degrees[len(inside[v])] = degrees.get(len(inside[v]), 0) + 1
+        assert sub.degree_counts() == degrees
+
+        rank = {v: i for i, v in enumerate(sorted(closure))}
+        top = min(closure, key=lambda v: (tree.depth[v], v))
+        edges = [(rank[u], rank[w]) for u, w in tree.edges if u in closure and w in closure]
+        assert sub.tree.edges == tuple(edges)
+        assert sub.tree.root == rank[top]
