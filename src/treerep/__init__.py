@@ -14,7 +14,7 @@ everything by simulation.
 Modules
 -------
 ``tree_core``
-    Rooted trees, vertex bitsets, boundaries, spanning subtrees.
+    Rooted trees, vertex bitsets, spanning subtrees.
 ``chain_model``
     The chain's exact zero-pattern probabilities and two samplers.
 ``signed_measure``
@@ -34,13 +34,10 @@ Modules
 
 from .chain_model import (
     ChainParams,
-    brute_force_prob_all_zero,
     make_params,
     params_from_json,
     prob_all_zero,
-    sample_percolation,
     sample_percolation_many,
-    sample_recursive,
     sample_recursive_many,
     uniform_params,
 )
@@ -52,7 +49,6 @@ from .mc_verify import (
     field_from_chain,
     poisson_closure_report,
     poisson_field,
-    sample_poisson_field,
     sample_poisson_field_many,
 )
 from .param_calculus import (
@@ -76,7 +72,6 @@ from .representability import (
 from .signed_measure import (
     MeasureValue,
     SignedMeasure,
-    condition_measure,
     connected_log_events,
     nu_connected,
     nu_full,
@@ -94,12 +89,9 @@ from .thresholds import (
     threshold_table,
 )
 from .tree_core import (
-    BoundaryReport,
     DomainError,
     RootedTree,
-    SpanningSubtree,
     VertexSet,
-    boundaries,
     build_tree,
     connected_subsets,
     is_connected,
@@ -118,12 +110,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # tree_core
-    "BoundaryReport",
     "DomainError",
     "RootedTree",
-    "SpanningSubtree",
     "VertexSet",
-    "boundaries",
     "build_tree",
     "connected_subsets",
     "is_connected",
@@ -137,19 +126,15 @@ __all__ = [
     "tree_to_json",
     # chain_model
     "ChainParams",
-    "brute_force_prob_all_zero",
     "make_params",
     "params_from_json",
     "prob_all_zero",
-    "sample_percolation",
     "sample_percolation_many",
-    "sample_recursive",
     "sample_recursive_many",
     "uniform_params",
     # signed_measure
     "MeasureValue",
     "SignedMeasure",
-    "condition_measure",
     "connected_log_events",
     "nu_connected",
     "nu_full",
@@ -188,6 +173,5 @@ __all__ = [
     "field_from_chain",
     "poisson_closure_report",
     "poisson_field",
-    "sample_poisson_field",
     "sample_poisson_field_many",
 ]

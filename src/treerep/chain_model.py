@@ -29,18 +29,18 @@ def as_fraction(x):
     """Coerce ints, ``"a/b"`` / decimal strings, floats, and Fractions.
 
     Floats go through their shortest decimal repr, so ``0.45`` means the
-    exact rational 9/20, not the nearest binary double.  A bool, such as
-    a JSON ``true``, is not a rational: :class:`DomainError`.
+    exact rational 9/20, not the nearest binary double.  Anything else,
+    such as ``"x"``, ``"1/0"``, NaN or a JSON ``true``, is not a rational:
+    :class:`DomainError`.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, bool):
-        raise DomainError("not an exact rational: %r" % (x,))
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(repr(x))
-    return Fraction(str(x))
+    try:
+        return Fraction(repr(x) if isinstance(x, float) else str(x))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError("not an exact rational: %r" % (x,)) from None
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,7 @@ class ChainParams:
 
 def uniform_params(tree, r, p):
     """Same ``r`` at every vertex and ``p`` on every edge."""
-    r = as_fraction(r)
-    p = as_fraction(p)
-    return make_params(tree, r, p)
-
-
-def _spec_value(x):
-    """:func:`as_fraction` for a parameter spec; a non-rational is a DomainError."""
-    try:
-        return as_fraction(x)
-    except (ValueError, ZeroDivisionError):
-        raise DomainError("not an exact rational: %r" % (x,)) from None
+    return make_params(tree, as_fraction(r), as_fraction(p))
 
 
 def make_params(tree, r_spec, p_spec):
@@ -87,11 +77,11 @@ def make_params(tree, r_spec, p_spec):
                 raise DomainError("no vertex %r in a tree of %d vertices" % (key, tree.n))
             if r[int(v)] is not None:
                 raise DomainError("vertex %d is named twice in r" % int(v))
-            r[int(v)] = _spec_value(val)
+            r[int(v)] = as_fraction(val)
         if any(x is None for x in r):
             raise DomainError("per-vertex r must cover all %d vertices" % tree.n)
     else:
-        r = [_spec_value(r_spec)] * tree.n
+        r = [as_fraction(r_spec)] * tree.n
 
     if isinstance(p_spec, dict):
         p = [None] * len(tree.edges)
@@ -103,11 +93,11 @@ def make_params(tree, r_spec, p_spec):
                 raise DomainError("no edge %r in the tree" % (key,)) from None
             if p[e] is not None:
                 raise DomainError("edge %d-%d is named twice in p" % tree.edges[e])
-            p[e] = _spec_value(val)
+            p[e] = as_fraction(val)
         if any(x is None for x in p):
             raise DomainError("per-edge p must cover all %d edges" % len(tree.edges))
     else:
-        p = [_spec_value(p_spec)] * len(tree.edges)
+        p = [as_fraction(p_spec)] * len(tree.edges)
 
     for x in r:
         if not 0 <= x <= 1:
@@ -271,52 +261,6 @@ def prob_all_zero(tree, params, zero_on):
     return r[ro] * f0[ro] + rbar[ro] * f1[ro]
 
 
-def brute_force_prob_all_zero(tree, params, zero_on, max_edges=20):
-    """Independent oracle for :func:`prob_all_zero` via percolation.
-
-    Enumerates all 2^|E| cut patterns, splits the tree into components,
-    and gives each component the fresh draw of its vertex closest to the
-    root.  Exponential in the edge count; refuse above ``max_edges``.
-    """
-    m = len(tree.edges)
-    if m > max_edges:
-        raise DomainError("brute force capped at %d edges" % max_edges)
-    a = zero_on.bits
-    if a >> tree.n:
-        raise DomainError("zero_on contains ids outside the tree")
-    if a == 0:
-        return Fraction(1)
-
-    total = Fraction(0)
-    for config in range(1 << m):
-        weight = Fraction(1)
-        comp = list(range(tree.n))
-
-        def find(x):
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        for i, (u, v) in enumerate(tree.edges):
-            if (config >> i) & 1:
-                weight *= params.p[i]
-            else:
-                weight *= 1 - params.p[i]
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    comp[ru] = rv
-        top = {}
-        for v in range(tree.n):
-            c = find(v)
-            if c not in top or tree.depth[v] < tree.depth[top[c]]:
-                top[c] = v
-        for c in {find(v) for v in zero_on}:
-            weight *= params.r[top[c]]
-        total += weight
-    return total
-
-
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -340,7 +284,7 @@ def sample_recursive_many(tree, params, n_draws, seed):
 
     Bit ``v`` of word ``i`` is ``X(v)`` in draw ``i``.  Randomness is
     consumed in preorder, so draws are reproducible per (tree, params,
-    seed) and the first word matches :func:`sample_recursive`.
+    seed).
     """
     rng = _rng(seed)
     x = np.zeros((tree.n, n_draws), dtype=bool)
@@ -383,15 +327,3 @@ def _pack(x):
     for v in range(x.shape[0]):
         words |= x[v].astype(np.uint64) << np.uint64(v)
     return words
-
-
-def sample_recursive(tree, params, rng_seed):
-    """One root-to-leaf draw; returns the 0/1 assignment as a tuple."""
-    word = int(sample_recursive_many(tree, params, 1, rng_seed)[0])
-    return tuple((word >> v) & 1 for v in range(tree.n))
-
-
-def sample_percolation(tree, params, rng_seed):
-    """One divide-and-color draw; returns the 0/1 assignment as a tuple."""
-    word = int(sample_percolation_many(tree, params, 1, rng_seed)[0])
-    return tuple((word >> v) & 1 for v in range(tree.n))

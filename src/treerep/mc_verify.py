@@ -81,12 +81,6 @@ def sample_poisson_field_many(field: PoissonField, n_draws, seed) -> np.ndarray:
     return words
 
 
-def sample_poisson_field(field: PoissonField, rng_seed):
-    """One field sample as a 0/1 tuple over the vertex ids."""
-    word = int(sample_poisson_field_many(field, 1, rng_seed)[0])
-    return tuple((word >> v) & 1 for v in range(field.measure.n))
-
-
 def _pattern_histogram(words, n):
     if len(words) and int(words.max()) >> n:
         raise ValueError("sampler produced a pattern outside %d vertices" % n)

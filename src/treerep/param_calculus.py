@@ -38,8 +38,7 @@ class DualValue:
     coefficients.  Monomials whose exponent exceeds the per-direction
     ``caps`` or whose total degree exceeds ``order`` are dropped, i.e.
     the ring is Q[e_1..e_k] modulo those monomials.  The truncation is
-    closed under +, -, *; division requires an invertible (nonzero)
-    constant term.
+    closed under +, - and *.
 
     Instances mix freely with ints and Fractions on either side, which
     is what lets :func:`treerep.chain_model.prob_all_zero` run on jets
@@ -112,30 +111,6 @@ class DualValue:
         return DualValue(caps, order, out)
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        c = self.constant_term
-        if c == 0:
-            raise ZeroDivisionError("jet with zero constant term has no inverse")
-        t = self * (Fraction(1) / c) - 1
-        out = DualValue.constant(self.caps, self.order, 1)
-        power = t
-        sign = -1
-        for _ in range(self.order):
-            if not power.terms:
-                break
-            out = out + sign * power
-            power = power * t
-            sign = -sign
-        return out * (Fraction(1) / c)
-
-    def __truediv__(self, other):
-        if isinstance(other, DualValue):
-            return self * other.inverse()
-        return self * (Fraction(1) / as_fraction(other))
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def log_series(self):
         """``log(self) - log(constant term)``, exact in the truncated ring.
@@ -217,13 +192,6 @@ class EdgeMultiset:
     def support(self):
         return tuple(e for e, _ in self.items)
 
-    def multiplicity(self, u, v) -> int:
-        key = (min(u, v), max(u, v))
-        for e, m in self.items:
-            if e == key:
-                return m
-        return 0
-
     def __str__(self):
         return ",".join("%d-%d" % e for e, m in self.items for _ in range(m))
 
@@ -247,7 +215,7 @@ def subtree_edge_multiset(tree, subset) -> EdgeMultiset:
     non-vanishing derivative of nu(S) takes one partial per spanning
     subtree edge.
     """
-    closure = spanning_subtree(tree, subset).closure.bits
+    closure = spanning_subtree(tree, subset).bits
     edges = [
         e
         for e in tree.edges
@@ -412,11 +380,12 @@ def closed_form_p1(tree, subset, r) -> Fraction:
     r = as_fraction(r)
     if not 0 < r < 1:
         raise DomainError("r must lie strictly inside (0, 1)")
-    sub = spanning_subtree(tree, subset)
-    value = Fraction(-1) ** (sub.tree.n - 1) * (1 - r) / r
-    for j, count in sub.degree_counts().items():
+    closure = spanning_subtree(tree, subset).bits
+    value = Fraction(-1) ** (closure.bit_count() - 1) * (1 - r) / r
+    for v in VertexSet(closure):
+        j = (tree.neighbor_masks[v] & closure).bit_count()
         if j >= 2:
-            value *= (-f_poly(j, r)) ** count
+            value *= -f_poly(j, r)
     return value
 
 

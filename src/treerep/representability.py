@@ -293,20 +293,21 @@ def scaling_check(tree, r, p, k) -> bool:
     restricting the subdivided measure back to the original vertices
     must reproduce the original tree's measure with the aggregated
     parameter p' = 1 - (1-p)^k.  Exact comparison over every nonempty
-    subset; any mismatch returns False.
+    subset; any mismatch returns False.  A subdivided tree above
+    ``MAX_SCALING_ORDER`` vertices is refused before anything is built.
     """
     k = int(k)
     if k < 1:
         raise DomainError("subdivision factor must be >= 1")
     if k == 1:
         return True
-    r = as_fraction(r)
-    p = as_fraction(p)
-    big, originals = subdivide(tree, k)
-    if big.n > MAX_SCALING_ORDER:
+    if tree.n + (k - 1) * (tree.n - 1) > MAX_SCALING_ORDER:
         raise DomainError(
             "subdivided tree exceeds %d vertices" % MAX_SCALING_ORDER
         )
+    r = as_fraction(r)
+    p = as_fraction(p)
+    big, originals = subdivide(tree, k)
     restricted = restrict_measure(nu_full(big, uniform_params(big, r, p)), originals)
     p_prime = 1 - (1 - p) ** k
     direct = nu_full(tree, uniform_params(tree, r, p_prime))

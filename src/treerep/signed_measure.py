@@ -94,9 +94,8 @@ class SignedMeasure:
     """Measure entries keyed by subset bitmask over a width-``n`` id space.
 
     ``entries`` maps nonempty bitmasks to :class:`MeasureValue`.  A full
-    measure holds every nonempty subset; restriction and conditioning
-    results hold the nonempty subsets of the kept vertices (original ids
-    retained).
+    measure holds every nonempty subset; a restriction holds the nonempty
+    subsets of the kept vertices (original ids retained).
     """
 
     def __init__(self, n, entries):
@@ -272,21 +271,5 @@ def restrict_measure(measure: SignedMeasure, keep: VertexSet) -> SignedMeasure:
                 break
             c = (c - 1) & rest
         out[a] = MeasureValue.from_ratio(_product(factors))
-        a = (a - 1) & kb
-    return SignedMeasure(measure.n, out)
-
-
-def condition_measure(measure: SignedMeasure, keep: VertexSet) -> SignedMeasure:
-    """Measure of the chain conditioned on zeros outside ``keep``.
-
-    Conditioning on that event simply forgets every atom that meets the
-    outside: the result is the plain restriction of ``nu`` to the
-    sublattice of subsets of ``keep``.
-    """
-    kb = keep.bits
-    out = {}
-    a = kb
-    while a:
-        out[a] = measure.value(a)
         a = (a - 1) & kb
     return SignedMeasure(measure.n, out)

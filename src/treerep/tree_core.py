@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 # Subset enumeration downstream is exponential in the tree order; 2**24 is
-# the desk-scale ceiling.  Callers may override per call.
+# the desk-scale ceiling.
 MAX_TREE_ORDER = 24
 
 
@@ -51,9 +51,6 @@ class VertexSet:
 
     def members(self):
         return tuple(self)
-
-    def issubset(self, other):
-        return self.bits & ~other.bits == 0
 
     def __contains__(self, v):
         return bool(self.bits >> v & 1)
@@ -115,11 +112,8 @@ class RootedTree:
         except ValueError:
             raise KeyError("no edge %s-%s in tree" % key) from None
 
-    def all_vertices(self):
-        return VertexSet((1 << self.n) - 1)
 
-
-def build_tree(edges, root=0, max_order=MAX_TREE_ORDER):
+def build_tree(edges, root=0):
     """Validate an edge list and assemble a :class:`RootedTree`.
 
     Ids must be dense (``0..n-1`` with ``n = max id + 1``); the edge list
@@ -142,8 +136,8 @@ def build_tree(edges, root=0, max_order=MAX_TREE_ORDER):
         norm.append(key)
         max_id = max(max_id, u, v)
     n = max_id + 1
-    if n > max_order:
-        raise DomainError("tree order %d exceeds cap %d" % (n, max_order))
+    if n > MAX_TREE_ORDER:
+        raise DomainError("tree order %d exceeds cap %d" % (n, MAX_TREE_ORDER))
     if not 0 <= root < n:
         raise DomainError("root %d not a vertex" % root)
     if len(norm) != n - 1:
@@ -243,53 +237,7 @@ def octopus(m, depth):
 
 
 # ---------------------------------------------------------------------------
-# boundaries and subtrees
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
-    """Inner/outer boundaries of a vertex set ``S`` within a tree.
-
-    ``inner``: members of S with at least one neighbor outside S.
-    ``outer``: non-members adjacent to S.  ``full`` is their union.
-    """
-
-    inner: VertexSet
-    outer: VertexSet
-    full: VertexSet
-    _tree: RootedTree = field(repr=False)
-    _subset: VertexSet = field(repr=False)
-
-    def outer_of(self, inside):
-        """Outer-boundary vertices adjacent to ``inside`` (a subset of S)."""
-        bits = 0
-        sub = inside.bits & self._subset.bits
-        while sub:
-            low = sub & -sub
-            sub ^= low
-            bits |= self._tree.neighbor_masks[low.bit_length() - 1]
-        return VertexSet(bits & self.outer.bits)
-
-
-def boundaries(tree, subset):
-    """Boundary report for ``subset`` (see :class:`BoundaryReport`)."""
-    s = subset.bits
-    if s >> tree.n:
-        raise DomainError("subset contains ids outside the tree")
-    inner = 0
-    outer = 0
-    for v in subset:
-        nb = tree.neighbor_masks[v]
-        if nb & ~s:
-            inner |= 1 << v
-        outer |= nb & ~s
-    return BoundaryReport(
-        inner=VertexSet(inner),
-        outer=VertexSet(outer),
-        full=VertexSet(inner | outer),
-        _tree=tree,
-        _subset=subset,
-    )
+# vertex-set routines
 
 
 def is_connected(tree, subset):
@@ -306,40 +254,13 @@ def is_connected(tree, subset):
     return s == 0 or ends == 2 * (s.bit_count() - 1)
 
 
-@dataclass(frozen=True)
-class SpanningSubtree:
-    """Minimal subtree spanning a vertex set, with bookkeeping.
-
-    ``tree`` is the re-indexed subtree (ids ``0..m-1`` in increasing order
-    of the original ids, rooted at the vertex closest to the original
-    root); ``vertex_map[new_id] == original_id``.  ``closure`` is the
-    subtree's vertex set in original ids — the smallest superset of S that
-    spans its own subtree.  ``removable`` collects the inner-boundary
-    vertices of S having degree >= 2 inside the subtree; it is empty
-    whenever every inner-boundary vertex is a subtree leaf.
-    """
-
-    tree: RootedTree
-    vertex_map: tuple
-    closure: VertexSet
-    removable: VertexSet
-
-    def degree_counts(self):
-        """Map degree -> number of subtree vertices with that degree."""
-        counts = {}
-        for v in range(self.tree.n):
-            d = len(self.tree.neighbors[v])
-            counts[d] = counts.get(d, 0) + 1
-        return counts
-
-
 def spanning_subtree(tree, subset):
-    """Minimal subtree of ``tree`` whose vertex set contains ``subset``.
+    """Vertex set of the minimal subtree of ``tree`` containing ``subset``.
 
-    Computed by dropping, round after round, every vertex outside
-    ``subset`` with at most one remaining neighbour, until none is left.
-    The size of the result's boundary — its number of leaves — is what
-    the degree-profile closed forms consume downstream.
+    This closure is the smallest superset of ``subset`` that induces a
+    connected subgraph.  Computed by dropping, round after round, every
+    vertex outside ``subset`` with at most one remaining neighbour, until
+    none is left.
     """
     s = subset.bits
     if s == 0:
@@ -356,21 +277,7 @@ def spanning_subtree(tree, subset):
         if not drop:
             break
         alive &= ~drop.bits
-
-    kept = VertexSet(alive).members()
-    new_id = {orig: i for i, orig in enumerate(kept)}
-    sub_edges = [
-        (new_id[u], new_id[v]) for (u, v) in tree.edges if alive >> u & 1 and alive >> v & 1
-    ]
-    sub_root = new_id[min(kept, key=lambda v: (tree.depth[v], v))]
-    sub = build_tree(sub_edges, root=sub_root) if sub_edges else build_tree([], root=0)
-
-    removable = VertexSet.from_iter(
-        v for v in subset if masks[v] & ~s and (masks[v] & alive).bit_count() >= 2
-    )
-    return SpanningSubtree(
-        tree=sub, vertex_map=kept, closure=VertexSet(alive), removable=removable
-    )
+    return VertexSet(alive)
 
 
 def subdivide(tree, k):
@@ -379,10 +286,15 @@ def subdivide(tree, k):
     Original vertices keep their ids; the ``k - 1`` fresh vertices per edge
     are appended after ``n - 1`` in edge order, walking from the lower
     endpoint to the higher.  Returns ``(new_tree, originals)`` where
-    ``originals`` is the vertex set of the surviving original ids.
+    ``originals`` is the vertex set of the surviving original ids.  A
+    result above ``MAX_TREE_ORDER`` vertices is refused before any of it
+    is built.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
+    order = tree.n + (k - 1) * (tree.n - 1)
+    if order > MAX_TREE_ORDER:
+        raise DomainError("subdivided order %d exceeds cap %d" % (order, MAX_TREE_ORDER))
     originals = VertexSet((1 << tree.n) - 1)
     if k == 1:
         return tree, originals
@@ -395,8 +307,7 @@ def subdivide(tree, k):
             prev = nxt
             nxt += 1
         edges.append((prev, v))
-    new_tree = build_tree(edges, root=tree.root, max_order=max(MAX_TREE_ORDER, nxt))
-    return new_tree, originals
+    return build_tree(edges, root=tree.root), originals
 
 
 def connected_subsets(tree, min_size=1, max_size=None):

@@ -7,19 +7,18 @@ import pytest
 
 from treerep.chain_model import (
     as_fraction,
-    brute_force_prob_all_zero,
     make_params,
     params_from_json,
     prob_all_zero,
-    sample_percolation,
     sample_percolation_many,
-    sample_recursive,
     sample_recursive_many,
     uniform_params,
 )
+from treerep.representability import phase_scan
 from treerep.tree_core import DomainError, VertexSet, build_tree, path, star
 
 from conftest import random_params, random_tree
+from oracles import brute_force_prob_all_zero
 
 HALF = Fraction(1, 2)
 
@@ -93,6 +92,10 @@ def test_make_params_refuses_a_value_that_is_not_rational(value):
         make_params(path(2), value, HALF)
     with pytest.raises(DomainError, match="not an exact rational"):
         make_params(path(2), HALF, {"0-1": value})
+    with pytest.raises(DomainError, match="not an exact rational"):
+        uniform_params(path(2), value, 0)
+    with pytest.raises(DomainError, match="not an exact rational"):
+        phase_scan(path(3), [value], ["1/2"])
 
 
 @pytest.mark.parametrize(
@@ -193,15 +196,11 @@ def test_samplers_deterministic_by_seed():
     assert np.array_equal(a, b)
     c = sample_recursive_many(t, params, 64, seed=43)
     assert not np.array_equal(a, c)
-    assert sample_recursive(t, params, 42) == tuple(
-        (int(a[0]) >> v) & 1 for v in range(t.n)
-    )
+    assert sample_recursive_many(t, params, 1, seed=42)[0] == a[0]
     pa = sample_percolation_many(t, params, 64, seed=42)
     pb = sample_percolation_many(t, params, 64, seed=42)
     assert np.array_equal(pa, pb)
-    assert sample_percolation(t, params, 42) == tuple(
-        (int(pa[0]) >> v) & 1 for v in range(t.n)
-    )
+    assert sample_percolation_many(t, params, 1, seed=42)[0] == pa[0]
 
 
 @pytest.mark.parametrize("maker", [sample_recursive_many, sample_percolation_many])

@@ -277,6 +277,9 @@ def test_usage_errors_exit_2(capsys):
     )
     # verify cannot sample a non-representable chain
     assert main(["verify", "--tree", "octopus:3x2", "--r", "9/20", "--p", "19/20"]) == 2
+    # scaling-check size cap, refused before the subdivided tree is built
+    argv = ["scaling-check", "--tree", "path:3", "--r", "1/2", "--p", "1/3", "--k", "300000"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert "treerep:" in err
 

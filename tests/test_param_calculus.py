@@ -29,7 +29,6 @@ from treerep.signed_measure import nu_connected
 from treerep.thresholds import f_k, f_poly
 from treerep.tree_core import (
     VertexSet,
-    boundaries,
     connected_subsets,
     is_connected,
     octopus,
@@ -66,17 +65,6 @@ def test_dual_ring_basics():
         eps + DualValue.variable((2,), 2, 0)
 
 
-def test_dual_division_and_inverse():
-    u = _jet((3,), 3, {(0,): 2, (1,): 3, (2,): 1})
-    assert u * u.inverse() == _jet((3,), 3, {(0,): 1})
-    assert (1 / u) * u == _jet((3,), 3, {(0,): 1})
-    assert (u / u) == _jet((3,), 3, {(0,): 1})
-    assert u / 2 == u * F(1, 2)
-    nil = DualValue.variable((2,), 2, 0)
-    with pytest.raises(ZeroDivisionError):
-        nil.inverse()
-
-
 def test_dual_log_series():
     eps = DualValue.variable((3,), 3, 0)
     expect = _jet((3,), 3, {(1,): 1, (2,): F(-1, 2), (3,): F(1, 3)})
@@ -105,8 +93,6 @@ def test_edge_multiset():
     assert e.items == (((0, 1), 2), ((1, 2), 1))
     assert e.total == 3
     assert e.support == ((0, 1), (1, 2))
-    assert e.multiplicity(1, 0) == 2 and e.multiplicity(2, 1) == 1
-    assert e.multiplicity(5, 6) == 0
     assert EdgeMultiset.from_string("0-1, 0-1,1-2") == e
     assert str(e) == "0-1,0-1,1-2"
     with pytest.raises(ValueError):
@@ -240,7 +226,7 @@ def test_closed_forms_on_random_trees():
         sets = [VertexSet(b) for b in connected_subsets(t) if b.bit_count() < t.n]
         rng.shuffle(sets)
         for s in sets[:4]:
-            b = len(boundaries(t, s).outer)
+            b = len({w for v in s for w in t.neighbors[v] if w not in s})
             if b >= 2:
                 edges = boundary_edge_multiset(t, s)
                 got = d_nu_dp(t, params, s, edges, at="p0",
@@ -370,7 +356,7 @@ def test_single_vertex_jet_has_a_constant_plus_product():
 def test_whole_path_jet_includes_the_empty_mask():
     t = path(3)
     params = uniform_params(t, F(1, 3), F(1, 2))
-    whole = t.all_vertices()
+    whole = VertexSet.of(0, 1, 2)
     edges = [(0, 1), (1, 2)]
     assert d_nu_dp(t, params, whole, edges) == F(8, 9)
     assert d_nu_dp(t, params, whole, edges, at="p1") == 2

@@ -163,7 +163,8 @@ def test_verdict_input_validation():
         phase_scan(t, [F(1, 2)], [0])
     with pytest.raises(ValueError):
         phase_scan(t, [1], [F(1, 2)])
-    with pytest.raises(ValueError):
-        scaling_check(path(8), F(1, 2), F(1, 2), 3)  # 22 vertices after splitting
+    for k in (3, 10**9):  # 22 vertices after splitting, or 2 * 10^9 + 1
+        with pytest.raises(ValueError):
+            scaling_check(path(8), F(1, 2), F(1, 2), k)
     with pytest.raises(ValueError):
         scaling_check(t, F(1, 2), F(1, 2), 0)

@@ -3,7 +3,6 @@ import pytest
 from treerep.tree_core import (
     DomainError,
     VertexSet,
-    boundaries,
     build_tree,
     connected_subsets,
     is_connected,
@@ -25,7 +24,7 @@ def test_vertex_set_basics():
     assert s.members() == (0, 2, 5)
     assert (s | VertexSet.of(1)).bits == 0b100111
     assert (s - VertexSet.of(2)).members() == (0, 5)
-    assert VertexSet.of(0, 2).issubset(s)
+    assert not VertexSet.of(0, 2) - s
     assert not VertexSet()
 
 
@@ -66,23 +65,6 @@ def test_generators():
         octopus(2, 2)  # needs a branching center
 
 
-def test_boundaries_on_path():
-    t = path(5)
-    rep = boundaries(t, VertexSet.of(1, 2))
-    assert rep.inner.members() == (1, 2)
-    assert rep.outer.members() == (0, 3)
-    assert rep.full.members() == (0, 1, 2, 3)
-    assert rep.outer_of(VertexSet.of(1)).members() == (0,)
-    assert rep.outer_of(VertexSet.of(2)).members() == (3,)
-    assert rep.outer_of(VertexSet.of(1, 2)).members() == (0, 3)
-
-
-def test_boundaries_interior_vertex():
-    t = star(3)
-    rep = boundaries(t, VertexSet.of(0, 1, 2, 3))
-    assert not rep.inner and not rep.outer and not rep.full
-
-
 def test_is_connected():
     t = path(5)
     assert is_connected(t, VertexSet.of(1, 2, 3))
@@ -96,37 +78,25 @@ def test_is_connected():
 
 def test_spanning_subtree_path_endpoints():
     t = path(4)
-    sub = spanning_subtree(t, VertexSet.of(0, 3))
-    assert sub.closure.members() == (0, 1, 2, 3)
-    assert sub.vertex_map == (0, 1, 2, 3)
-    assert not sub.removable
-    assert sub.degree_counts() == {1: 2, 2: 2}
+    assert spanning_subtree(t, VertexSet.of(0, 3)).members() == (0, 1, 2, 3)
 
 
 def test_spanning_subtree_star_pair():
     t = star(3)
-    sub = spanning_subtree(t, VertexSet.of(1, 2))
-    assert sub.closure.members() == (0, 1, 2)
-    assert sub.tree.n == 3
-    assert not sub.removable
+    assert spanning_subtree(t, VertexSet.of(1, 2)).members() == (0, 1, 2)
 
 
 def test_spanning_subtree_removable_fixture():
     # 8-vertex tree: path 0-1-2-3 with hairs 1-4-5 and 2-6-7.
-    # For S = {1,3,5,7} the spanning subtree covers 1..7; vertex 1 is the
-    # only member of S with an outside neighbor and subtree degree >= 2.
+    # For S = {1,3,5,7} the spanning subtree covers 1..7 but not 0.
     t = build_tree([(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (2, 6), (6, 7)])
-    sub = spanning_subtree(t, VertexSet.of(1, 3, 5, 7))
-    assert sub.closure.members() == (1, 2, 3, 4, 5, 6, 7)
-    assert sub.removable.members() == (1,)
+    closure = spanning_subtree(t, VertexSet.of(1, 3, 5, 7))
+    assert closure.members() == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_spanning_subtree_singleton():
     t = path(3)
-    sub = spanning_subtree(t, VertexSet.of(1))
-    assert sub.tree.n == 1
-    assert sub.vertex_map == (1,)
-    assert sub.closure.members() == (1,)
+    assert spanning_subtree(t, VertexSet.of(1)).members() == (1,)
 
 
 def test_subdivide_counts_and_contraction():
@@ -144,6 +114,12 @@ def test_subdivide_counts_and_contraction():
 
     same, orig1 = subdivide(t, 1)
     assert same.edges == t.edges
+
+    # the order n + (k-1)(n-1) is capped before any vertex is built
+    assert subdivide(path(2), 23)[0].n == 24
+    for tree, k in [(path(2), 24), (path(3), 10**9)]:
+        with pytest.raises(DomainError, match="subdivided order"):
+            subdivide(tree, k)
 
 
 def _contract(tree, originals):
