@@ -89,7 +89,7 @@ def make_params(tree, r_spec, p_spec):
             try:
                 u, v = (int(part) for part in key.split("-")) if isinstance(key, str) else key
                 e = tree.edge_index(u, v)
-            except (KeyError, TypeError, ValueError):
+            except (TypeError, ValueError):
                 raise DomainError("no edge %r in the tree" % (key,)) from None
             if p[e] is not None:
                 raise DomainError("edge %d-%d is named twice in p" % tree.edges[e])

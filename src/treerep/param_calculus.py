@@ -20,13 +20,13 @@ live here as well, next to the jet oracle that certifies them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .chain_model import ChainParams, as_fraction, prob_all_zero, ring_weights
 from .signed_measure import connected_log_events, signed_products
 from .thresholds import f_poly
-from .tree_core import DomainError, VertexSet, is_connected, spanning_subtree
+from .tree_core import DomainError, VertexSet, as_int, is_connected, spanning_subtree
 
 DEFAULT_JET_CAP = 6
 
@@ -174,14 +174,21 @@ class EdgeMultiset:
 
     @classmethod
     def from_string(cls, text):
-        """Parse ``"0-1,0-1,1-2"`` (an edge per comma-separated ``u-v``)."""
+        """Parse ``"0-1,0-1,1-2"`` (an edge per comma-separated ``u-v``).
+
+        A part that is not two integers joined by one ``-`` (``a-b``,
+        ``0-1-2``, ``0-``) is a :class:`DomainError`.
+        """
         edges = []
         for part in text.split(","):
             part = part.strip()
             if not part:
                 continue
-            u, v = part.split("-")
-            edges.append((int(u), int(v)))
+            try:
+                u, v = (int(end) for end in part.split("-"))
+            except ValueError:
+                raise DomainError("not an edge u-v: %r" % part) from None
+            edges.append((u, v))
         return cls.of(*edges)
 
     @property
@@ -224,28 +231,39 @@ def subtree_edge_multiset(tree, subset) -> EdgeMultiset:
     return EdgeMultiset.of(*edges)
 
 
-def _nu_jet(tree, weights, subset, mults):
-    """``nu(S)`` less its constant term, on jet-valued ``weights``."""
+def _jet_partial(tree, base, subset, field, slots, mults, degree_cap):
+    """Mixed partial of nu(S) at ``base``, ``mults[i]`` times in entry
+    ``slots[i]`` of its ``field`` (``"p"`` or ``"r"``).
+
+    The one derivative core behind :func:`d_nu_dp` and :func:`d_nu_dr`:
+    it checks the request, plants a jet variable in each slot and reads
+    the coefficient off the log series of nu(S)'s two signed products.
+    """
+    if not subset.bits:
+        raise DomainError("subset must be nonempty")
+    order = sum(mults)
+    if order == 0:
+        raise DomainError(
+            "derivative needs at least one %s" % ("edge" if field == "p" else "vertex")
+        )
+    if order > degree_cap:
+        raise DomainError("jet cap exceeded: order %d > cap %d" % (order, degree_cap))
+    if any(x <= 0 for x in base.r):
+        raise DomainError("vertex laws must be positive for log derivatives")
+    if not is_connected(tree, subset):
+        return Fraction(0)
+    values = getattr(base, field)
+    jet = list(values)
+    for pos, slot in enumerate(slots):
+        jet[slot] = DualValue.variable(mults, order, pos, values[slot])
+    weights = ring_weights(tree, replace(base, **{field: tuple(jet)}))
     even, odd = signed_products(
         connected_log_events(tree, subset),
         lambda bits: prob_all_zero(tree, weights, VertexSet(bits)),
     )
-    zero = DualValue.constant(mults, sum(mults), 0)
-    return (zero + even).log_series() - (zero + odd).log_series()
-
-
-def _derivative(tree, subset, jet_params, mults):
-    """The mixed partial that the jet variables of ``jet_params`` carry."""
-    if not is_connected(tree, subset):
-        return Fraction(0)
-    series = _nu_jet(tree, ring_weights(tree, jet_params), subset, mults)
+    zero = DualValue.constant(mults, order, 0)
+    series = (zero + even).log_series() - (zero + odd).log_series()
     return series.coefficient(mults) * math.prod(math.factorial(m) for m in mults)
-
-
-def _require_positive(values, what):
-    for x in values:
-        if x <= 0:
-            raise DomainError("%s must be positive for log derivatives" % what)
 
 
 def d_nu_dp(tree, params, subset, edges, at="params", degree_cap=DEFAULT_JET_CAP):
@@ -257,22 +275,11 @@ def d_nu_dp(tree, params, subset, edges, at="params", degree_cap=DEFAULT_JET_CAP
     ``"params"`` (the given edge values), ``"p0"`` (every p_e = 0) or
     ``"p1"`` (every p_e = 1).  Vertex laws always come from ``params``
     and must be positive.  Returns a Fraction; disconnected sets give 0
-    since their measure vanishes identically.
+    since their measure vanishes identically.  An edge that is not in
+    the tree is a :class:`DomainError`.
     """
-    if isinstance(edges, EdgeMultiset):
-        multiset = edges
-    else:
-        multiset = EdgeMultiset.of(*edges)
-    if not subset.bits:
-        raise DomainError("subset must be nonempty")
-    if multiset.total == 0:
-        raise DomainError("derivative needs at least one edge")
-    if multiset.total > degree_cap:
-        raise DomainError(
-            "jet cap exceeded: order %d > cap %d" % (multiset.total, degree_cap)
-        )
+    multiset = edges if isinstance(edges, EdgeMultiset) else EdgeMultiset.of(*edges)
     slots = [tree.edge_index(u, v) for u, v in multiset.support]
-    _require_positive(params.r, "vertex laws")
     if at == "params":
         base_p = params.p
     elif at == "p0":
@@ -281,55 +288,42 @@ def d_nu_dp(tree, params, subset, edges, at="params", degree_cap=DEFAULT_JET_CAP
         base_p = (Fraction(1),) * len(tree.edges)
     else:
         raise DomainError('at must be "params", "p0" or "p1"')
-
     mults = tuple(m for _, m in multiset.items)
-    jet_p = list(base_p)
-    for slot_pos, edge_slot in enumerate(slots):
-        jet_p[edge_slot] = DualValue.variable(
-            mults, multiset.total, slot_pos, base_p[edge_slot]
-        )
-    return _derivative(tree, subset, ChainParams(r=params.r, p=tuple(jet_p)), mults)
+    base = ChainParams(r=params.r, p=base_p)
+    return _jet_partial(tree, base, subset, "p", slots, mults, degree_cap)
 
 
 def d_nu_dr(tree, params, subset, vertices, at="params", degree_cap=DEFAULT_JET_CAP):
     """Exact mixed partial of nu(S) in vertex laws.
 
     ``vertices`` is a multiset given as an iterable with repetition
-    (``[0, 0, 3]``) or a ``{vertex: multiplicity}`` mapping.  ``at`` is
-    ``"params"`` (the given vertex laws, all positive) or ``"r1"``
-    (every r_v = 1, where the chain is frozen at zero and the constant
-    terms are exactly 1).  Edge parameters always come from ``params``.
+    (``[0, 0, 3]``) or a ``{vertex: multiplicity}`` mapping.  Vertices
+    must be integer ids of the tree and multiplicities nonnegative
+    integers; anything else, a bool or ``1.5`` included, is a
+    :class:`DomainError`.  ``at`` is ``"params"`` (the given vertex
+    laws, all positive) or ``"r1"`` (every r_v = 1, where the chain is
+    frozen at zero and the constant terms are exactly 1).  Edge
+    parameters always come from ``params``.
     """
-    if isinstance(vertices, dict):
-        counts = {int(v): int(m) for v, m in vertices.items() if m}
-    else:
-        counts = {}
-        for v in vertices:
-            counts[int(v)] = counts.get(int(v), 0) + 1
-    if not subset.bits:
-        raise DomainError("subset must be nonempty")
-    if not counts:
-        raise DomainError("derivative needs at least one vertex")
-    for v in counts:
+    pairs = vertices.items() if isinstance(vertices, dict) else ((v, 1) for v in vertices)
+    counts = {}
+    for v, m in pairs:
+        v, m = as_int(v, "vertex"), as_int(m, "multiplicity")
         if not 0 <= v < tree.n:
             raise DomainError("vertex %d outside the tree" % v)
-    order = sum(counts.values())
-    if order > degree_cap:
-        raise DomainError("jet cap exceeded: order %d > cap %d" % (order, degree_cap))
+        if m < 0:
+            raise DomainError("vertex %d has negative multiplicity %d" % (v, m))
+        if m:
+            counts[v] = counts.get(v, 0) + m
     if at == "params":
-        base_r = params.r
-        _require_positive(base_r, "vertex laws")
+        base = params
     elif at == "r1":
-        base_r = (Fraction(1),) * tree.n
+        base = ChainParams(r=(Fraction(1),) * tree.n, p=params.p)
     else:
         raise DomainError('at must be "params" or "r1"')
-
-    support = tuple(sorted(counts))
+    support = sorted(counts)
     mults = tuple(counts[v] for v in support)
-    jet_r = list(base_r)
-    for slot_pos, v in enumerate(support):
-        jet_r[v] = DualValue.variable(mults, order, slot_pos, base_r[v])
-    return _derivative(tree, subset, ChainParams(r=tuple(jet_r), p=params.p), mults)
+    return _jet_partial(tree, base, subset, "r", support, mults, degree_cap)
 
 
 def closed_form_p0(b, r) -> Fraction:

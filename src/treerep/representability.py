@@ -30,7 +30,7 @@ from .chain_model import (
     uniform_params,
 )
 from .signed_measure import nu_connected, nu_full, restrict_measure
-from .tree_core import DomainError, VertexSet, connected_subsets, subdivide
+from .tree_core import DomainError, VertexSet, as_int, connected_subsets, subdivide
 
 MAX_VERDICT_ORDER = 20
 MAX_SCALING_ORDER = 14
@@ -296,8 +296,7 @@ def scaling_check(tree, r, p, k) -> bool:
     subset; any mismatch returns False.  A subdivided tree above
     ``MAX_SCALING_ORDER`` vertices is refused before anything is built.
     """
-    k = int(k)
-    if k < 1:
+    if as_int(k, "subdivision factor") < 1:
         raise DomainError("subdivision factor must be >= 1")
     if k == 1:
         return True

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .tree_core import DomainError
+from .chain_model import as_fraction
+from .tree_core import DomainError, as_int
 
 MAX_BELL_INDEX = 64
 _BISECT_TOL = Fraction(1, 10**13)
@@ -48,20 +49,20 @@ def complementary_bell(n):
     The sequence runs 1, -1, 0, 1, 1, -2, -9, -9, 50, ... and measures the
     surplus of even- over odd-block set partitions.
     """
-    if not 0 <= n <= MAX_BELL_INDEX:
+    if not 0 <= as_int(n, "complementary Bell index") <= MAX_BELL_INDEX:
         raise DomainError("complementary Bell index must be in 0..%d" % MAX_BELL_INDEX)
     row = _stirling2_row(n)
     return sum((-1) ** k * row[k] for k in range(n + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def eulerian_coeffs(m):
     """Coefficients of the Eulerian polynomial A_m(z), ascending in z.
 
     A_0 = 1; A_m has degree m - 1 with the triangle recurrence
     <m,k> = (k+1)<m-1,k> + (m-k)<m-1,k-1>.
     """
-    if m < 0:
+    if as_int(m, "m") < 0:
         raise DomainError("m must be nonnegative")
     if m == 0:
         return (1,)
@@ -87,9 +88,9 @@ def polylog_neg_order(n, z):
     Uses the closed form ``Li_{-m}(z) = z * A_m(z) / (1-z)^(m+1)`` with
     ``m = n - 1`` and the Eulerian polynomial ``A_m``.
     """
-    if n < 2:
+    if as_int(n, "n") < 2:
         raise DomainError("order 1-n with n >= 2 required")
-    z = Fraction(z)
+    z = as_fraction(z)
     if z == 1:
         raise DomainError("polylogarithm of negative order has a pole at z=1")
     m = n - 1
@@ -134,14 +135,14 @@ def r_star(n) -> float:
     The nonzero roots of ``Li_{1-n}`` are the roots of the Eulerian
     polynomial ``A_{n-1}``; these are simple, real and negative.
     """
-    if n < 3:
+    if as_int(n, "n") < 3:
         raise DomainError("r_star needs n >= 3")
     return float(_largest_negative_eulerian_root(n - 1))
 
 
 def r1(m) -> float:
     """Sign-change location of ``f_poly(m, .)`` in (0, 1): 1/(1 - r_star)."""
-    if m < 3:
+    if as_int(m, "m") < 3:
         raise DomainError("r1 needs m >= 3")
     rho = _largest_negative_eulerian_root(m - 1)
     return float(1 / (1 - rho))
@@ -159,7 +160,7 @@ def r0(k):
     chain, so ``r0`` marks no small-p phase flip of the chain; the value
     is kept to reproduce the table's ``r0`` column.
     """
-    if k < 3:
+    if as_int(k, "k") < 3:
         raise DomainError("r0 needs k >= 3")
     best = None
     for j in range(2, k + 1):
@@ -182,8 +183,9 @@ def f_k(k, r):
     on all of (0, 1) (see ``param_calculus.closed_form_p0``), while for
     example ``f_k(4, r)`` is negative below r = 1/2.
     """
-    r = Fraction(r)
-    return (1 - r) * r ** (k - 1) - (-1) ** k * complementary_bell(k) * (1 - r) ** k
+    r = as_fraction(r)
+    bell = complementary_bell(k)
+    return (1 - r) * r ** (k - 1) - (-1) ** k * bell * (1 - r) ** k
 
 
 def f_poly(j, r):
@@ -192,7 +194,7 @@ def f_poly(j, r):
     ``f_poly(j, r) = Li_{1-j}(-(1-r)/r) / (r^(j-1) (1-r))`` for rational
     ``r`` in (0, 1); changes sign exactly once, at ``r1(j)``.
     """
-    r = Fraction(r)
+    r = as_fraction(r)
     if not 0 < r < 1:
         raise DomainError("r must lie strictly between 0 and 1")
     return polylog_neg_order(j, -(1 - r) / r) / (r ** (j - 1) * (1 - r))

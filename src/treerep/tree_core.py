@@ -8,6 +8,7 @@ this module is immutable after construction.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 # Subset enumeration downstream is exponential in the tree order; 2**24 is
@@ -22,6 +23,17 @@ class DomainError(ValueError):
     size caps.  Any other exception, a plain ``ValueError`` included,
     is a bug.
     """
+
+
+def as_int(x, what):
+    """``x`` as an integer; a bool, float, string or other non-integer is a
+    :class:`DomainError` naming ``what``."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise DomainError("%s must be an integer, got %r" % (what, x))
 
 
 @dataclass(frozen=True)
@@ -105,26 +117,30 @@ class RootedTree:
     parent_edge: tuple = field(repr=False)
 
     def edge_index(self, u, v):
-        """Index of edge {u, v} into ``edges`` (and per-edge parameter tuples)."""
+        """Index of edge {u, v} into ``edges`` (and per-edge parameter tuples).
+
+        A pair that is not an edge of the tree is a :class:`DomainError`.
+        """
         key = (u, v) if u < v else (v, u)
         try:
             return self.edges.index(key)
         except ValueError:
-            raise KeyError("no edge %s-%s in tree" % key) from None
+            raise DomainError("no edge %s-%s in tree" % key) from None
 
 
 def build_tree(edges, root=0):
     """Validate an edge list and assemble a :class:`RootedTree`.
 
-    Ids must be dense (``0..n-1`` with ``n = max id + 1``); the edge list
-    must form a single tree containing ``root``.  Raises ``ValueError`` on
-    cycles, disconnection, duplicate edges, or an absent root.
+    Ids must be dense (``0..n-1`` with ``n = max id + 1``) integers; the
+    edge list must form a single tree containing ``root``.  Raises
+    :class:`DomainError` on non-integer ids, cycles, disconnection,
+    duplicate edges, or an absent root.
     """
     norm = []
     index = {}
-    max_id = root
+    max_id = root = as_int(root, "root")
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        u, v = as_int(e[0], "vertex id"), as_int(e[1], "vertex id")
         if u == v:
             raise DomainError("self-loop at vertex %d" % u)
         if u < 0 or v < 0:
@@ -290,7 +306,7 @@ def subdivide(tree, k):
     result above ``MAX_TREE_ORDER`` vertices is refused before any of it
     is built.
     """
-    if k < 1:
+    if as_int(k, "k") < 1:
         raise DomainError("k must be >= 1")
     order = tree.n + (k - 1) * (tree.n - 1)
     if order > MAX_TREE_ORDER:
@@ -389,11 +405,9 @@ def tree_from_json(text):
         isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
     ):
         raise DomainError('tree JSON needs "edges": a list of [u, v] integer pairs')
-    root = obj.get("root", 0)
-    if not _is_int(root):
-        raise DomainError("tree JSON root must be an integer, got %r" % (root,))
-    if "n" in obj and not _is_int(obj["n"]):
-        raise DomainError("tree JSON n must be an integer, got %r" % (obj["n"],))
+    root = as_int(obj.get("root", 0), "tree JSON root")
+    if "n" in obj:
+        as_int(obj["n"], "tree JSON n")
     t = build_tree(edges, root=root)
     if "n" in obj and obj["n"] != t.n:
         raise DomainError("declared n=%d but edges span %d vertices" % (obj["n"], t.n))

@@ -440,6 +440,25 @@ def test_multiset_naming_a_non_edge_exits_2(capsys):
     argv = ["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "p0", "--r", "1/2"]
     assert main(argv + ["--multiset", "0-2"]) == 2
     assert "no edge 0-2" in capsys.readouterr().err
+    for text in ("a-b", "0-1-2", "0-"):
+        assert main(argv + ["--multiset", text]) == 2
+        assert "treerep: not an edge u-v: %r" % text in capsys.readouterr().err
+    r1 = ["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "r1", "--p", "1/2"]
+    for text, message in (("x", "not a vertex list"), ("7", "vertex 7 outside the tree")):
+        assert main(r1 + ["--multiset", text]) == 2
+        assert "treerep: " + message in capsys.readouterr().err
+
+
+def test_value_error_under_the_multiset_parser_escapes(monkeypatch):
+    from treerep.param_calculus import EdgeMultiset
+
+    def broken(cls, text):
+        raise ValueError("an internal bug")
+
+    monkeypatch.setattr(EdgeMultiset, "from_string", classmethod(broken))
+    argv = ["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "p0", "--r", "1/2"]
+    with pytest.raises(ValueError, match="internal bug"):
+        main(argv + ["--multiset", "0-1"])
 
 
 def test_verify_refuses_a_wide_tree_before_the_full_lattice(monkeypatch, capsys):

@@ -28,6 +28,7 @@ from treerep.param_calculus import (
 from treerep.signed_measure import nu_connected
 from treerep.thresholds import f_k, f_poly
 from treerep.tree_core import (
+    DomainError,
     VertexSet,
     connected_subsets,
     is_connected,
@@ -329,7 +330,7 @@ def test_derivative_request_errors():
         d_nu_dp(t, params, s, [])
     with pytest.raises(ValueError):
         d_nu_dp(t, params, s, [(0, 1)] * (DEFAULT_JET_CAP + 1))
-    with pytest.raises(KeyError):
+    with pytest.raises(DomainError, match="no edge 0-2"):
         d_nu_dp(t, params, s, [(0, 2)])  # not an edge
     with pytest.raises(ValueError):
         d_nu_dp(t, params, s, [(0, 1)], at="p2")
@@ -344,6 +345,22 @@ def test_derivative_request_errors():
         closed_form_p1(t, VertexSet.of(1), F(1, 2))
     with pytest.raises(ValueError):
         closed_form_p1(t, VertexSet.of(0, 2), F(1, 2))
+    # a vertex multiset names integer ids with nonnegative multiplicities
+    for vertices, message in [
+        ([1.5], "vertex must be an integer"),
+        (["x"], "vertex must be an integer"),
+        ([True], "vertex must be an integer"),
+        ({1: 1.0}, "multiplicity must be an integer"),
+        ({1: -1}, "negative multiplicity"),
+        ({1: 1, 2: -1}, "negative multiplicity"),
+    ]:
+        for at in ("params", "r1"):
+            with pytest.raises(DomainError, match=message):
+                d_nu_dr(t, params, s, vertices, at=at)
+    # the edge-multiset text refuses anything but integer pairs u-v
+    for text in ("a-b", "0-1-2", "0-", "1", "0-1,x-2"):
+        with pytest.raises(DomainError, match="not an edge u-v"):
+            EdgeMultiset.from_string(text)
 
 
 def test_single_vertex_jet_has_a_constant_plus_product():

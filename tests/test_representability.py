@@ -16,7 +16,16 @@ from treerep.representability import (
     scaling_check,
 )
 from treerep.signed_measure import nu_full, restrict_measure
-from treerep.tree_core import VertexSet, build_tree, is_connected, octopus, path, spider, star
+from treerep.tree_core import (
+    DomainError,
+    VertexSet,
+    build_tree,
+    is_connected,
+    octopus,
+    path,
+    spider,
+    star,
+)
 
 from conftest import random_params, random_tree
 
@@ -168,3 +177,6 @@ def test_verdict_input_validation():
             scaling_check(path(8), F(1, 2), F(1, 2), k)
     with pytest.raises(ValueError):
         scaling_check(t, F(1, 2), F(1, 2), 0)
+    for k in (2.5, 2.0, "2", True):  # never rounded or coerced to an int
+        with pytest.raises(DomainError, match="subdivision factor must be an integer"):
+            scaling_check(t, F(1, 2), F(1, 2), k)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from treerep.tree_core import DomainError
 from treerep.thresholds import (
     complementary_bell,
     eulerian_coeffs,
@@ -34,6 +35,9 @@ def test_complementary_bell_small_values():
         complementary_bell(65)
     with pytest.raises(ValueError):
         complementary_bell(-1)
+    for n in (2.5, 2.0, "3", True):  # refused before any recursion
+        with pytest.raises(DomainError, match="must be an integer"):
+            complementary_bell(n)
 
 
 def test_complementary_bell_against_egf():
@@ -81,6 +85,9 @@ def test_polylog_exact_values():
         polylog_neg_order(1, Fraction(1, 2))
     with pytest.raises(ValueError):
         polylog_neg_order(3, 1)
+    assert polylog_neg_order(3, "-1/2") == polylog_neg_order(3, Fraction(-1, 2))
+    with pytest.raises(DomainError, match="not an exact rational"):
+        polylog_neg_order(3, "1/0")
 
 
 def test_r_star_reference_digits():
@@ -122,17 +129,42 @@ def test_r0_reference_digits():
     assert r0(5) == r0(6)  # index 6 contributes nothing positive
 
 
+def test_orders_must_be_integers():
+    # every entry point that takes an order refuses a non-integer itself
+    calls = [
+        lambda n: eulerian_coeffs(n),
+        lambda n: polylog_neg_order(n, Fraction(-1, 2)),
+        r_star,
+        r1,
+        r0,
+        lambda n: f_k(n, Fraction(1, 2)),
+        lambda n: f_poly(n, Fraction(1, 2)),
+        lambda n: threshold_table([3, n]),
+    ]
+    eulerian_coeffs(3)  # a cached integer order must not let 3.0 through
+    for call in calls:
+        for n in (3.5, 3.0, "4", True):
+            with pytest.raises(DomainError, match="must be an integer"):
+                call(n)
+
+
 def test_f_k_values():
     assert f_k(3, Fraction(1, 2)) == Fraction(1, 4)
     assert f_k(4, Fraction(1, 2)) == 0
     assert f_k(4, Fraction(11, 20)) > 0
     assert f_k(4, Fraction(9, 20)) < 0
+    assert f_k(4, 0.45) == f_k(4, Fraction(9, 20))  # 0.45 is read as 9/20
+    with pytest.raises(DomainError, match="not an exact rational"):
+        f_k(4, "x")
 
 
 def test_f_poly_values_and_sign_change():
     assert f_poly(3, Fraction(1, 2)) == 0
     with pytest.raises(ValueError):
         f_poly(3, Fraction(2))
+    assert f_poly(3, 0.45) == f_poly(3, Fraction(9, 20))  # not the binary double
+    with pytest.raises(DomainError, match="not an exact rational"):
+        f_poly(3, "x")
     # substituting z = -(1-r)/r sweeps all of (-inf, 0), so every negative
     # root of the Eulerian polynomial produces a sign change: m - 2 flips
     # in total, the last of which sits at r1(m) (positive below it,

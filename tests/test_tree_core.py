@@ -41,6 +41,17 @@ def test_build_tree_validation():
         build_tree([(0, 0)])  # self-loop
     with pytest.raises(ValueError):
         build_tree([(0, 2)])  # ids not dense
+    # ids and the root are integers, never rounded or parsed from text
+    for edges, root in [
+        ([(0, 1.5)], 0),
+        ([("a", "1")], 0),
+        ([("0", "1")], 0),
+        ([(0, True)], 0),
+        ([(0, 1)], 0.5),
+        ([(0, 1)], False),
+    ]:
+        with pytest.raises(DomainError, match="must be an integer"):
+            build_tree(edges, root=root)
 
 
 def test_build_tree_structure():
@@ -120,6 +131,9 @@ def test_subdivide_counts_and_contraction():
     for tree, k in [(path(2), 24), (path(3), 10**9)]:
         with pytest.raises(DomainError, match="subdivided order"):
             subdivide(tree, k)
+    for k in (2.5, 2.0, "2", True):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            subdivide(t, k)
 
 
 def _contract(tree, originals):
