@@ -163,9 +163,13 @@ class EdgeMultiset:
 
     @classmethod
     def of(cls, *edges):
-        """Build from edges listed with repetition, e.g. ``of((0,1), (0,1))``."""
+        """Build from edges listed with repetition, e.g. ``of((0,1), (0,1))``.
+
+        Endpoints must be integers; anything else is a :class:`DomainError`.
+        """
         counts = {}
         for u, v in edges:
+            u, v = as_int(u, "vertex id"), as_int(v, "vertex id")
             if u == v:
                 raise DomainError("edge endpoints must differ")
             key = (min(u, v), max(u, v))
@@ -346,9 +350,10 @@ def closed_form_p0(b, r) -> Fraction:
     the coefficient of their product is the one read off above.  The
     reference expression :func:`treerep.thresholds.f_k`, which subtracts
     a complementary-Bell term and is kept for the threshold table, is
-    not this coefficient for b >= 3.
+    not this coefficient for b >= 3.  A ``b`` that is not an integer
+    is a :class:`DomainError`, so the result is always a Fraction.
     """
-    if b < 2:
+    if as_int(b, "outer boundary size") < 2:
         raise DomainError("outer boundary must have at least 2 vertices")
     r = as_fraction(r)
     if not 0 < r < 1:

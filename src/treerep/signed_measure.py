@@ -13,8 +13,9 @@ Then ``exp(-nu(union of sets hitting I)) = P(X(I) == 0)`` for every I, and
 Every value is carried as an exact pair of positive integers
 ``(num, den)`` with ``nu = log(num/den)``, so signs are decided by integer
 comparison; the float ``log_value`` is advisory.  :func:`nu_full` builds
-every entry at once as a multiplicative Möbius transform of the integer
-probability table, in n * 2^(n-1) divisions.  ``nu`` vanishes on
+the integer probability table of all 2^n masks in one bottom-up pass,
+then every entry at once as a multiplicative Möbius transform of it,
+one level per vertex on arrays of integer pairs.  ``nu`` vanishes on
 disconnected sets, and for connected sets there is a boundary-indexed
 short formula (:func:`nu_connected`) that agrees with the full lattice
 but only needs exponentially many terms in the boundary size rather
@@ -27,6 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .chain_model import prob_all_zero, scaled_params
 from .tree_core import DomainError, VertexSet
@@ -127,36 +130,84 @@ def _require_positive_r(params):
             )
 
 
+def _zero_table(tree, weights):
+    """``prob_all_zero(tree, weights, VertexSet(a))`` for every mask ``a`` at once.
+
+    ``weights`` are integer :class:`~treerep.chain_model.Weights`, so the
+    result is an object array of Python ints indexed by mask.  It is one
+    bottom-up pass of the same sweep.  Each vertex keeps its ``f0`` and
+    ``f1`` tables over the zero masks of its own subtree, in a local bit
+    order: its children's subtrees from the low bits up, then itself.
+    The children's messages combine by outer product, and each child's
+    tables are dropped once used.  Only the final scatter into global
+    mask order uses int64, and only for indices.
+    """
+    r, rbar, p, copy = weights.r, weights.rbar, weights.p, weights.copy
+    f0 = [None] * tree.n
+    f1 = [None] * tree.n
+    order = [None] * tree.n  # local bit -> vertex
+    for v in reversed(tree.preorder):
+        m0 = m1 = np.ones(1, dtype=object)
+        local = []
+        for c in tree.children[v]:
+            mix = p[c] * (r[c] * f0[c] + rbar[c] * f1[c])
+            m0 = np.multiply.outer(copy[c] * f0[c] + mix, m0).ravel()
+            m1 = np.multiply.outer(copy[c] * f1[c] + mix, m1).ravel()
+            local += order[c]
+            f0[c] = f1[c] = order[c] = None
+        f0[v] = np.concatenate((m0, m0))
+        f1[v] = np.concatenate((m1, np.zeros_like(m1)))
+        local.append(v)
+        order[v] = local
+    ro = tree.root
+    idx = np.zeros(1, dtype=np.int64)
+    for v in order[ro]:
+        idx = np.concatenate((idx, idx + (1 << v)))
+    table = np.empty(1 << tree.n, dtype=object)
+    table[idx] = r[ro] * f0[ro] + rbar[ro] * f1[ro]
+    return table
+
+
+def _reduce(num, den):
+    """Divide each pair of the two object arrays by its gcd, in place."""
+    g = np.gcd(num, den)
+    num //= g
+    den //= g
+
+
 def nu_full(tree, params) -> SignedMeasure:
     """Exact measure of the chain on every nonempty subset.
 
     The table starts as ``den * P(X(V\\m) = 0)`` for every mask m, in the
-    integer encoding of :func:`~treerep.chain_model.scaled_params`.  Then,
-    bit by bit, every mask containing the bit is divided by the mask
-    without it (a multiplicative Möbius transform); afterwards entry K
-    is the alternating product over the subsets I of K, that is
-    ``exp(nu(K))``.  ``den`` cancels at each mask's first division, and
-    Fraction division keeps every entry reduced.  Trees above
-    ``MAX_LATTICE_ORDER`` vertices are refused.
+    integer encoding of :func:`~treerep.chain_model.scaled_params`, all
+    built in one pass by :func:`_zero_table`.  Then, bit by bit, every
+    mask containing the bit is divided by the mask without it (a
+    multiplicative Möbius transform); afterwards entry K is the
+    alternating product over the subsets I of K, that is ``exp(nu(K))``.
+    Each level runs on (num, den) object arrays of Python ints.  As in
+    Fraction division, the two numerators and the two denominators are
+    divided by their gcds before the cross products, so ``den`` cancels
+    at each mask's first division and every entry stays in lowest terms.
+    Trees above ``MAX_LATTICE_ORDER`` vertices are refused, and nonzero
+    ``r`` is required, before any of this work.
     """
     _require_positive_r(params)
     n = tree.n
     if n > MAX_LATTICE_ORDER:
         raise DomainError("full measures are capped at %d vertices" % MAX_LATTICE_ORDER)
-    full = (1 << n) - 1
-    weights = scaled_params(tree, params)
-    table = [
-        Fraction(prob_all_zero(tree, weights, VertexSet(full & ~m)))
-        for m in range(full + 1)
-    ]
+    num = _zero_table(tree, scaled_params(tree, params))[::-1].copy()
+    den = np.ones_like(num)
     for b in range(n):
-        bit = 1 << b
-        for m in range(full + 1):
-            if m & bit:
-                table[m] /= table[m ^ bit]
-    return SignedMeasure(
-        n, {m: MeasureValue.from_ratio(table[m]) for m in range(1, full + 1)}
-    )
+        num = num.reshape(-1, 2, 1 << b)
+        den = den.reshape(-1, 2, 1 << b)
+        g_num = np.gcd(num[:, 1], num[:, 0])
+        g_den = np.gcd(den[:, 1], den[:, 0])
+        hi_num = num[:, 1] // g_num * (den[:, 0] // g_den)
+        den[:, 1] = den[:, 1] // g_den * (num[:, 0] // g_num)
+        num[:, 1] = hi_num
+    pairs = zip(num.ravel().tolist(), den.ravel().tolist())
+    next(pairs)  # the empty set carries no entry
+    return SignedMeasure(n, {m: MeasureValue(a, b) for m, (a, b) in enumerate(pairs, start=1)})
 
 
 def connected_log_events(tree, subset):
@@ -256,20 +307,31 @@ def restrict_measure(measure: SignedMeasure, keep: VertexSet) -> SignedMeasure:
     The restricted chain's measure evaluates each A as the total mass of
     all sets whose trace on ``keep`` is exactly A:
     ``nu_keep(A) = sum over A' with A' & keep == A of nu(A')``.
-    The input must cover the full lattice.
+    In ratios that is a product, taken one dropped bit at a time on
+    (num, den) object arrays, each level reduced by its gcd.  The input
+    must cover the full lattice, and ``keep`` must lie inside it.
     """
     kb = keep.bits
-    rest = ((1 << measure.n) - 1) & ~kb
+    if kb >> measure.n:
+        raise DomainError("keep contains ids outside the measure")
+    entries = measure.entries
+    everything = range(1, 1 << measure.n)
+    num = np.array([1] + [entries[m].num for m in everything], dtype=object)
+    den = np.array([1] + [entries[m].den for m in everything], dtype=object)
+    for b in reversed(range(measure.n)):
+        if not kb >> b & 1:
+            num = num.reshape(-1, 2, 1 << b)
+            den = den.reshape(-1, 2, 1 << b)
+            num = (num[:, 0] * num[:, 1]).ravel()
+            den = (den[:, 0] * den[:, 1]).ravel()
+            _reduce(num, den)
+    if kb == (1 << measure.n) - 1:
+        _reduce(num, den)  # nothing dropped: entries need not be in lowest terms
+    masks = [0]
+    for v in keep:
+        masks += [m | 1 << v for m in masks]
     out = {}
-    a = kb
-    while a:
-        factors = []
-        c = rest
-        while True:
-            factors.append(measure.entries[a | c].ratio)
-            if c == 0:
-                break
-            c = (c - 1) & rest
-        out[a] = MeasureValue.from_ratio(_product(factors))
-        a = (a - 1) & kb
+    for m, a, b in zip(reversed(masks), num[::-1].tolist(), den[::-1].tolist()):
+        if m:
+            out[m] = MeasureValue(a, b)
     return SignedMeasure(measure.n, out)

@@ -49,13 +49,18 @@ class VertexSet:
 
     @classmethod
     def of(cls, *vertices):
-        """Build a set from explicit vertex ids: ``VertexSet.of(0, 2, 5)``."""
+        """Build a set from explicit vertex ids: ``VertexSet.of(0, 2, 5)``.
+
+        An id that is not a nonnegative integer (a bool, float or string
+        included) is a :class:`DomainError`.
+        """
         return cls.from_iter(vertices)
 
     @classmethod
     def from_iter(cls, vertices):
         bits = 0
         for v in vertices:
+            v = as_int(v, "vertex id")
             if v < 0:
                 raise DomainError("vertex ids are nonnegative integers")
             bits |= 1 << v
@@ -209,14 +214,14 @@ def build_tree(edges, root=0):
 def path(n):
     """Path on ``n`` vertices 0-1-...-(n-1), rooted at 0.  ``path(1)`` is
     the degenerate single vertex."""
-    if n < 1:
+    if as_int(n, "path order") < 1:
         raise DomainError("path needs at least one vertex")
     return build_tree([(i, i + 1) for i in range(n - 1)], root=0)
 
 
 def star(k):
     """Star with center 0 and leaves ``1..k``."""
-    if k < 1:
+    if as_int(k, "star leaf count") < 1:
         raise DomainError("star needs at least one leaf")
     return build_tree([(0, i) for i in range(1, k + 1)], root=0)
 
@@ -229,7 +234,7 @@ def spider(k, leg_len):
     ``spider(3, 2)`` has inner ring {1, 3, 5} and outer ring {2, 4, 6}.
     ``spider(k, 1)`` equals ``star(k)``.
     """
-    if k < 1 or leg_len < 1:
+    if as_int(k, "spider leg count") < 1 or as_int(leg_len, "spider leg length") < 1:
         raise DomainError("spider needs k >= 1 legs of length >= 1")
     edges = []
     for j in range(k):
@@ -247,7 +252,7 @@ def octopus(m, depth):
     truncation used by the resampling-derivative results, which need a
     branching center.
     """
-    if m < 3:
+    if as_int(m, "octopus arm count") < 3:
         raise DomainError("octopus needs at least 3 arms")
     return spider(m, depth)
 

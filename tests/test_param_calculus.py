@@ -98,6 +98,9 @@ def test_edge_multiset():
     assert str(e) == "0-1,0-1,1-2"
     with pytest.raises(ValueError):
         EdgeMultiset.of((2, 2))
+    for bad in [(0, "a"), (0, 1.5), (True, 2)]:
+        with pytest.raises(DomainError, match="vertex id must be an integer"):
+            EdgeMultiset.of((0, 1), bad)
 
 
 def test_distinguished_multisets():
@@ -152,6 +155,10 @@ def test_closed_form_p0_values():
         closed_form_p0(1, F(1, 2))
     with pytest.raises(ValueError):
         closed_form_p0(3, 1)
+    # an exact Fraction or a refusal, never a float from a fractional power
+    for bad in (2.5, 3.0, True, "3"):
+        with pytest.raises(DomainError, match="outer boundary size must be an integer"):
+            closed_form_p0(bad, F(1, 2))
 
 
 def test_lower_order_vanishes_at_p0():

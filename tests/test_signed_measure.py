@@ -4,14 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from treerep.chain_model import ChainParams, make_params, prob_all_zero, uniform_params
+from treerep.chain_model import (
+    ChainParams,
+    make_params,
+    prob_all_zero,
+    scaled_params,
+    uniform_params,
+)
 from treerep.signed_measure import (
     MeasureValue,
+    SignedMeasure,
+    _zero_table,
     nu_connected,
     nu_full,
     restrict_measure,
 )
 from treerep.tree_core import (
+    DomainError,
     VertexSet,
     build_tree,
     connected_subsets,
@@ -21,6 +30,7 @@ from treerep.tree_core import (
 )
 
 from conftest import random_params, random_tree
+from oracles import fraction_nu_full, fraction_restrict_measure
 
 HALF = Fraction(1, 2)
 
@@ -261,6 +271,103 @@ def test_lazy_assembly_wide_tree():
     t = path(17)
     with pytest.raises(ValueError):
         nu_full(t, uniform_params(t, HALF, HALF))
+
+
+def _pairs(measure):
+    return {m: (v.num, v.den) for m, v in measure.entries.items()}
+
+
+def _mixed_params(rng, tree):
+    """Each parameter over its own denominator, with r = 1 and p in {0, 1} mixed in."""
+
+    def draw(lo, ends):
+        if rng.random() < 0.15:
+            return Fraction(rng.choice(ends))
+        d = rng.randint(2, 31)
+        return Fraction(rng.randint(lo, d), d)
+
+    return ChainParams(
+        r=tuple(draw(1, (1,)) for _ in range(tree.n)),
+        p=tuple(draw(0, (0, 1)) for _ in tree.edges),
+    )
+
+
+# eleven distinct primes just below 2^31, one denominator per parameter
+# of a 6-vertex chain: their product, the common factor of the integer
+# encoding, is about 2^341, so any entry squeezed through int64 would wrap
+PRIMES_BELOW_2_31 = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423,
+)
+
+
+def test_zero_table_is_the_sweep_at_every_mask():
+    rng = random.Random(61)
+    trees = [path(1), path(2), star(4)] + [
+        random_tree(rng, rng.randint(2, 9)) for _ in range(30)
+    ]
+    for t in trees:
+        weights = scaled_params(t, _mixed_params(rng, t))
+        table = _zero_table(t, weights)
+        assert len(table) == 1 << t.n
+        for mask in range(1 << t.n):
+            got = table[mask]
+            assert type(got) is int
+            assert got == prob_all_zero(t, weights, VertexSet(mask))
+
+
+def test_nu_full_matches_the_fraction_reference():
+    rng = random.Random(67)
+    trees = [path(1), path(10), star(9)] + [
+        random_tree(rng, n) for n in range(1, 11) for _ in range(4)
+    ]
+    for t in trees:
+        params = _mixed_params(rng, t)
+        measure = nu_full(t, params)
+        expect = fraction_nu_full(t, params)
+        assert _pairs(measure) == expect
+        assert list(measure.entries) == list(expect)
+        assert all(type(v.num) is int and type(v.den) is int for v in measure.entries.values())
+
+
+def test_nu_full_is_exact_past_int64():
+    t = build_tree([(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)], root=1)
+    nums = (3, 5, 7, 11, 13, 2**30, 17, 2**30, 19, 23, 2**29)
+    params = ChainParams(
+        r=tuple(Fraction(k, d) for k, d in zip(nums[:6], PRIMES_BELOW_2_31[:6])),
+        p=tuple(Fraction(k, d) for k, d in zip(nums[6:], PRIMES_BELOW_2_31[6:])),
+    )
+    assert scaled_params(t, params).one > 2**340
+    measure = nu_full(t, params)
+    assert _pairs(measure) == fraction_nu_full(t, params)
+    assert max(max(v.num, v.den) for v in measure.entries.values()) > 2**63
+    keep = VertexSet.of(0, 2, 5)
+    assert _pairs(restrict_measure(measure, keep)) == fraction_restrict_measure(measure, keep)
+
+
+def test_restrict_measure_matches_the_fraction_products():
+    rng = random.Random(71)
+    for _ in range(40):
+        t = random_tree(rng, rng.randint(1, 9))
+        measure = nu_full(t, _mixed_params(rng, t))
+        full = (1 << t.n) - 1
+        for keep in {0, full, rng.randint(0, full), rng.randint(0, full)}:
+            got = restrict_measure(measure, VertexSet(keep))
+            expect = fraction_restrict_measure(measure, VertexSet(keep))
+            assert _pairs(got) == expect
+            assert list(got.entries) == list(expect)
+
+
+def test_restrict_measure_reduces_its_pairs():
+    # entries need not be in lowest terms; the restriction always is,
+    # even when nothing is dropped
+    measure = SignedMeasure(2, {1: MeasureValue(4, 6), 2: MeasureValue(9, 3), 3: MeasureValue(10, 4)})
+    for keep in (VertexSet.of(0), VertexSet.of(0, 1)):
+        got = restrict_measure(measure, keep)
+        assert _pairs(got) == fraction_restrict_measure(measure, keep)
+    assert _pairs(restrict_measure(measure, VertexSet.of(0, 1))) == {1: (2, 3), 2: (3, 1), 3: (5, 2)}
+    with pytest.raises(DomainError, match="outside"):
+        restrict_measure(measure, VertexSet.of(2))
 
 
 def test_measure_value_guards():

@@ -26,6 +26,10 @@ def test_vertex_set_basics():
     assert (s - VertexSet.of(2)).members() == (0, 5)
     assert not VertexSet.of(0, 2) - s
     assert not VertexSet()
+    # ids are integers: never rounded, parsed from text or read off a bool
+    for bad in (1.5, True, "1"):
+        with pytest.raises(DomainError, match="vertex id must be an integer"):
+            VertexSet.of(0, bad)
 
 
 def test_build_tree_validation():
@@ -74,6 +78,20 @@ def test_generators():
     assert spider(4, 1).edges == star(4).edges
     with pytest.raises(ValueError):
         octopus(2, 2)  # needs a branching center
+    # sizes are integers: a float, a string or a bool is refused, not
+    # rounded or read as 1
+    for build, args in [
+        (path, (2.5,)),
+        (path, ("3",)),
+        (star, (True,)),
+        (star, (2.0,)),
+        (spider, (2, 1.5)),
+        (spider, (True, 2)),
+        (octopus, (3.0, 2)),
+        (octopus, (3, 2.0)),
+    ]:
+        with pytest.raises(DomainError, match="must be an integer"):
+            build(*args)
 
 
 def test_is_connected():
