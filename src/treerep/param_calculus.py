@@ -4,13 +4,18 @@ Every probability the chain produces is a polynomial in the edge
 parameters ``p_e`` and vertex laws ``r_v`` (multilinear in each), so
 running the message-passing recursion on truncated-polynomial
 coefficients instead of plain rationals yields exact mixed partials —
-no finite differences, no floats.  nu(S) comes from the verdicts' own
-:func:`~treerep.signed_measure.signed_products` on jet weights, and only
-its two products go through a logarithm.  Inside the truncated algebra
-``log u = log c + log1p(u/c - 1)``; the second term is a terminating
-series, because ``u/c - 1`` is nilpotent, and it turns products into
-sums.  The constant terms stay positive at every base point we
-differentiate at (products of the ``r_v``, or exactly 1 when ``r == 1``),
+no finite differences, no floats.  The sweep runs on the integer
+encoding the verdicts use, :func:`~treerep.chain_model.scaled_params`,
+with a jet variable planted in each differentiated entry, so it returns
+``den * P`` as a :class:`DualValue` with int coefficients, stored
+densely.  nu(S) comes from the verdicts' own
+:func:`~treerep.signed_measure.signed_products` on those jets, and only
+its two products go through a logarithm, where ``den`` cancels.  Inside
+the truncated algebra ``log u = log c + log1p(u/c - 1)``; the second
+term is a terminating series, because ``u/c - 1`` is nilpotent, and it
+turns products into sums.  It is the one place that builds Fractions.
+The constant terms are ``den`` times probabilities of all-zero events,
+positive whenever every ``r_v`` is (and ``den`` itself when ``r == 1``),
 so the series is always legal.
 
 The closed forms at the degenerate base points ``p == 0`` and ``p == 1``
@@ -19,11 +24,14 @@ live here as well, next to the jet oracle that certifies them.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain_model import ChainParams, as_fraction, prob_all_zero, ring_weights
+from .chain_model import ChainParams, as_fraction, prob_all_zero, scaled_params
 from .signed_measure import connected_log_events, signed_products
 from .thresholds import f_poly
 from .tree_core import DomainError, VertexSet, as_int, is_connected, spanning_subtree
@@ -31,103 +39,190 @@ from .tree_core import DomainError, VertexSet, as_int, is_connected, spanning_su
 DEFAULT_JET_CAP = 6
 
 
+class _Layout:
+    """The dense layout of one truncated ring, built once per ``(caps, order)``.
+
+    ``exponents[i]`` is the monomial stored at index ``i``, in mixed-radix
+    order over ``caps`` (the last direction varies fastest); ``index``
+    inverts it for the monomials inside the ring, those of total degree at
+    most ``order``.  ``rows[i]`` lists the ``(j, k)`` pairs whose product
+    ``exponents[i] * exponents[j]`` is ``exponents[k]`` inside the ring,
+    built in time proportional to the pairs listed.
+    """
+
+    __slots__ = ("caps", "order", "exponents", "index", "rows")
+
+    def __init__(self, caps, order):
+        self.caps = caps
+        self.order = order
+        self.exponents = list(itertools.product(*(range(cap + 1) for cap in caps)))
+        self.index = {e: i for i, e in enumerate(self.exponents) if sum(e) <= order}
+        # Exponents inside the caps add digit by digit with no carry, so
+        # their positions add too: i * j lands at i + j.
+        rows = []
+        for i, e1 in enumerate(self.exponents):
+            room = order - sum(e1)
+            fits = itertools.product(*(range(cap - d + 1) for cap, d in zip(caps, e1)))
+            rows.append(tuple((self.index[e2], i + self.index[e2]) for e2 in fits if sum(e2) <= room))
+        self.rows = tuple(rows)
+
+
+@functools.lru_cache(maxsize=64)
+def _ring_layout(caps, order):
+    return _Layout(caps, order)
+
+
+def _scalar(x):
+    """An int or Fraction as it is; anything else through :func:`as_fraction`."""
+    return x if type(x) in (int, Fraction) else as_fraction(x)
+
+
 class DualValue:
     """Polynomial in named infinitesimal directions, truncated by degree.
 
-    ``terms`` maps exponent tuples (one slot per direction) to rational
-    coefficients.  Monomials whose exponent exceeds the per-direction
-    ``caps`` or whose total degree exceeds ``order`` are dropped, i.e.
-    the ring is Q[e_1..e_k] modulo those monomials.  The truncation is
-    closed under +, - and *.
+    The ring is Q[e_1..e_k] modulo every monomial whose exponent in some
+    direction exceeds its entry of ``caps`` or whose total degree exceeds
+    ``order``; it is closed under +, - and *.  Coefficients are stored
+    densely in ``coeffs``, one per exponent tuple in mixed-radix order
+    over ``caps`` (the last direction varies fastest); those of total
+    degree above ``order`` stay 0.  A product runs through the pair table
+    of the ring's layout, built once per ``(caps, order)``.  Coefficients
+    are ints or Fractions, and ints stay ints: a jet over integer weights
+    builds no Fraction until :meth:`log_series` divides.
 
     Instances mix freely with ints and Fractions on either side, which
     is what lets :func:`treerep.chain_model.prob_all_zero` run on jets
-    unchanged.
+    unchanged.  ``terms`` maps each exponent tuple with a nonzero
+    coefficient to that coefficient; a term outside the ring, or caps and
+    an order that are not nonnegative integers, is a :class:`DomainError`.
     """
 
-    __slots__ = ("caps", "order", "terms")
+    __slots__ = ("_layout", "coeffs")
 
     def __init__(self, caps, order, terms):
-        self.caps = tuple(caps)
-        self.order = order
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        caps = tuple(_nonnegative(cap, "jet cap") for cap in caps)
+        self._layout = layout = _ring_layout(caps, _nonnegative(order, "jet order"))
+        self.coeffs = [0] * len(layout.exponents)
+        for e, c in terms.items():
+            i = layout.index.get(e)
+            if i is None:
+                raise DomainError(
+                    "monomial %r is outside the ring with caps %s and order %d"
+                    % (e, caps, order)
+                )
+            self.coeffs[i] = _scalar(c)
+
+    def _new(self, coeffs):
+        out = object.__new__(DualValue)
+        out._layout = self._layout
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def constant(cls, caps, order, value):
-        zero = (0,) * len(caps)
-        return cls(caps, order, {zero: as_fraction(value)})
+        return cls(caps, order, {(0,) * len(caps): value})
 
     @classmethod
     def variable(cls, caps, order, slot, base=0):
-        """``base + eps_slot`` as a jet."""
-        unit = tuple(1 if i == slot else 0 for i in range(len(caps)))
-        terms = {(0,) * len(caps): as_fraction(base), unit: Fraction(1)}
-        return cls(caps, order, terms)
+        """``base + eps_slot`` as a jet; ``eps_slot`` is 0 when its cap or
+        ``order`` is 0.  A slot outside ``range(len(caps))`` is a
+        :class:`DomainError`."""
+        out = cls.constant(caps, order, base)
+        slot = as_int(slot, "jet slot")
+        if not 0 <= slot < len(out.caps):
+            raise DomainError("jet slot %d outside the %d directions" % (slot, len(out.caps)))
+        unit = out._layout.index.get(tuple(int(i == slot) for i in range(len(out.caps))))
+        if unit is not None:
+            out.coeffs[unit] = 1
+        return out
+
+    @property
+    def caps(self):
+        return self._layout.caps
+
+    @property
+    def order(self):
+        return self._layout.order
+
+    @property
+    def terms(self):
+        exponents = self._layout.exponents
+        return {exponents[i]: c for i, c in enumerate(self.coeffs) if c}
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.caps), Fraction(0))
+        return Fraction(self.coeffs[0])
 
     def coefficient(self, exponents) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+        i = self._layout.index.get(tuple(exponents))
+        return Fraction(0 if i is None else self.coeffs[i])
 
     def _lift(self, other):
+        """``other``'s coefficients in this ring; a scalar is returned as one."""
         if isinstance(other, DualValue):
-            if other.caps != self.caps or other.order != self.order:
+            if other._layout is not self._layout and (
+                other.caps != self.caps or other.order != self.order
+            ):
                 raise ValueError("jets from different truncated rings")
-            return other
-        return DualValue.constant(self.caps, self.order, other)
+            return other.coeffs
+        return _scalar(other)
+
+    def _termwise(self, other, op):
+        other = self._lift(other)
+        if isinstance(other, list):
+            return self._new(list(map(op, self.coeffs, other)))
+        coeffs = list(self.coeffs)
+        coeffs[0] = op(coeffs[0], other)
+        return self._new(coeffs)
 
     def __add__(self, other):
-        other = self._lift(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return DualValue(self.caps, self.order, terms)
+        return self._termwise(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DualValue(
-            self.caps, self.order, {e: -c for e, c in self.terms.items()}
-        )
+        return self._new([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self._termwise(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         other = self._lift(other)
-        caps, order = self.caps, self.order
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > order or any(d > cap for d, cap in zip(e, caps)):
-                    continue
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return DualValue(caps, order, out)
+        if not isinstance(other, list):
+            return self._new([other * c for c in self.coeffs])
+        out = [0] * len(other)
+        for a, row in zip(self.coeffs, self._layout.rows):
+            if a:
+                for j, k in row:
+                    b = other[j]
+                    if b:
+                        out[k] += a * b
+        return self._new(out)
 
     __rmul__ = __mul__
 
     def log_series(self):
         """``log(self) - log(constant term)``, exact in the truncated ring.
 
-        The constant term must be positive.  Only the polynomial part of
-        the log is representable over the rationals; the dropped
-        ``log c`` is a constant, which no derivative sees.
+        The constant term ``c`` must be positive.  With ``t = self - c``,
+        nilpotent and on the coefficients' own type, the series is
+        ``sum_k (-1)**(k+1) t**k / (k c**k)``; only that division builds
+        Fractions.  Only the polynomial part of the log is representable
+        over the rationals; the dropped ``log c`` is a constant, which no
+        derivative sees.
         """
-        c = self.constant_term
+        c = self.coeffs[0]
         if c <= 0:
             raise DomainError("log needs a positive constant term")
-        t = self * (Fraction(1) / c) - 1
-        out = DualValue.constant(self.caps, self.order, 0)
+        t = self - c
+        out = self._new([0] * len(self.coeffs))
         power = t
         k = 1
-        while k <= self.order and power.terms:
-            out = out + power * Fraction((-1) ** (k + 1), k)
+        while k <= self.order and any(power.coeffs):
+            out = out + power * Fraction((-1) ** (k + 1), k * c**k)
             power = power * t
             k += 1
         return out
@@ -137,17 +232,26 @@ class DualValue:
             return (
                 self.caps == other.caps
                 and self.order == other.order
-                and self.terms == other.terms
+                and self.coeffs == other.coeffs
             )
-        return self.terms == DualValue.constant(self.caps, self.order, other).terms
+        try:
+            other = _scalar(other)
+        except DomainError:
+            return NotImplemented
+        return self.coeffs[0] == other and not any(self.coeffs[1:])
 
     __hash__ = None
 
     def __repr__(self):
-        body = ", ".join(
-            "%s: %s" % (e, c) for e, c in sorted(self.terms.items())
-        )
+        body = ", ".join("%s: %s" % (e, c) for e, c in self.terms.items())
         return "DualValue(caps=%s, order=%d, {%s})" % (self.caps, self.order, body)
+
+
+def _nonnegative(x, what):
+    x = as_int(x, what)
+    if x < 0:
+        raise DomainError("%s must be nonnegative, got %d" % (what, x))
+    return x
 
 
 @dataclass(frozen=True)
@@ -240,8 +344,15 @@ def _jet_partial(tree, base, subset, field, slots, mults, degree_cap):
     ``slots[i]`` of its ``field`` (``"p"`` or ``"r"``).
 
     The one derivative core behind :func:`d_nu_dp` and :func:`d_nu_dr`:
-    it checks the request, plants a jet variable in each slot and reads
-    the coefficient off the log series of nu(S)'s two signed products.
+    it checks the request, plants a jet variable in each slot of the
+    integer weights of :func:`~treerep.chain_model.scaled_params` and
+    reads the coefficient off the log series of nu(S)'s two signed
+    products.  With ``p_e = c/d`` on the edge above ``v`` and
+    ``r_v = a/b``, ``p_e + eps`` scales to ``p = c + d*eps`` and
+    ``copy = ((d - c) - d*eps) * b_v``, and ``r_v + eps`` to
+    ``r = a + b*eps`` and ``rbar = (b - a) - b*eps``; every sweep then
+    returns ``den * P(eps)`` on int coefficients.  The + and - events are
+    equally many, so ``den`` cancels, and the log series drops constants.
     """
     if not subset.bits:
         raise DomainError("subset must be nonempty")
@@ -256,11 +367,20 @@ def _jet_partial(tree, base, subset, field, slots, mults, degree_cap):
         raise DomainError("vertex laws must be positive for log derivatives")
     if not is_connected(tree, subset):
         return Fraction(0)
-    values = getattr(base, field)
-    jet = list(values)
+    w = scaled_params(tree, base)
+    r, rbar, p, copy = list(w.r), list(w.rbar), list(w.p), list(w.copy)
     for pos, slot in enumerate(slots):
-        jet[slot] = DualValue.variable(mults, order, pos, values[slot])
-    weights = ring_weights(tree, replace(base, **{field: tuple(jet)}))
+        eps = DualValue.variable(mults, order, pos)
+        if field == "p":
+            v = tree.parent_edge.index(slot)
+            d = base.p[slot].denominator
+            p[v] = p[v] + d * eps
+            copy[v] = copy[v] - d * base.r[v].denominator * eps
+        else:
+            b = base.r[slot].denominator
+            r[slot] = r[slot] + b * eps
+            rbar[slot] = rbar[slot] - b * eps
+    weights = w._replace(r=tuple(r), rbar=tuple(rbar), p=tuple(p), copy=tuple(copy))
     even, odd = signed_products(
         connected_log_events(tree, subset),
         lambda bits: prob_all_zero(tree, weights, VertexSet(bits)),

@@ -1,10 +1,12 @@
 """Independent oracles that the tests check the engine against."""
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
-from treerep.chain_model import prob_all_zero, scaled_params
-from treerep.signed_measure import MeasureValue
-from treerep.tree_core import DomainError, VertexSet
+from treerep.chain_model import as_fraction, prob_all_zero, ring_weights, scaled_params
+from treerep.signed_measure import MeasureValue, connected_log_events, signed_products
+from treerep.tree_core import DomainError, VertexSet, is_connected
 
 
 def brute_force_prob_all_zero(tree, params, zero_on, max_edges=20):
@@ -103,3 +105,117 @@ def fraction_restrict_measure(measure, keep):
 def _pair(x):
     value = MeasureValue.from_ratio(x)
     return value.num, value.den
+
+
+class FractionJet:
+    """Reference for ``param_calculus.DualValue``: a dict of Fraction terms.
+
+    ``terms`` maps exponent tuples to Fraction coefficients.  Monomials
+    whose exponent exceeds the per-direction ``caps`` or whose total
+    degree exceeds ``order`` are dropped when a product makes them.
+    Mixes with ints and Fractions on either side.
+    """
+
+    __slots__ = ("caps", "order", "terms")
+
+    def __init__(self, caps, order, terms):
+        self.caps = tuple(caps)
+        self.order = order
+        self.terms = {e: c for e, c in terms.items() if c != 0}
+
+    @classmethod
+    def constant(cls, caps, order, value):
+        zero = (0,) * len(caps)
+        return cls(caps, order, {zero: as_fraction(value)})
+
+    @classmethod
+    def variable(cls, caps, order, slot, base=0):
+        unit = tuple(1 if i == slot else 0 for i in range(len(caps)))
+        terms = {(0,) * len(caps): as_fraction(base), unit: Fraction(1)}
+        return cls(caps, order, terms)
+
+    @property
+    def constant_term(self):
+        return self.terms.get((0,) * len(self.caps), Fraction(0))
+
+    def coefficient(self, exponents):
+        return self.terms.get(tuple(exponents), Fraction(0))
+
+    def _lift(self, other):
+        if isinstance(other, FractionJet):
+            if other.caps != self.caps or other.order != self.order:
+                raise ValueError("jets from different truncated rings")
+            return other
+        return FractionJet.constant(self.caps, self.order, other)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, Fraction(0)) + c
+        return FractionJet(self.caps, self.order, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionJet(self.caps, self.order, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        caps, order = self.caps, self.order
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if sum(e) > order or any(d > cap for d, cap in zip(e, caps)):
+                    continue
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return FractionJet(caps, order, out)
+
+    __rmul__ = __mul__
+
+    def log_series(self):
+        """``log(self) - log(constant term)`` by the terminating series."""
+        c = self.constant_term
+        if c <= 0:
+            raise DomainError("log needs a positive constant term")
+        t = self * (Fraction(1) / c) - 1
+        out = FractionJet.constant(self.caps, self.order, 0)
+        power = t
+        k = 1
+        while k <= self.order and power.terms:
+            out = out + power * Fraction((-1) ** (k + 1), k)
+            power = power * t
+            k += 1
+        return out
+
+
+def fraction_jet_partial(tree, base, subset, field, slots, mults):
+    """Reference for ``param_calculus._jet_partial``, without its input checks.
+
+    Plants ``base + eps_i`` in entry ``slots[i]`` of ``base``'s ``field``
+    (``"p"`` or ``"r"``), sweeps the probability-valued weights of
+    ``ring_weights`` on :class:`FractionJet` coefficients, and reads the
+    mixed partial off the log series of nu(S)'s two signed products.
+    """
+    if not is_connected(tree, subset):
+        return Fraction(0)
+    order = sum(mults)
+    values = getattr(base, field)
+    jet = list(values)
+    for pos, slot in enumerate(slots):
+        jet[slot] = FractionJet.variable(mults, order, pos, values[slot])
+    weights = ring_weights(tree, replace(base, **{field: tuple(jet)}))
+    even, odd = signed_products(
+        connected_log_events(tree, subset),
+        lambda bits: prob_all_zero(tree, weights, VertexSet(bits)),
+    )
+    zero = FractionJet.constant(mults, order, 0)
+    series = (zero + even).log_series() - (zero + odd).log_series()
+    return series.coefficient(mults) * math.prod(math.factorial(m) for m in mults)

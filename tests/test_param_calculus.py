@@ -5,6 +5,7 @@ oracle (full Mobius sum over brute-force percolation probabilities),
 run once and pinned here.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -25,7 +26,8 @@ from treerep.param_calculus import (
     d_nu_dr_octopus,
     subtree_edge_multiset,
 )
-from treerep.signed_measure import nu_connected
+import treerep.param_calculus as param_calculus
+from treerep.signed_measure import connected_log_events, nu_connected
 from treerep.thresholds import f_k, f_poly
 from treerep.tree_core import (
     DomainError,
@@ -39,6 +41,7 @@ from treerep.tree_core import (
 )
 
 from conftest import random_params, random_tree
+from oracles import FractionJet, fraction_jet_partial
 
 F = Fraction
 
@@ -87,6 +90,136 @@ def test_dual_log_turns_products_into_sums(c1, c2, coeffs):
     u = _jet((2, 2), 3, {(0, 0): c1, (1, 0): a1, (0, 1): b1, (1, 1): m1})
     v = _jet((2, 2), 3, {(0, 0): c2, (1, 0): a2, (0, 1): b2, (1, 1): m2})
     assert (u * v).log_series() == u.log_series() + v.log_series()
+
+
+def test_dual_refuses_terms_outside_its_ring():
+    for caps, order, terms in [
+        ((1,), 1, {(0,): 1, (2,): 5}),       # above the cap of its direction
+        ((1,), 1, {(0, 0): 1}),              # one exponent per direction
+        ((1, 1), 1, {(1, 1): 1}),            # above the total order
+        ((2,), 2, {0: 1}),                   # not an exponent tuple
+    ]:
+        with pytest.raises(DomainError, match="outside the ring"):
+            DualValue(caps, order, terms)
+    for caps, order in [((-1,), 1), ((1.5,), 1), ((True,), 1), ((1,), -1), ((1,), 1.0)]:
+        with pytest.raises(DomainError, match="jet (cap|order)"):
+            DualValue(caps, order, {})
+    for slot in (3, -1, 1.0, "0"):
+        with pytest.raises(DomainError, match="jet slot"):
+            DualValue.variable((1,), 1, slot, base=5)
+    # a direction whose cap or order is 0 is the zero element of its ring
+    assert DualValue.variable((0, 1), 1, 0, base=5) == 5
+    assert DualValue.variable((1,), 0, 0, base=5) == 5
+
+
+def test_dual_compares_unequal_to_non_rationals():
+    eps = DualValue.variable((1,), 1, 0)
+    assert not eps == None  # noqa: E711
+    assert eps != "x"
+    assert eps.__eq__(object()) is NotImplemented
+    assert DualValue.constant((1,), 1, F(2, 3)) == F(2, 3) == DualValue.constant((1,), 1, "2/3")
+    assert eps + 1 != 1
+    with pytest.raises(DomainError, match="not an exact rational"):
+        eps + "x"
+
+
+@st.composite
+def _ring_pair(draw):
+    """Caps, an order (often below their sum) and two term maps inside that ring."""
+    caps = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    order = draw(st.integers(0, sum(caps)))
+    monomials = [
+        e for e in itertools.product(*(range(cap + 1) for cap in caps)) if sum(e) <= order
+    ]
+    coeff = st.one_of(st.integers(-4, 4), st.fractions(min_value=-2, max_value=2, max_denominator=5))
+    terms = st.dictionaries(st.sampled_from(monomials), coeff)
+    return caps, order, draw(terms), draw(terms), draw(coeff)
+
+
+@given(_ring_pair())
+def test_dense_ring_agrees_with_the_fraction_reference(ring):
+    caps, order, t1, t2, scalar = ring
+    u, v = DualValue(caps, order, t1), DualValue(caps, order, t2)
+    ru, rv = FractionJet(caps, order, t1), FractionJet(caps, order, t2)
+    assert (u + v).terms == (ru + rv).terms
+    assert (u - v).terms == (ru - rv).terms
+    assert (u * v).terms == (ru * rv).terms
+    assert (scalar - u * scalar).terms == (scalar - ru * scalar).terms
+    assert (u + scalar).terms == (ru + scalar).terms
+    assert all(u.coefficient(e) == ru.coefficient(e) for e in ru.terms)
+    w, rw = u - u.constant_term + 3, ru - ru.constant_term + 3
+    assert w.log_series().terms == rw.log_series().terms
+
+
+def _mixed_params(rng, tree):
+    """Parameters with independent denominators; r inside (0, 1), p in [0, 1]."""
+    def value(lo):
+        den = rng.choice([2, 3, 5, 7, 9, 11, 12, 16])
+        return F(rng.randint(lo, den - lo), den)
+    return ChainParams(r=tuple(value(1) for _ in range(tree.n)),
+                       p=tuple(value(0) for _ in tree.edges))
+
+
+def test_jets_match_the_fraction_reference_on_random_trees():
+    rng = random.Random(20261018)
+    seen = {"params": 0, "p0": 0, "p1": 0, "r1": 0}
+    nonzero = 0
+    for case in range(48):
+        t = random_tree(rng, rng.randint(2, 10))
+        params = _mixed_params(rng, t)
+        sets = [VertexSet(b) for b in connected_subsets(t)]
+        s = rng.choice(sets) if case % 8 else VertexSet(rng.randrange(1, 1 << t.n))
+        at = ("params", "p0", "p1", "r1")[case % 4]
+        mults = [rng.randint(1, 3) for _ in range(rng.randint(1, min(4, t.n - 1)))]
+        while sum(mults) > DEFAULT_JET_CAP:
+            mults.pop()
+        seen[at] += 1
+        if at != "r1" and case % 8 != 4:
+            near = [i for i, (u, v) in enumerate(t.edges) if u in s or v in s]
+            slots = rng.sample(near if len(near) >= len(mults) else range(len(t.edges)), len(mults))
+            edges = [t.edges[e] for e, m in zip(slots, mults) for _ in range(m)]
+            got = d_nu_dp(t, params, s, edges, at=at)
+            fixed = {"p0": (F(0),) * len(t.edges), "p1": (F(1),) * len(t.edges)}
+            base = ChainParams(r=params.r, p=fixed.get(at, params.p))
+            field = "p"
+        else:
+            near = [v for v in range(t.n) if v in s or t.neighbor_masks[v] & s.bits]
+            slots = rng.sample(near if len(near) >= len(mults) else range(t.n), len(mults))
+            got = d_nu_dr(t, params, s, dict(zip(slots, mults)), at=at)
+            base = params if at != "r1" else ChainParams(r=(F(1),) * t.n, p=params.p)
+            field = "r"
+        want = fraction_jet_partial(t, base, s, field, slots, mults)
+        assert type(got) is Fraction and got == want, (case, at, s, slots, mults)
+        nonzero += got != 0
+    assert min(seen.values()) >= 10 and nonzero >= 16
+
+
+def test_jet_sweeps_run_on_ints_once_per_event(monkeypatch):
+    sweeps = []
+    sweep = param_calculus.prob_all_zero
+
+    def recorded(tree, weights, zero_on):
+        value = sweep(tree, weights, zero_on)
+        sweeps.append(value.coeffs if isinstance(value, DualValue) else [value])
+        return value
+
+    monkeypatch.setattr(param_calculus, "prob_all_zero", recorded)
+    spider32 = spider(3, 2)
+    path3 = path(3)
+    inner = VertexSet.of(0, 1, 3, 5)
+    whole = VertexSet.of(0, 1, 2)  # its + events include the empty mask
+    for t, s, request in [
+        (spider32, inner, lambda p: d_nu_dp(spider32, p, inner, [(1, 2), (3, 4), (5, 6)], at="p0")),
+        (spider32, inner, lambda p: d_nu_dp(spider32, p, inner, [(0, 1), (0, 1), (3, 4)], at="p1")),
+        (spider32, inner, lambda p: d_nu_dp(spider32, p, inner, [(0, 1), (0, 1), (3, 4)])),
+        (spider32, inner, lambda p: d_nu_dr(spider32, p, inner, {0: 2, 4: 1}, at="r1")),
+        (spider32, inner, lambda p: d_nu_dr(spider32, p, inner, {0: 2, 4: 1})),
+        (path3, whole, lambda p: d_nu_dp(path3, p, whole, [(0, 1), (1, 2)])),
+    ]:
+        sweeps.clear()
+        request(_mixed_params(random.Random(7), t))
+        assert len(sweeps) == len(connected_log_events(t, s))
+        assert all(type(c) is int for coeffs in sweeps for c in coeffs)
 
 
 def test_edge_multiset():
