@@ -7,10 +7,14 @@ otherwise draws fresh from its own ``r``.  Equivalently (divide-and-color):
 cut each edge independently with probability ``p_e`` and give every
 resulting component the fresh draw of its vertex closest to the root.
 
-Probabilities are exact ``fractions.Fraction`` values throughout; the
-message-passing core only uses ring operations, so it also accepts
-truncated-jet coefficients for derivative work and, for verdicts, plain
-integers that are every probability times one common denominator.
+One message-passing sweep, :func:`_sweep`, gives every zero-pattern
+probability, and its callers differ only in the factors ``keep`` that
+mark the vertices that must be zero.  It uses ring operations only, so
+it runs on the integers of :func:`scaled_params` (every probability
+times one common denominator) for exact values and verdicts, and with
+jets in them for derivatives; on float64 rows of masks for the
+certified float filter; and on object arrays that broadcast over all
+2^n masks at once for full measures.
 """
 
 from __future__ import annotations
@@ -122,9 +126,10 @@ class Weights(NamedTuple):
     ``r[v]`` and ``rbar[v]`` weigh a fresh draw of 0 and of 1 at ``v``;
     ``p[c]`` and ``copy[c]`` weigh resampling and copying on the edge
     from ``c`` up to its parent (unused at the root).  ``one`` is the
-    value of the sure event.  :func:`ring_weights` gives probabilities
-    themselves; :func:`scaled_params` gives integers that are all
-    probabilities times one common factor.
+    value of the sure event.  :func:`scaled_params` gives integers that
+    are all probabilities times one common factor, and
+    :func:`float_weights` the probabilities rounded to float64; the
+    derivative layer plants jet variables in the integers.
     """
 
     r: tuple
@@ -132,23 +137,6 @@ class Weights(NamedTuple):
     p: tuple
     copy: tuple
     one: object
-
-
-def ring_weights(tree, params):
-    """Weights with ``rbar = 1 - r`` and ``copy = 1 - p``.
-
-    Entries of ``params`` may be Fractions or jet values; the sweep then
-    returns probabilities of the same kind.  Callers that sweep many
-    masks of one chain build these once and pass them as ``params``.
-    """
-    p = tuple(None if e < 0 else params.p[e] for e in tree.parent_edge)
-    return Weights(
-        r=params.r,
-        rbar=tuple(1 - x for x in params.r),
-        p=p,
-        copy=tuple(None if x is None else 1 - x for x in p),
-        one=Fraction(1),
-    )
 
 
 def scaled_params(tree, params):
@@ -161,8 +149,19 @@ def scaled_params(tree, params):
     all denominators: the weights are ``r = a``, ``rbar = b - a``,
     ``p = c`` and ``copy = (d - c) * b_c``, and ``one = den``.  Ratios
     of equally many such values equal the ratios of the probabilities,
-    with no gcd anywhere.  ``params`` must hold Fractions.
+    with no gcd anywhere.  Every exact computation starts here, so this
+    is where ``params`` is checked: ``r`` and ``p`` must match the tree
+    in length and hold ints or Fractions in [0, 1], or it is a
+    :class:`DomainError`.
     """
+    if len(params.r) != tree.n or len(params.p) != len(tree.edges):
+        raise DomainError(
+            "params need %d vertex laws and %d edge probabilities, not %d and %d"
+            % (tree.n, len(tree.edges), len(params.r), len(params.p))
+        )
+    for x in (*params.r, *params.p):
+        if type(x) not in (int, Fraction) or not 0 <= x.numerator <= x.denominator:
+            raise DomainError("chain parameters must be ints or Fractions in [0, 1]: %r" % (x,))
     den = math.prod(x.denominator for x in params.r + params.p)
     p = []
     copy = []
@@ -184,12 +183,12 @@ def scaled_params(tree, params):
 
 
 def float_weights(tree, params):
-    """:func:`ring_weights` rounded to float64, each entry correctly rounded.
+    """The probabilities themselves as float64 weights, each correctly rounded.
 
-    Each entry is one int/int true division, which rounds correctly:
-    ``1 - r`` is ``(b - a) / b``, never ``1.0 - float(r)``.  The root's
-    unused edge entries are those of p = 0.  ``params`` must hold
-    Fractions.
+    ``r``, ``rbar = 1 - r``, ``p`` and ``copy = 1 - p``, each entry one
+    int/int true division, which rounds correctly: ``1 - r`` is
+    ``(b - a) / b``, never ``1.0 - float(r)``.  The root's unused edge
+    entries are those of p = 0.  ``params`` must hold Fractions.
     """
     p = [params.p[e] if e >= 0 else Fraction(0) for e in tree.parent_edge]
     return Weights(
@@ -201,50 +200,17 @@ def float_weights(tree, params):
     )
 
 
-def prob_all_zero_many(tree, weights, masks):
-    """:func:`prob_all_zero` in float64 for every mask of an int64 array.
+def _sweep(tree, w, keep):
+    """The message-passing sweep: ``P(X(A) = 0)`` in the encoding of ``w``.
 
-    The sweep of :func:`prob_all_zero` on :func:`float_weights`, one
-    numpy operation per step for all masks at once.  Every value is a
-    sum or product of values in [0, 1], and the zero constraint is an
-    exact ``np.where``; along any input-to-output path of one mask's
-    sweep there are at most 7 roundings per edge (two inputs, five
-    operations) and 3 at the root.
+    ``f_v(x)`` is the weight of the subtree below ``v`` respecting the
+    zero constraint given ``X(v) = x``; an edge passes its child's pair
+    through the copy/resample kernel, and ``keep[v]`` multiplies
+    ``f_v(1)``: 0 where ``v`` must be zero, 1 where it is free.  Only
+    ring operations are used, so the weights and ``keep`` may be ints,
+    jets, floats, or numpy arrays that broadcast against each other,
+    and the result has their kind and shape.
     """
-    r, rbar, p, copy = weights.r, weights.rbar, weights.p, weights.copy
-    zero = (masks >> np.arange(tree.n)[:, None]) & 1 == 1
-    f0 = [None] * tree.n
-    f1 = [None] * tree.n
-    for v in reversed(tree.preorder):
-        m0 = m1 = 1.0
-        for c in tree.children[v]:
-            mix = p[c] * (r[c] * f0[c] + rbar[c] * f1[c])
-            m0 = m0 * (copy[c] * f0[c] + mix)
-            m1 = m1 * (copy[c] * f1[c] + mix)
-        f0[v] = m0
-        f1[v] = np.where(zero[v], 0.0, m1)
-    ro = tree.root
-    return r[ro] * f0[ro] + rbar[ro] * f1[ro]
-
-
-def prob_all_zero(tree, params, zero_on):
-    """Exact probability that the chain is 0 everywhere on ``zero_on``.
-
-    One bottom-up sweep: ``f_v(x)`` is the probability that the subtree
-    below ``v`` respects the zero constraint given ``X(v) = x``; an edge
-    passes its child's table through the copy/resample kernel.  Only ring
-    operations are used.  ``params`` is a :class:`ChainParams` of
-    Fractions or jet values, or :class:`Weights` from
-    :func:`ring_weights` or :func:`scaled_params`; with the latter the
-    result is the integer ``den * P``.
-    """
-    a = zero_on.bits
-    if a >> tree.n:
-        raise DomainError("zero_on contains ids outside the tree")
-    w = ring_weights(tree, params) if isinstance(params, ChainParams) else params
-    if a == 0:
-        return w.one
-
     r, rbar, p, copy = w.r, w.rbar, w.p, w.copy
     children = tree.children
     f0 = [None] * tree.n
@@ -255,10 +221,57 @@ def prob_all_zero(tree, params, zero_on):
             mix = p[c] * (r[c] * f0[c] + rbar[c] * f1[c])
             m0 = m0 * (copy[c] * f0[c] + mix)
             m1 = m1 * (copy[c] * f1[c] + mix)
+            f0[c] = f1[c] = None  # a used child's tables are dropped
         f0[v] = m0
-        f1[v] = 0 * m1 if (a >> v) & 1 else m1
+        f1[v] = keep[v] * m1
     ro = tree.root
     return r[ro] * f0[ro] + rbar[ro] * f1[ro]
+
+
+def prob_all_zero_many(tree, weights, masks):
+    """:func:`prob_all_zero` in float64 for every mask of an int64 array.
+
+    :func:`_sweep` on :func:`float_weights`, one numpy operation per step
+    for all masks at once, with ``keep`` a 0.0/1.0 row per vertex.  Every
+    value is a sum or product of values in [0, 1], and multiplying by
+    0.0 or 1.0 is exact; along any input-to-output path of one mask's
+    sweep there are at most 7 roundings per edge (two inputs, five
+    operations) and 3 at the root.
+    """
+    return _sweep(tree, weights, 1.0 - ((masks >> np.arange(tree.n)[:, None]) & 1))
+
+
+def prob_all_zero_table(tree, weights):
+    """``prob_all_zero(tree, weights, VertexSet(a))`` for every mask ``a`` at once.
+
+    ``weights`` are integer :class:`Weights`, so the result is an object
+    array of Python ints indexed by mask.  It is one :func:`_sweep` in
+    which ``keep[v]`` is ``[1, 0]`` along axis ``v`` of a 2 x ... x 2
+    array, counted from the last: each vertex's tables span the axes of
+    its own subtree, its children's tables meet by broadcasting, and the
+    root's table, flattened, is already in mask order.
+    """
+    keep = [np.array([1, 0], dtype=object).reshape((2,) + (1,) * v) for v in range(tree.n)]
+    return _sweep(tree, weights, keep).ravel()
+
+
+def prob_all_zero(tree, params, zero_on):
+    """Exact probability that the chain is 0 everywhere on ``zero_on``.
+
+    With a :class:`ChainParams` the result is a Fraction, the sweep on
+    :func:`scaled_params` over its ``one``.  With :class:`Weights` it is
+    the sweep's value in their ring: ``den * P`` for the integers of
+    :func:`scaled_params`, a jet when jets are planted in them.
+    """
+    a = zero_on.bits
+    if a >> tree.n:
+        raise DomainError("zero_on contains ids outside the tree")
+    if isinstance(params, ChainParams):
+        w = scaled_params(tree, params)
+        return Fraction(prob_all_zero(tree, w, zero_on), w.one)
+    if a == 0:
+        return params.one
+    return _sweep(tree, params, [1 - (a >> v & 1) for v in range(tree.n)])
 
 
 # ---------------------------------------------------------------------------

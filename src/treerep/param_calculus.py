@@ -363,11 +363,11 @@ def _jet_partial(tree, base, subset, field, slots, mults, degree_cap):
         )
     if order > degree_cap:
         raise DomainError("jet cap exceeded: order %d > cap %d" % (order, degree_cap))
-    if any(x <= 0 for x in base.r):
+    w = scaled_params(tree, base)
+    if 0 in w.r:
         raise DomainError("vertex laws must be positive for log derivatives")
     if not is_connected(tree, subset):
         return Fraction(0)
-    w = scaled_params(tree, base)
     r, rbar, p, copy = list(w.r), list(w.rbar), list(w.p), list(w.copy)
     for pos, slot in enumerate(slots):
         eps = DualValue.variable(mults, order, pos)

@@ -158,11 +158,13 @@ def certified_signs(nu, mag, lam_size, n):
     With u = 2^-53 and g_m = m u / (1 - m u):
 
     1. The inputs of :func:`~treerep.chain_model.prob_all_zero_many` are
-       correctly rounded and every step is a sum or product of values
-       in [0, 1], with at most K = 10n roundings along any
-       input-to-output path (7 per edge, 3 at the root).  Without
-       underflow, every term of the expanded sweep carries a factor in
-       [(1-u)^K, (1+u)^K] and all terms are nonnegative, so
+       correctly rounded and every step of its sweep
+       (:func:`~treerep.chain_model._sweep`) is a sum or product of
+       values in [0, 1], or an exact product with 0.0 or 1.0, with at
+       most K = 10n roundings along any input-to-output path (7 per
+       edge, 3 at the root).  Without underflow, every term of the
+       expanded sweep carries a factor in [(1-u)^K, (1+u)^K] and all
+       terms are nonnegative, so
        P~ = P (1 + t) with |t| <= g_K (Higham, *Accuracy and Stability
        of Numerical Algorithms*, Lemma 3.1).
     2. Underflow, in an operation or in an input below 2^-1022 such as
@@ -243,16 +245,18 @@ def is_representable(tree, params, sweep=None) -> Verdict:
     most signs; every set it does not prove positive, the witness among
     them, is decided on the exact integer path, and an exact sign that
     contradicts a proved one raises AssertionError.  ``sweep`` is the
-    tree's :class:`SweepPlan`, for callers that already have one.
+    tree's :class:`SweepPlan`, for callers that already have one; a plan
+    of another tree is a :class:`DomainError`.
     Vertex laws must lie in (0, 1]; trees are capped at
     ``MAX_VERDICT_ORDER`` vertices since the sweep is exponential in
     the boundary sizes.
     """
+    if sweep is not None and sweep.tree != tree:
+        raise DomainError("the sweep plan was built for another tree")
     plan = SweepPlan(tree) if sweep is None else sweep
-    for x in params.r:
-        if not 0 < x <= 1:
-            raise DomainError("vertex laws must lie in (0, 1] for verdicts")
     weights = scaled_params(tree, params)
+    if 0 in weights.r:
+        raise DomainError("vertex laws must lie in (0, 1] for verdicts")
     cache = {}
     for lo, _, pos, neg in float_signs(plan, params):
         for i in np.flatnonzero(~pos):

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain_model import prob_all_zero, scaled_params
+from .chain_model import prob_all_zero, prob_all_zero_table, scaled_params
 from .tree_core import DomainError, VertexSet
 
 # Full-lattice measures keep 2^n exact entries; wider trees are refused.
@@ -122,50 +122,11 @@ class SignedMeasure:
 
 
 def _require_positive_r(params):
-    for x in params.r:
-        if x <= 0:
-            raise DomainError(
-                "fresh-draw probabilities must be > 0: zero-probability "
-                "events have no finite log"
-            )
-
-
-def _zero_table(tree, weights):
-    """``prob_all_zero(tree, weights, VertexSet(a))`` for every mask ``a`` at once.
-
-    ``weights`` are integer :class:`~treerep.chain_model.Weights`, so the
-    result is an object array of Python ints indexed by mask.  It is one
-    bottom-up pass of the same sweep.  Each vertex keeps its ``f0`` and
-    ``f1`` tables over the zero masks of its own subtree, in a local bit
-    order: its children's subtrees from the low bits up, then itself.
-    The children's messages combine by outer product, and each child's
-    tables are dropped once used.  Only the final scatter into global
-    mask order uses int64, and only for indices.
-    """
-    r, rbar, p, copy = weights.r, weights.rbar, weights.p, weights.copy
-    f0 = [None] * tree.n
-    f1 = [None] * tree.n
-    order = [None] * tree.n  # local bit -> vertex
-    for v in reversed(tree.preorder):
-        m0 = m1 = np.ones(1, dtype=object)
-        local = []
-        for c in tree.children[v]:
-            mix = p[c] * (r[c] * f0[c] + rbar[c] * f1[c])
-            m0 = np.multiply.outer(copy[c] * f0[c] + mix, m0).ravel()
-            m1 = np.multiply.outer(copy[c] * f1[c] + mix, m1).ravel()
-            local += order[c]
-            f0[c] = f1[c] = order[c] = None
-        f0[v] = np.concatenate((m0, m0))
-        f1[v] = np.concatenate((m1, np.zeros_like(m1)))
-        local.append(v)
-        order[v] = local
-    ro = tree.root
-    idx = np.zeros(1, dtype=np.int64)
-    for v in order[ro]:
-        idx = np.concatenate((idx, idx + (1 << v)))
-    table = np.empty(1 << tree.n, dtype=object)
-    table[idx] = r[ro] * f0[ro] + rbar[ro] * f1[ro]
-    return table
+    if 0 in params.r:
+        raise DomainError(
+            "fresh-draw probabilities must be > 0: zero-probability "
+            "events have no finite log"
+        )
 
 
 def _reduce(num, den):
@@ -180,22 +141,24 @@ def nu_full(tree, params) -> SignedMeasure:
 
     The table starts as ``den * P(X(V\\m) = 0)`` for every mask m, in the
     integer encoding of :func:`~treerep.chain_model.scaled_params`, all
-    built in one pass by :func:`_zero_table`.  Then, bit by bit, every
-    mask containing the bit is divided by the mask without it (a
-    multiplicative Möbius transform); afterwards entry K is the
-    alternating product over the subsets I of K, that is ``exp(nu(K))``.
+    from one sweep by :func:`~treerep.chain_model.prob_all_zero_table`.
+    Then, bit by bit, every mask containing the bit is divided by the
+    mask without it (a multiplicative Möbius transform); afterwards entry
+    K is the alternating product over the subsets I of K, that is
+    ``exp(nu(K))``.
     Each level runs on (num, den) object arrays of Python ints.  As in
     Fraction division, the two numerators and the two denominators are
     divided by their gcds before the cross products, so ``den`` cancels
     at each mask's first division and every entry stays in lowest terms.
-    Trees above ``MAX_LATTICE_ORDER`` vertices are refused, and nonzero
-    ``r`` is required, before any of this work.
+    Trees above ``MAX_LATTICE_ORDER`` vertices are refused, and checked
+    parameters with nonzero ``r`` are required, before any of this work.
     """
-    _require_positive_r(params)
+    weights = scaled_params(tree, params)
+    _require_positive_r(weights)
     n = tree.n
     if n > MAX_LATTICE_ORDER:
         raise DomainError("full measures are capped at %d vertices" % MAX_LATTICE_ORDER)
-    num = _zero_table(tree, scaled_params(tree, params))[::-1].copy()
+    num = prob_all_zero_table(tree, weights)[::-1].copy()
     den = np.ones_like(num)
     for b in range(n):
         num = num.reshape(-1, 2, 1 << b)

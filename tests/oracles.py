@@ -4,7 +4,9 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
-from treerep.chain_model import as_fraction, prob_all_zero, ring_weights, scaled_params
+import numpy as np
+
+from treerep.chain_model import Weights, as_fraction, prob_all_zero, scaled_params
 from treerep.signed_measure import MeasureValue, connected_log_events, signed_products
 from treerep.tree_core import DomainError, VertexSet, is_connected
 
@@ -53,6 +55,44 @@ def brute_force_prob_all_zero(tree, params, zero_on, max_edges=20):
             weight *= params.r[top[c]]
         total += weight
     return total
+
+
+def ring_weights(tree, params):
+    """Weights that are the probabilities themselves: ``rbar = 1 - r``, ``copy = 1 - p``.
+
+    Entries of ``params`` may be Fractions or jet values; a
+    ``prob_all_zero`` sweep on these weights then returns probabilities
+    of the same kind, with no common factor to divide out.
+    """
+    p = tuple(None if e < 0 else params.p[e] for e in tree.parent_edge)
+    return Weights(
+        r=params.r,
+        rbar=tuple(1 - x for x in params.r),
+        p=p,
+        copy=tuple(None if x is None else 1 - x for x in p),
+        one=Fraction(1),
+    )
+
+
+def where_prob_all_zero_many(tree, weights, masks):
+    """Reference for ``chain_model.prob_all_zero_many``: the float sweep
+    that zeroes each constrained vertex with ``np.where`` rather than a
+    0.0/1.0 factor, on the same ``float_weights``.
+    """
+    r, rbar, p, copy = weights.r, weights.rbar, weights.p, weights.copy
+    zero = (masks >> np.arange(tree.n)[:, None]) & 1 == 1
+    f0 = [None] * tree.n
+    f1 = [None] * tree.n
+    for v in reversed(tree.preorder):
+        m0 = m1 = 1.0
+        for c in tree.children[v]:
+            mix = p[c] * (r[c] * f0[c] + rbar[c] * f1[c])
+            m0 = m0 * (copy[c] * f0[c] + mix)
+            m1 = m1 * (copy[c] * f1[c] + mix)
+        f0[v] = m0
+        f1[v] = np.where(zero[v], 0.0, m1)
+    ro = tree.root
+    return r[ro] * f0[ro] + rbar[ro] * f1[ro]
 
 
 def fraction_nu_full(tree, params):

@@ -26,7 +26,6 @@ from fractions import Fraction
 from treerep.chain_model import (
     make_params,
     prob_all_zero,
-    ring_weights,
     sample_percolation_many,
     sample_recursive_many,
     scaled_params,
@@ -57,6 +56,8 @@ from treerep.tree_core import (
     spider,
     star,
 )
+
+from oracles import ring_weights
 
 HALF = Fraction(1, 2)
 

@@ -6,19 +6,24 @@ import numpy as np
 import pytest
 
 from treerep.chain_model import (
+    ChainParams,
     as_fraction,
+    float_weights,
     make_params,
     params_from_json,
     prob_all_zero,
+    prob_all_zero_many,
     sample_percolation_many,
     sample_recursive_many,
     uniform_params,
 )
-from treerep.representability import phase_scan
+from treerep.param_calculus import d_nu_dp
+from treerep.representability import is_representable, phase_scan
+from treerep.signed_measure import nu_connected, nu_full
 from treerep.tree_core import DomainError, VertexSet, build_tree, path, star
 
 from conftest import random_params, random_tree
-from oracles import brute_force_prob_all_zero
+from oracles import brute_force_prob_all_zero, ring_weights, where_prob_all_zero_many
 
 HALF = Fraction(1, 2)
 
@@ -228,3 +233,88 @@ def test_degenerate_parameter_sampling():
     indep = uniform_params(t, 0, 1)  # fresh draws that are never zero
     draws = sample_percolation_many(t, indep, 256, seed=1)
     assert set(np.unique(draws)) == {7}
+
+
+# parameters at and past the edges of float64: r = 1/10^400 rounds to
+# 0.0 and 1 - 1/10^300 to 1.0
+EXTREMES = (Fraction(1, 10**400), 1 - Fraction(1, 10**300), Fraction(0), Fraction(1))
+
+
+def _extreme_params(rng, tree):
+    def draw():
+        if rng.random() < 0.5:
+            return rng.choice(EXTREMES)
+        return Fraction(rng.randint(0, 16), 16)
+
+    return ChainParams(r=tuple(draw() for _ in range(tree.n)), p=tuple(draw() for _ in tree.edges))
+
+
+def test_float_sweep_is_bit_identical_to_the_where_sweep():
+    rng = random.Random(89)
+    trees = [path(1), path(12), star(11)] + [
+        random_tree(rng, rng.randint(1, 12)) for _ in range(120)
+    ]
+    for t in trees:
+        weights = float_weights(t, _extreme_params(rng, t))
+        full = (1 << t.n) - 1
+        if t.n <= 8:
+            masks = np.arange(full + 1, dtype=np.int64)
+        else:
+            masks = np.array([0, full] + [rng.randint(0, full) for _ in range(200)], dtype=np.int64)
+        got = prob_all_zero_many(t, weights, masks)
+        expect = where_prob_all_zero_many(t, weights, masks)
+        assert got.dtype == expect.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def test_prob_all_zero_of_chain_params_is_the_fraction_sweep():
+    rng = random.Random(97)
+    cases = [
+        (t, uniform_params(t, r, p))
+        for t in (path(4), star(3))
+        for r, p in ((1, 0), (1, 1), (HALF, 0), (Fraction(1, 3), 1))
+    ]
+    for _ in range(40):
+        t = random_tree(rng, rng.randint(1, 8))
+        cases.append((t, random_params(rng, t, denom=rng.randint(1, 9), interior=False)))
+    for t, params in cases:
+        weights = ring_weights(t, params)
+        for bits in range(1 << t.n):
+            got = prob_all_zero(t, params, VertexSet(bits))
+            assert type(got) is Fraction
+            assert got == prob_all_zero(t, weights, VertexSet(bits))
+        assert prob_all_zero(t, params, VertexSet()) == 1
+
+
+def test_hand_built_params_are_checked_before_any_sweep():
+    t = path(3)
+    floats = ChainParams(r=(0.5,) * 3, p=(0.25,) * 2)
+    s = VertexSet.of(0, 1)
+    for call in (
+        lambda: prob_all_zero(t, floats, VertexSet.of(0)),
+        lambda: nu_connected(t, floats, s),
+        lambda: is_representable(t, floats),
+        lambda: nu_full(t, floats),
+        lambda: d_nu_dp(t, floats, s, [(0, 1)]),
+    ):
+        with pytest.raises(DomainError, match="ints or Fractions in \\[0, 1\\]"):
+            call()
+    bad = [
+        ChainParams(r=(HALF,) * 2, p=(HALF,) * 2),
+        ChainParams(r=(HALF,) * 3, p=(HALF,) * 3),
+        ChainParams(r=(True, HALF, HALF), p=(HALF,) * 2),
+        ChainParams(r=(HALF,) * 3, p=(Fraction(3, 2), HALF)),
+        ChainParams(r=(HALF, -1, HALF), p=(HALF,) * 2),
+        ChainParams(r=("1/2", HALF, HALF), p=(HALF,) * 2),
+    ]
+    for params in bad:
+        with pytest.raises(DomainError):
+            prob_all_zero(t, params, VertexSet.of(0))
+        with pytest.raises(DomainError):
+            nu_full(t, params)
+        with pytest.raises(DomainError):
+            nu_connected(t, params, s)
+        with pytest.raises(DomainError):
+            d_nu_dp(t, params, VertexSet.of(0, 2), [(0, 1)])
+    ints = ChainParams(r=(1, HALF, HALF), p=(0, 1))
+    assert prob_all_zero(t, ints, VertexSet.of(0, 2)) == HALF

@@ -10,6 +10,7 @@ from treerep.representability import (
     MAX_SCALING_ORDER,
     MAX_VERDICT_ORDER,
     PhasePoint,
+    SweepPlan,
     Verdict,
     is_representable,
     phase_scan,
@@ -159,6 +160,16 @@ def test_scaling_needs_the_aggregated_parameter():
     raw = nu_full(t, uniform_params(t, F(1, 2), F(1, 2)))
     pair = VertexSet.of(0, 1)
     assert restricted.value(pair).ratio != raw.value(pair).ratio
+
+
+def test_a_sweep_plan_of_another_tree_is_refused():
+    for tree, other in ((star(4), path(5)), (path(6), star(5)), (path(3), path(4))):
+        params = uniform_params(tree, F(1, 2), F(9, 10))
+        with pytest.raises(DomainError, match="another tree"):
+            is_representable(tree, params, SweepPlan(other))
+    t = star(4)
+    params = uniform_params(t, F(1, 2), F(1, 2))
+    assert is_representable(t, params, SweepPlan(star(4))) == is_representable(t, params)
 
 
 def test_verdict_input_validation():

@@ -8,13 +8,13 @@ from treerep.chain_model import (
     ChainParams,
     make_params,
     prob_all_zero,
+    prob_all_zero_table,
     scaled_params,
     uniform_params,
 )
 from treerep.signed_measure import (
     MeasureValue,
     SignedMeasure,
-    _zero_table,
     nu_connected,
     nu_full,
     restrict_measure,
@@ -308,7 +308,7 @@ def test_zero_table_is_the_sweep_at_every_mask():
     ]
     for t in trees:
         weights = scaled_params(t, _mixed_params(rng, t))
-        table = _zero_table(t, weights)
+        table = prob_all_zero_table(t, weights)
         assert len(table) == 1 << t.n
         for mask in range(1 << t.n):
             got = table[mask]
