@@ -139,6 +139,18 @@ class Weights(NamedTuple):
     one: object
 
 
+def _check_params(tree, params):
+    """Refuse ``params`` unless they fit ``tree`` and hold exact laws in [0, 1]."""
+    if len(params.r) != tree.n or len(params.p) != len(tree.edges):
+        raise DomainError(
+            "params need %d vertex laws and %d edge probabilities, not %d and %d"
+            % (tree.n, len(tree.edges), len(params.r), len(params.p))
+        )
+    for x in (*params.r, *params.p):
+        if type(x) not in (int, Fraction) or not 0 <= x.numerator <= x.denominator:
+            raise DomainError("chain parameters must be ints or Fractions in [0, 1]: %r" % (x,))
+
+
 def scaled_params(tree, params):
     """Integer weights under which the sweep returns ``den * P(X(A) = 0)``.
 
@@ -154,14 +166,7 @@ def scaled_params(tree, params):
     in length and hold ints or Fractions in [0, 1], or it is a
     :class:`DomainError`.
     """
-    if len(params.r) != tree.n or len(params.p) != len(tree.edges):
-        raise DomainError(
-            "params need %d vertex laws and %d edge probabilities, not %d and %d"
-            % (tree.n, len(tree.edges), len(params.r), len(params.p))
-        )
-    for x in (*params.r, *params.p):
-        if type(x) not in (int, Fraction) or not 0 <= x.numerator <= x.denominator:
-            raise DomainError("chain parameters must be ints or Fractions in [0, 1]: %r" % (x,))
+    _check_params(tree, params)
     den = math.prod(x.denominator for x in params.r + params.p)
     p = []
     copy = []
@@ -283,13 +288,21 @@ def _rng(seed):
 
 
 def _bern(rng, q, size):
-    """Boolean draws that are True with exact rational probability ``q``."""
+    """Boolean draws that are True with probability ``floor(q * 2^63) / 2^63``.
+
+    Each draw compares a 63-bit word with ``floor(q * 2^63)``.  The word
+    is a raw 64-bit output of the generator shifted right by one, which
+    is exactly what ``rng.integers(0, 1 << 63, dtype=np.int64)`` returns:
+    its multiply-shift over a range of 2^63 never rejects and keeps the
+    top 63 bits.  So the draws, and the generator's state after them,
+    are those of that call, without its per-draw bounding work.
+    """
     if q == 0:
         return np.zeros(size, dtype=bool)
     if q == 1:
         return np.ones(size, dtype=bool)
     threshold = (q.numerator << 63) // q.denominator
-    return rng.integers(0, 1 << 63, size=size, dtype=np.int64) < threshold
+    return rng.bit_generator.random_raw(size) >> 1 < threshold
 
 
 def sample_recursive_many(tree, params, n_draws, seed):
@@ -297,8 +310,9 @@ def sample_recursive_many(tree, params, n_draws, seed):
 
     Bit ``v`` of word ``i`` is ``X(v)`` in draw ``i``.  Randomness is
     consumed in preorder, so draws are reproducible per (tree, params,
-    seed).
+    seed).  ``params`` are checked as :func:`scaled_params` checks them.
     """
+    _check_params(tree, params)
     rng = _rng(seed)
     x = np.zeros((tree.n, n_draws), dtype=bool)
     for v in tree.preorder:
@@ -316,6 +330,7 @@ def sample_percolation_many(tree, params, n_draws, seed):
     :func:`sample_recursive_many` but a genuinely different code path:
     cut edges first, then color each component by its top vertex's draw.
     """
+    _check_params(tree, params)
     rng = _rng(seed)
     cut = np.zeros((tree.n, n_draws), dtype=bool)
     for v in tree.preorder[1:]:

@@ -95,6 +95,38 @@ def where_prob_all_zero_many(tree, weights, masks):
     return r[ro] * f0[ro] + rbar[ro] * f1[ro]
 
 
+def integers_bern(rng, q, size):
+    """Reference for ``chain_model._bern``: a bounded 63-bit integer per draw
+    from ``rng.integers``, compared with ``floor(q * 2^63)``.
+    """
+    if q == 0:
+        return np.zeros(size, dtype=bool)
+    if q == 1:
+        return np.ones(size, dtype=bool)
+    threshold = (q.numerator << 63) // q.denominator
+    return rng.integers(0, 1 << 63, size=size, dtype=np.int64) < threshold
+
+
+def bernoulli_field_sampler(atoms):
+    """Reference sampler for ``mc_verify.sample_poisson_field_many``.
+
+    ``atoms`` holds ``(VertexSet, intensity)`` pairs.  Each draw switches
+    on an atom's vertices with probability ``1 - exp(-intensity)``, the
+    chance that its Poisson count is >= 1, independently per atom and
+    draw.  Returns a callable ``(n_draws, seed) -> packed uint64 words``.
+    """
+
+    def sample(n_draws, seed):
+        rng = np.random.default_rng(seed)
+        words = np.zeros(n_draws, dtype=np.uint64)
+        for atom, intensity in atoms:
+            hit = rng.random(n_draws) < -math.expm1(-intensity)
+            words[hit] |= np.uint64(atom.bits)
+        return words
+
+    return sample
+
+
 def fraction_nu_full(tree, params):
     """Reference for ``signed_measure.nu_full``: one sweep and one Fraction per mask.
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,8 @@ import pytest
 
 from treerep.chain_model import (
     ChainParams,
+    _bern,
+    _rng,
     as_fraction,
     float_weights,
     make_params,
@@ -23,7 +26,12 @@ from treerep.signed_measure import nu_connected, nu_full
 from treerep.tree_core import DomainError, VertexSet, build_tree, path, star
 
 from conftest import random_params, random_tree
-from oracles import brute_force_prob_all_zero, ring_weights, where_prob_all_zero_many
+from oracles import (
+    brute_force_prob_all_zero,
+    integers_bern,
+    ring_weights,
+    where_prob_all_zero_many,
+)
 
 HALF = Fraction(1, 2)
 
@@ -235,6 +243,25 @@ def test_degenerate_parameter_sampling():
     assert set(np.unique(draws)) == {7}
 
 
+def _generator_state(rng):
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+def test_bern_draws_what_bounded_integers_draw():
+    # the same booleans and the same generator state after every call, so
+    # every sampler's words stay those of the bounded-integer draws
+    qs = [Fraction(0), Fraction(1), HALF, Fraction(1, 3),
+          Fraction(1, 10 ** 30), 1 - Fraction(1, 10 ** 30)]
+    for seed in (0, 7):
+        fast, reference = _rng(seed), _rng(seed)
+        for q in qs:
+            for size in (0, 1, 10 ** 5):
+                got = _bern(fast, q, size)
+                assert got.dtype == bool and got.shape == (size,)
+                assert np.array_equal(got, integers_bern(reference, q, size))
+                assert _generator_state(fast) == _generator_state(reference)
+
+
 # parameters at and past the edges of float64: r = 1/10^400 rounds to
 # 0.0 and 1 - 1/10^300 to 1.0
 EXTREMES = (Fraction(1, 10**400), 1 - Fraction(1, 10**300), Fraction(0), Fraction(1))
@@ -296,6 +323,8 @@ def test_hand_built_params_are_checked_before_any_sweep():
         lambda: is_representable(t, floats),
         lambda: nu_full(t, floats),
         lambda: d_nu_dp(t, floats, s, [(0, 1)]),
+        lambda: sample_recursive_many(t, floats, 10, seed=0),
+        lambda: sample_percolation_many(t, floats, 10, seed=0),
     ):
         with pytest.raises(DomainError, match="ints or Fractions in \\[0, 1\\]"):
             call()
@@ -316,5 +345,8 @@ def test_hand_built_params_are_checked_before_any_sweep():
             nu_connected(t, params, s)
         with pytest.raises(DomainError):
             d_nu_dp(t, params, VertexSet.of(0, 2), [(0, 1)])
+        for sampler in (sample_recursive_many, sample_percolation_many):
+            with pytest.raises(DomainError):
+                sampler(t, params, 10, seed=0)
     ints = ChainParams(r=(1, HALF, HALF), p=(0, 1))
     assert prob_all_zero(t, ints, VertexSet.of(0, 2)) == HALF

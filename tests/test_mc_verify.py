@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from treerep.chain_model import sample_percolation_many, sample_recursive_many, uniform_params
+from treerep import mc_verify
 from treerep.mc_verify import (
     ComparisonReport,
+    PoissonField,
     compare_laws,
     field_from_chain,
     poisson_closure_report,
@@ -23,6 +25,8 @@ from treerep.mc_verify import (
 )
 from treerep.signed_measure import MeasureValue, SignedMeasure, nu_full
 from treerep.tree_core import VertexSet, octopus, path, star
+
+from oracles import bernoulli_field_sampler
 
 F = Fraction
 
@@ -49,6 +53,30 @@ def test_single_atom_matches_its_poisson_law():
     words = sample_poisson_field_many(field, n, seed=11)
     zero_rate = float(np.mean(words == 0))
     assert abs(zero_rate - 0.5) <= 4 * math.sqrt(0.25 / n)
+
+
+def test_arrivals_beyond_one_chunk_are_all_placed():
+    n = 100_000
+    assert 3 * n > mc_verify._ARRIVAL_CHUNK  # about 3 * 10^5 arrivals: several chunks
+    field = PoissonField(measure=SignedMeasure(1, {}), atoms=((VertexSet.of(0), 3.0),))
+    zero_rate = float(np.mean(sample_poisson_field_many(field, n, seed=5) == 0))
+    expected = math.exp(-3)
+    assert abs(zero_rate - expected) <= 4 * math.sqrt(expected * (1 - expected) / n)
+    # every index can take an arrival: at intensity 40 a draw stays empty
+    # with probability e^-40
+    saturated = PoissonField(measure=SignedMeasure(1, {}), atoms=((VertexSet.of(0), 40.0),))
+    assert (sample_poisson_field_many(saturated, 3, seed=0) == 1).all()
+
+
+def test_overlapping_atoms_follow_independent_bernoulli_hits():
+    atoms = ((VertexSet.of(0, 1), 0.7), (VertexSet.of(1, 2), 1.2))
+    field = PoissonField(measure=SignedMeasure(3, {}), atoms=atoms)
+    report = compare_laws(
+        partial(sample_poisson_field_many, field),
+        bernoulli_field_sampler(atoms),
+        3, n_draws=100_000, seed=13,
+    )
+    assert report.passed, report
 
 
 def test_empty_measure_samples_all_zero():
