@@ -12,8 +12,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from treerep.chain_model import sample_percolation_many, sample_recursive_many, uniform_params
 from treerep import mc_verify
+from treerep.chain_model import sample_percolation_many, sample_recursive_many, uniform_params
 from treerep.mc_verify import (
     ComparisonReport,
     PoissonField,
@@ -57,7 +57,7 @@ def test_single_atom_matches_its_poisson_law():
 
 def test_arrivals_beyond_one_chunk_are_all_placed():
     n = 100_000
-    assert 3 * n > mc_verify._ARRIVAL_CHUNK  # about 3 * 10^5 arrivals: several chunks
+    assert 3 * n > mc_verify._ARRIVAL_CHUNK  # about 3 * 10^5 arrivals: two chunks
     field = PoissonField(measure=SignedMeasure(1, {}), atoms=((VertexSet.of(0), 3.0),))
     zero_rate = float(np.mean(sample_poisson_field_many(field, n, seed=5) == 0))
     expected = math.exp(-3)
