@@ -5,10 +5,10 @@ everywhere.  Disconnected sets carry exactly zero mass on trees, so the
 verdict only has to sweep connected sets, whose count stays far below
 2^n on sparse trees.  Each connected set's nu(S) is a signed sum of the
 log-probabilities of its boundary events.  A float64 pass evaluates the
-events of many sets at once in numpy and certifies a sign wherever it
-clears a proved forward-error bound by the factor ``MARGIN``
-(:func:`certified_signs`).  Every set it does not certify positive gets
-its exact sign from the integer encoding of
+events of many sets at once in numpy, for many grid points of a scan at
+once, and certifies a sign wherever it clears a proved forward-error
+bound by the factor ``MARGIN`` (:func:`certified_signs`).  Every set it
+does not certify positive gets its exact sign from the integer encoding of
 :func:`~treerep.chain_model.scaled_params`, one comparison of two int
 products, so near-ties and witnesses are always decided exactly.  The witness is the first negative set in (size, bit pattern)
 order, and ``Verdict.checked_sets`` is its position in that order.
@@ -23,6 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .chain_model import (
+    ChainParams,
+    Weights,
     as_fraction,
     float_weights,
     prob_all_zero_many,
@@ -36,10 +38,11 @@ MAX_VERDICT_ORDER = 20
 MAX_SCALING_ORDER = 14
 
 # The float pass takes consecutive sets in chunks of at most this many
-# boundary events (a set with more is split).  A chunk's working arrays
-# hold about a dozen numbers per event, so the pass stays within about
-# 1 MB on any tree (star(16) has 86M events), and a sweep stops at its
-# witness's chunk.
+# boundary events (a set with more is split), and sweeps a chunk for at
+# most this many events times grid points at once.  A sweep's working
+# arrays hold about a dozen numbers per event and point, so the pass
+# stays within about 1 MB on any tree and grid (star(16) has 86M
+# events), and a sweep stops at its witness's chunk.
 CHUNK_EVENTS = 1 << 13
 
 # A float sign is kept only when it clears its proved error bound by
@@ -111,20 +114,14 @@ class SweepPlan:
         self.lam_size = lam_size[order]
         self.ends = np.cumsum(np.left_shift(1, self.lam_size))
         self.starts = self.ends - np.left_shift(1, self.lam_size)
-        first = (0, min(CHUNK_EVENTS, int(self.ends[-1])))
-        self._first = (first, self._expand(*first))
 
     def chunk(self, e0, e1):
         """Events at stream positions e0..e1: ``(ids, sign, masks, inverse)``.
 
         ``ids`` and ``sign`` give each event's set index and float sign;
         ``masks`` holds the distinct event masks and ``inverse`` each
-        event's index into them.  The first chunk is kept from the start.
+        event's index into them.
         """
-        key, events = self._first
-        return events if (e0, e1) == key else self._expand(e0, e1)
-
-    def _expand(self, e0, e1):
         lo = int(np.searchsorted(self.ends, e0, side="right"))
         hi = int(np.searchsorted(self.starts, e1))
         counts = np.minimum(self.ends[lo:hi], e1) - np.maximum(self.starts[lo:hi], e0)
@@ -205,36 +202,122 @@ def certified_signs(nu, mag, lam_size, n):
     return nu > MARGIN * b, nu < -MARGIN * b
 
 
-def float_signs(plan, params):
+def float_signs(plan, floats, live, first=0):
     """The float pass: ``(lo, hi, pos, neg)`` for consecutive runs of sets.
 
-    Works through the event stream of ``plan`` in chunks of at most
-    ``CHUNK_EVENTS`` events and yields, after each chunk, the proved
-    signs (:func:`certified_signs`) of the sets lo..hi that it
-    completes.  An event probability below 2^-900 leaves its set
-    unproved.
+    ``floats`` are :func:`~treerep.chain_model.float_weights` of P
+    parameter points: floats for one point, or ``(P, 1)`` columns, and
+    ``live`` flags the points whose signs are still wanted.  From set
+    ``first`` on, the pass works through the event stream of ``plan``
+    in chunks of at most ``CHUNK_EVENTS`` events, expands each chunk
+    once, sweeps its masks for the live points in groups of at most
+    ``CHUNK_EVENTS`` // (the first chunk's events) points (at least
+    one), and yields after each chunk the proved signs
+    (:func:`certified_signs`) of the sets lo..hi that it completes, as
+    ``(P, hi - lo)`` arrays.  A point that is not live proves nothing
+    there: its rows are all False.  The caller may clear ``live``
+    between chunks.  While more than one point is live, the pass clears
+    a point after a chunk in which one of its sets sums below zero: its
+    sweep may stop there, and stops at or before a set proved negative.
+    An event probability below 2^-900 leaves its set unproved.
     """
     tree = plan.tree
-    floats = float_weights(tree, params)
-    nu = np.zeros(len(plan.sets))
-    mag = np.zeros(len(plan.sets))
-    done = 0
     total = int(plan.ends[-1])
-    for e0 in range(0, total, CHUNK_EVENTS):
+    done = first
+    e0 = int(plan.ends[first - 1]) if first else 0
+    size = CHUNK_EVENTS // max(1, min(CHUNK_EVENTS, total - e0))
+    carry = np.zeros((2, len(live)))  # (nu, mag) of a set that a chunk edge splits
+    rows = np.arange(len(live))
+    groups = [(rows, floats)] if size >= len(live) else None
+    while e0 < total:
+        if groups is None or np.count_nonzero(live) < len(rows):  # points only ever leave
+            rows = np.flatnonzero(live)
+            groups = [(part, _points_of(floats, part))
+                      for part in np.split(rows, range(size, len(rows), size))]
         e1 = min(e0 + CHUNK_EVENTS, total)
-        ids, sign, masks, inverse = plan.chunk(e0, e1)
-        lo, hi = ids[0], ids[-1] + 1
         end = int(np.searchsorted(plan.ends, e1, side="right"))
-        with np.errstate(all="ignore"):
-            prob = prob_all_zero_many(tree, floats, masks)
-            ell = np.log(np.where(prob >= _TINY, prob, np.nan))[inverse]
-            nu[lo:hi] += np.bincount(ids - lo, weights=sign * ell)
-            mag[lo:hi] += np.bincount(ids - lo, weights=np.abs(ell))
-            pos, neg = certified_signs(
-                nu[done:end], mag[done:end], plan.lam_size[done:end], tree.n
-            )
+        pos = neg = np.zeros((len(live), end - done), dtype=bool)
+        if len(rows):
+            ids, sign, masks, inverse = plan.chunk(e0, e1)
+            hi = int(ids[-1]) + 1  # the chunk holds sets done..hi-1
+            starts = np.maximum(plan.starts[done:hi] - e0, 0)
+            whole = len(groups) == 1 and len(rows) == len(live)
+            if not whole:
+                pos, neg = np.zeros((2, len(live), end - done), dtype=bool)
+            for part, cols in groups:
+                with np.errstate(all="ignore"):
+                    prob = prob_all_zero_many(tree, cols, masks).reshape(len(part), -1)
+                    ell = np.log(np.where(prob >= _TINY, prob, np.nan)).take(inverse, axis=1)
+                    nu = np.add.reduceat(sign * ell, starts, axis=1)
+                    mag = np.add.reduceat(np.abs(ell), starts, axis=1)
+                    if plan.starts[done] < e0:
+                        nu[:, 0] += carry[0, part]
+                        mag[:, 0] += carry[1, part]
+                    if end < hi:
+                        carry[0, part], carry[1, part] = nu[:, -1], mag[:, -1]
+                    nu, mag = nu[:, : end - done], mag[:, : end - done]
+                    proved = certified_signs(nu, mag, plan.lam_size[done:end], tree.n)
+                if len(rows) > 1:
+                    live[part[(nu < 0).any(axis=1)]] = False
+                if whole:
+                    pos, neg = proved
+                else:
+                    pos[part], neg[part] = proved
         yield done, end, pos, neg
-        done = end
+        done, e0 = end, e1
+
+
+def _points_of(floats, rows):
+    """The float weights of the points ``rows`` of a grid's columns."""
+    return Weights(*(tuple(x[rows] if np.ndim(x) else x for x in field)
+                     for field in floats[:4]), floats.one)
+
+
+class _SharedPass:
+    """One float pass (:func:`float_signs`) shared by the points of a grid.
+
+    The points are read one after another through :meth:`signs`.  The
+    shared pass runs a chunk only when the point being read needs it,
+    runs it once for every point still live, and keeps its rows, so a
+    later point finds ready the chunks that an earlier one ran.  A point
+    that has left the shared pass (see :func:`float_signs`) and is read
+    past the chunks it was live in continues on a float pass of its own,
+    from the first set those chunks did not complete.
+    """
+
+    def __init__(self, plan, floats, points):
+        self.plan = plan
+        self.tree = plan.tree
+        self._floats = floats
+        self._points = points  # held, so the ids below stay theirs
+        self._index = {id(params): k for k, params in enumerate(points)}
+        self._live = np.ones(len(points), dtype=bool)
+        self._stream = float_signs(plan, floats, self._live)
+        self._chunks = []  # (lo, hi, pos, neg, the points it ran for)
+
+    def signs(self, params):
+        """The proved signs of ``params``: ``(lo, hi, pos, neg)`` per chunk."""
+        k = self._index[id(params)]
+        c = 0
+        while c < len(self._chunks) or self._live[k] and self._extend():
+            lo, hi, pos, neg, ran = self._chunks[c]
+            if not ran[k]:
+                break
+            c += 1
+            yield lo, hi, pos[k], neg[k]
+        if not self._live[k]:
+            first = self._chunks[c - 1][1] if c else 0
+            alone = float_signs(self.plan, _points_of(self._floats, [k]),
+                                np.ones(1, dtype=bool), first)
+            for lo, hi, pos, neg in alone:
+                yield lo, hi, pos[0], neg[0]
+
+    def _extend(self):
+        ran = self._live.copy()
+        chunk = next(self._stream, None)
+        if chunk is not None:
+            self._chunks.append(chunk + (ran,))
+        return chunk is not None
 
 
 def is_representable(tree, params, sweep=None) -> Verdict:
@@ -245,22 +328,27 @@ def is_representable(tree, params, sweep=None) -> Verdict:
     most signs; every set it does not prove positive, the witness among
     them, is decided on the exact integer path, and an exact sign that
     contradicts a proved one raises AssertionError.  ``sweep`` is the
-    tree's :class:`SweepPlan`, for callers that already have one; a plan
-    of another tree is a :class:`DomainError`.
+    tree's :class:`SweepPlan`, for callers that already have one, or the
+    float pass that :func:`phase_scan` shares among its grid points; one
+    built for another tree is a :class:`DomainError`.  Without a shared
+    pass, the point runs the float pass as a grid of one.
     Vertex laws must lie in (0, 1]; trees are capped at
     ``MAX_VERDICT_ORDER`` vertices since the sweep is exponential in
     the boundary sizes.
     """
     if sweep is not None and sweep.tree != tree:
         raise DomainError("the sweep plan was built for another tree")
-    plan = SweepPlan(tree) if sweep is None else sweep
+    sweep = SweepPlan(tree) if sweep is None else sweep
     weights = scaled_params(tree, params)
     if 0 in weights.r:
         raise DomainError("vertex laws must lie in (0, 1] for verdicts")
+    if isinstance(sweep, SweepPlan):
+        sweep = _SharedPass(sweep, float_weights(tree, params), [params])
+    sets = sweep.plan.sets
     cache = {}
-    for lo, _, pos, neg in float_signs(plan, params):
+    for lo, _, pos, neg in sweep.signs(params):
         for i in np.flatnonzero(~pos):
-            bits = VertexSet(int(plan.sets[lo + i]))
+            bits = VertexSet(int(sets[lo + i]))
             if nu_connected(tree, weights, bits, prob_cache=cache).sign < 0:
                 return Verdict(
                     representable=False, witness=bits, checked_sets=lo + int(i) + 1
@@ -269,25 +357,55 @@ def is_representable(tree, params, sweep=None) -> Verdict:
                 raise AssertionError(
                     "the exact sign of nu at %r contradicts the float pass" % (bits,)
                 )
-    return Verdict(representable=True, witness=None, checked_sets=len(plan.sets))
+    return Verdict(representable=True, witness=None, checked_sets=len(sets))
 
 
 def phase_scan(tree, r_values, p_values):
     """Verdict at every grid point; returns PhasePoints sorted by (r, p).
 
-    Grid values must lie strictly inside (0, 1).  The points run one
-    after another on one shared :class:`SweepPlan`.
+    Grid values must lie strictly inside (0, 1).  The points share one
+    :class:`SweepPlan` and one float pass, which expands each chunk of
+    events once and sweeps it for many points at once (see
+    :func:`float_signs`); then each point's exact path runs on its own
+    row of proved signs, one point after another.
     """
-    rs = [as_fraction(r) for r in r_values]
-    ps = [as_fraction(p) for p in p_values]
+    rs = sorted({as_fraction(r) for r in r_values})
+    ps = sorted({as_fraction(p) for p in p_values})
     for x in rs + ps:
         if not 0 < x < 1:
             raise DomainError("scan grids must lie strictly inside (0, 1)")
     plan = SweepPlan(tree)
+    grid = [(r, p) for r in rs for p in ps]
+    points = [ChainParams(r=(r,) * tree.n, p=(p,) * len(tree.edges)) for r, p in grid]
+    shared = _SharedPass(plan, _grid_floats(tree, rs, ps), points)
     return [
-        PhasePoint(r, p, is_representable(tree, uniform_params(tree, r, p), plan))
-        for r, p in sorted((r, p) for r in set(rs) for p in set(ps))
+        PhasePoint(r, p, is_representable(tree, params, shared))
+        for (r, p), params in zip(grid, points)
     ]
+
+
+def _grid_floats(tree, rs, ps):
+    """:func:`~treerep.chain_model.float_weights` of every point of the grid rs x ps.
+
+    Each entry is a column whose row ``len(ps) * i + j`` belongs to the
+    point ``(rs[i], ps[j])``.  Each distinct value is divided once, as
+    :func:`~treerep.chain_model.float_weights` divides it.
+    """
+
+    def columns(values, spread):
+        pairs = [(x.numerator / x.denominator, (x.denominator - x.numerator) / x.denominator)
+                 for x in values]
+        return spread(np.array(pairs).T)[..., None]
+
+    r, rbar = columns(rs, lambda a: np.repeat(a, len(ps), axis=1))
+    p, copy = columns(ps, lambda a: np.tile(a, len(rs)))
+    return Weights(  # the root's unused edge entries are those of p = 0
+        r=(r,) * tree.n,
+        rbar=(rbar,) * tree.n,
+        p=tuple(p if e >= 0 else 0.0 for e in tree.parent_edge),
+        copy=tuple(copy if e >= 0 else 1.0 for e in tree.parent_edge),
+        one=1.0,
+    )
 
 
 def scaling_check(tree, r, p, k) -> bool:

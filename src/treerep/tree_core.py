@@ -66,9 +66,6 @@ class VertexSet:
             bits |= 1 << v
         return cls(bits)
 
-    def members(self):
-        return tuple(self)
-
     def __contains__(self, v):
         return bool(self.bits >> v & 1)
 
@@ -115,8 +112,6 @@ class RootedTree:
     edges: tuple
     parent: tuple = field(repr=False)
     children: tuple = field(repr=False)
-    neighbors: tuple = field(repr=False)
-    depth: tuple = field(repr=False)
     preorder: tuple = field(repr=False)
     neighbor_masks: tuple = field(repr=False)
     parent_edge: tuple = field(repr=False)
@@ -176,7 +171,6 @@ def build_tree(edges, root=0):
 
     parent = [-2] * n
     parent_edge = [-1] * n
-    depth = [0] * n
     order = [root]
     parent[root] = -1
     for v in order:
@@ -184,7 +178,6 @@ def build_tree(edges, root=0):
             if parent[w] == -2:
                 parent[w] = v
                 parent_edge[w] = index[(v, w) if v < w else (w, v)]
-                depth[w] = depth[v] + 1
                 order.append(w)
     if len(order) != n:
         raise DomainError("edge list is disconnected")
@@ -199,8 +192,6 @@ def build_tree(edges, root=0):
         edges=tuple(norm),
         parent=tuple(parent),
         children=tuple(tuple(c) for c in children),
-        neighbors=tuple(tuple(sorted(x)) for x in nbr),
-        depth=tuple(depth),
         preorder=tuple(order),
         neighbor_masks=tuple(masks),
         parent_edge=tuple(parent_edge),

@@ -11,6 +11,27 @@ from treerep.signed_measure import MeasureValue, connected_log_events, signed_pr
 from treerep.tree_core import DomainError, VertexSet, is_connected
 
 
+def neighbors(tree):
+    """Each vertex's neighbours in ascending order, read off ``tree.edges``."""
+    nbr = [[] for _ in range(tree.n)]
+    for u, v in tree.edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    return [sorted(x) for x in nbr]
+
+
+def depths(tree):
+    """Each vertex's distance from the root, by climbing ``tree.parent``."""
+    out = []
+    for v in range(tree.n):
+        steps = 0
+        while tree.parent[v] >= 0:
+            v = tree.parent[v]
+            steps += 1
+        out.append(steps)
+    return out
+
+
 def brute_force_prob_all_zero(tree, params, zero_on, max_edges=20):
     """Independent oracle for ``chain_model.prob_all_zero`` via percolation.
 
@@ -27,6 +48,7 @@ def brute_force_prob_all_zero(tree, params, zero_on, max_edges=20):
     if a == 0:
         return Fraction(1)
 
+    depth = depths(tree)
     total = Fraction(0)
     for config in range(1 << m):
         weight = Fraction(1)
@@ -49,7 +71,7 @@ def brute_force_prob_all_zero(tree, params, zero_on, max_edges=20):
         top = {}
         for v in range(tree.n):
             c = find(v)
-            if c not in top or tree.depth[v] < tree.depth[top[c]]:
+            if c not in top or depth[v] < depth[top[c]]:
                 top[c] = v
         for c in {find(v) for v in zero_on}:
             weight *= params.r[top[c]]

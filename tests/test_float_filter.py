@@ -14,13 +14,14 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import treerep.representability as representability
-from treerep.chain_model import ChainParams, scaled_params, uniform_params
+from treerep.chain_model import ChainParams, float_weights, scaled_params, uniform_params
 from treerep.representability import SweepPlan, float_signs, is_representable, phase_scan
 from treerep.signed_measure import connected_log_events, nu_connected
-from treerep.tree_core import VertexSet, build_tree, octopus
+from treerep.tree_core import VertexSet, build_tree, octopus, spider, star
 
 from conftest import random_tree
 from test_integer_kernel import _mixed_params
@@ -92,7 +93,8 @@ def _outcomes(chains):
         plan = SweepPlan(tree)
         weights = scaled_params(tree, params)
         cache = {}
-        for lo, hi, pos, neg in float_signs(plan, params):
+        one = np.ones(1, dtype=bool)
+        for lo, hi, (pos,), (neg,) in float_signs(plan, float_weights(tree, params), one):
             assert not (pos & neg).any()
             for i in range(hi - lo):
                 s = VertexSet(int(plan.sets[lo + i]))
@@ -147,8 +149,8 @@ def test_extreme_parameters_raise_no_float_warnings():
 
 
 def test_a_wrong_proved_sign_raises(monkeypatch):
-    def flipped(plan, params):
-        for lo, hi, pos, neg in real(plan, params):
+    def flipped(*args):
+        for lo, hi, pos, neg in real(*args):
             yield lo, hi, neg, pos
 
     real = representability.float_signs
@@ -159,8 +161,8 @@ def test_a_wrong_proved_sign_raises(monkeypatch):
 
 
 def test_scan_points_share_one_plan(monkeypatch):
-    # chunks of 16 events, so every point after the first re-expands the
-    # chunks past the kept first one from the shared plan
+    # chunks of at most 16 events per live point, expanded once from the
+    # shared plan for all the points that are still live
     monkeypatch.setattr(representability, "CHUNK_EVENTS", 16)
     tree = octopus(3, 2)
     rs = [Fraction(k, 20) for k in range(7, 14)]
@@ -170,6 +172,114 @@ def test_scan_points_share_one_plan(monkeypatch):
     for point in points:
         assert point.verdict == is_representable(tree, uniform_params(tree, point.r, point.p))
     assert {point.verdict.representable for point in points} == {True, False}
+
+
+# Grids across r = 1/2 at p near 1, where these trees flip: each grid
+# holds witness points and full sweeps.
+_SCAN_TREES = [octopus(3, 2), spider(3, 2), star(5), random_tree(random.Random(20261022), 8)]
+_SCAN_RS = [Fraction(k, 20) for k in range(6, 15)]
+_SCAN_PS = [Fraction(1, 2), Fraction(9, 10), Fraction(19, 20)]
+
+
+@pytest.mark.parametrize("chunk", [4, 64])
+def test_scan_verdicts_equal_single_verdicts_across_chunks(monkeypatch, chunk):
+    # with few events per live point in a chunk, the points of one grid
+    # stop in different chunks, and a point read later finds some chunks
+    # already run and runs the others
+    expect = {
+        tree: [is_representable(tree, uniform_params(tree, r, p)) for r in _SCAN_RS for p in _SCAN_PS]
+        for tree in _SCAN_TREES
+    }
+    monkeypatch.setattr(representability, "CHUNK_EVENTS", chunk)
+    spread = []
+    for tree in _SCAN_TREES:
+        points = phase_scan(tree, _SCAN_RS, _SCAN_PS)
+        assert [point.verdict for point in points] == expect[tree]
+        ends = SweepPlan(tree).ends
+        stops = [int(ends[v.checked_sets - 1]) for v in expect[tree] if v.witness]
+        spread.append(max(stops) - min(stops))
+    assert {v.representable for verdicts in expect.values() for v in verdicts} == {True, False}
+    assert max(spread) >= chunk  # two witnesses this far apart share no chunk
+
+
+@pytest.mark.parametrize("chunk", [64, 1024, 4096])
+def test_a_sweep_holds_at_most_chunk_events_times_points(monkeypatch, chunk):
+    # octopus(3, 2) has 210 events: chunks of 64 sweep one point at a
+    # time, of 1024 four points, of 4096 every point at once.  The grid
+    # starts with witness points, which leave the shared pass at their
+    # first negative sum, before they are read.
+    log, read = [], []
+    sweep = representability.prob_all_zero_many
+    expand = SweepPlan.chunk
+    verdict = representability.is_representable
+
+    def recorded_sweep(tree, weights, masks):
+        prob = sweep(tree, weights, masks)
+        log[-1][1].append(prob.shape + (len(read),))
+        return prob
+
+    def recorded_chunk(plan, e0, e1):
+        log.append((e1 - e0, []))
+        return expand(plan, e0, e1)
+
+    def recorded_verdict(*args):
+        read.append(args)
+        return verdict(*args)
+
+    monkeypatch.setattr(representability, "prob_all_zero_many", recorded_sweep)
+    monkeypatch.setattr(SweepPlan, "chunk", recorded_chunk)
+    monkeypatch.setattr(representability, "is_representable", recorded_verdict)
+    monkeypatch.setattr(representability, "CHUNK_EVENTS", chunk)
+    ps = _SCAN_PS[1:]
+    grid = len(_SCAN_RS) * len(ps)
+    assert not phase_scan(octopus(3, 2), _SCAN_RS, ps)[0].verdict.representable
+    for count, sweeps in log:
+        for points, masks, _ in sweeps:
+            assert masks <= count and points * count <= chunk
+    assert max(points for points, _, _ in log[0][1]) == min(grid, chunk // min(chunk, 210))
+    live = [sum(points for points, _, _ in sweeps) for _, sweeps in log]
+    assert live[0] == grid and live == sorted(live, reverse=True)
+    if len(log) > 1:
+        assert any(live < grid - sweeps[0][2] + 1 for live, (_, sweeps) in zip(live, log))
+
+
+def _proved(rows):
+    return sum(int(pos.sum() + neg.sum()) for _, _, pos, neg in rows)
+
+
+def test_points_that_left_the_shared_pass_finish_on_their_own(monkeypatch):
+    # the first point stops at its witness after a few chunks; then every
+    # other point leaves the shared pass, which goes on without them, and
+    # each is read past its last chunk
+    monkeypatch.setattr(representability, "CHUNK_EVENTS", 64)
+    tree = octopus(3, 2)
+    ps = _SCAN_PS[1:]
+    grid = [(r, p) for r in _SCAN_RS for p in ps]
+    points = [ChainParams(r=(r,) * tree.n, p=(p,) * len(tree.edges)) for r, p in grid]
+    floats = representability._grid_floats(tree, _SCAN_RS, ps)
+    shared = representability._SharedPass(SweepPlan(tree), floats, points)
+    expect = [is_representable(tree, params) for params in points]
+    assert is_representable(tree, points[0], shared) == expect[0]
+    assert 0 < len(shared._chunks) and expect[0].witness
+    shared._live[::2] = False
+    for params, verdict in zip(points[::-1] + points, expect[::-1] + expect):
+        assert is_representable(tree, params, shared) == verdict
+        runs = [(lo, hi) for lo, hi, _, _ in shared.signs(params)]
+        assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+        assert runs[-1][1] == len(shared.plan.sets)
+        alone = representability._SharedPass(shared.plan, float_weights(tree, params), [params])
+        assert _proved(shared.signs(params)) == _proved(alone.signs(params))
+    assert {v.representable for v in expect} == {True, False}
+
+
+def test_grid_float_weights_are_each_points_float_weights():
+    tree = octopus(3, 2)
+    rs, ps = _SCAN_RS[:4], [Fraction(1, 3)] + _SCAN_PS
+    grid = representability._grid_floats(tree, rs, ps)
+    for k, (r, p) in enumerate((r, p) for r in rs for p in ps):
+        point = float_weights(tree, uniform_params(tree, r, p))
+        for field, column in zip(point[:4], grid[:4]):
+            assert [y if np.ndim(y) == 0 else y[k, 0] for y in column] == list(field)
 
 
 def test_sets_inside_the_margin_go_to_the_exact_path(monkeypatch):

@@ -367,7 +367,7 @@ def test_closed_forms_on_random_trees():
         sets = [VertexSet(b) for b in connected_subsets(t) if b.bit_count() < t.n]
         rng.shuffle(sets)
         for s in sets[:4]:
-            b = len({w for v in s for w in t.neighbors[v] if w not in s})
+            b = len({w for v in s for w in VertexSet(t.neighbor_masks[v]) if w not in s})
             if b >= 2:
                 edges = boundary_edge_multiset(t, s)
                 got = d_nu_dp(t, params, s, edges, at="p0",

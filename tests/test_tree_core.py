@@ -21,9 +21,9 @@ def test_vertex_set_basics():
     s = VertexSet.of(0, 2, 5)
     assert 2 in s and 1 not in s
     assert len(s) == 3
-    assert s.members() == (0, 2, 5)
+    assert tuple(s) == (0, 2, 5)
     assert (s | VertexSet.of(1)).bits == 0b100111
-    assert (s - VertexSet.of(2)).members() == (0, 5)
+    assert tuple(s - VertexSet.of(2)) == (0, 5)
     assert not VertexSet.of(0, 2) - s
     assert not VertexSet()
     # ids are integers: never rounded, parsed from text or read off a bool
@@ -63,7 +63,8 @@ def test_build_tree_structure():
     assert t.n == 4 and t.root == 1
     assert t.parent[1] == -1
     assert sorted(t.children[1]) == [0, 2, 3]
-    assert t.depth == (1, 0, 1, 1)
+    assert t.parent == (1, -1, 1, 1)
+    assert t.neighbor_masks == (0b0010, 0b1101, 0b0010, 0b0010)
     assert t.preorder[0] == 1
 
 
@@ -107,12 +108,12 @@ def test_is_connected():
 
 def test_spanning_subtree_path_endpoints():
     t = path(4)
-    assert spanning_subtree(t, VertexSet.of(0, 3)).members() == (0, 1, 2, 3)
+    assert tuple(spanning_subtree(t, VertexSet.of(0, 3))) == (0, 1, 2, 3)
 
 
 def test_spanning_subtree_star_pair():
     t = star(3)
-    assert spanning_subtree(t, VertexSet.of(1, 2)).members() == (0, 1, 2)
+    assert tuple(spanning_subtree(t, VertexSet.of(1, 2))) == (0, 1, 2)
 
 
 def test_spanning_subtree_removable_fixture():
@@ -120,19 +121,19 @@ def test_spanning_subtree_removable_fixture():
     # For S = {1,3,5,7} the spanning subtree covers 1..7 but not 0.
     t = build_tree([(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (2, 6), (6, 7)])
     closure = spanning_subtree(t, VertexSet.of(1, 3, 5, 7))
-    assert closure.members() == (1, 2, 3, 4, 5, 6, 7)
+    assert tuple(closure) == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_spanning_subtree_singleton():
     t = path(3)
-    assert spanning_subtree(t, VertexSet.of(1)).members() == (1,)
+    assert tuple(spanning_subtree(t, VertexSet.of(1))) == (1,)
 
 
 def test_subdivide_counts_and_contraction():
     t = path(3)
     t2, originals = subdivide(t, 2)
     assert t2.n == (t.n - 1) * 2 + 1
-    assert originals.members() == (0, 1, 2)
+    assert tuple(originals) == (0, 1, 2)
     # walking each stretched edge and contracting recovers the original
     assert _contract(t2, originals) == set(t.edges)
 
@@ -158,10 +159,10 @@ def _contract(tree, originals):
     """Contract degree-2 subdivision vertices back into original edges."""
     found = set()
     for start in originals:
-        for nxt in tree.neighbors[start]:
+        for nxt in VertexSet(tree.neighbor_masks[start]):
             prev, cur = start, nxt
             while cur not in originals:
-                step = [w for w in tree.neighbors[cur] if w != prev]
+                step = [w for w in VertexSet(tree.neighbor_masks[cur]) if w != prev]
                 prev, cur = cur, step[0]
             if start < cur:
                 found.add((start, cur))
