@@ -187,20 +187,51 @@ def scaled_params(tree, params):
     )
 
 
+def _rounded(values):
+    """Each Fraction x of ``values`` and ``1 - x`` in float64: two lists.
+
+    Each entry is one int/int true division, which rounds correctly:
+    ``1 - x`` is ``(b - a) / b``, never ``1.0 - float(x)``.
+    """
+    return (
+        [x.numerator / x.denominator for x in values],
+        [(x.denominator - x.numerator) / x.denominator for x in values],
+    )
+
+
+_ROOT_P = Fraction(0)  # the law of the root's unused edge entries in a sweep
+
+
 def float_weights(tree, params):
     """The probabilities themselves as float64 weights, each correctly rounded.
 
-    ``r``, ``rbar = 1 - r``, ``p`` and ``copy = 1 - p``, each entry one
-    int/int true division, which rounds correctly: ``1 - r`` is
-    ``(b - a) / b``, never ``1.0 - float(r)``.  The root's unused edge
-    entries are those of p = 0.  ``params`` must hold Fractions.
+    ``r``, ``rbar = 1 - r``, ``p`` and ``copy = 1 - p``, each entry
+    rounded by :func:`_rounded`.  The root's unused edge entries are
+    those of p = 0.  ``params`` must hold Fractions.
     """
-    p = [params.p[e] if e >= 0 else Fraction(0) for e in tree.parent_edge]
+    r, rbar = _rounded(params.r)
+    p, copy = _rounded([params.p[e] if e >= 0 else _ROOT_P for e in tree.parent_edge])
+    return Weights(r=tuple(r), rbar=tuple(rbar), p=tuple(p), copy=tuple(copy), one=1.0)
+
+
+def grid_float_weights(tree, rs, ps):
+    """:func:`float_weights` of every uniform point of the grid ``rs`` x ``ps`` at once.
+
+    Each entry is a ``(P, 1)`` column whose row ``len(ps) * i + j``
+    belongs to the point with r = ``rs[i]`` at every vertex and p =
+    ``ps[j]`` on every edge, so :func:`prob_all_zero_many` gives a
+    points x masks table.  Each distinct value is rounded once, as
+    :func:`float_weights` rounds it; the root's unused edge entries are
+    the same floats for every point.
+    """
+    r, rbar = np.repeat(_rounded(rs), len(ps), axis=1)[..., None]
+    p, copy = np.tile(_rounded(ps), len(rs))[..., None]
+    (root_p,), (root_copy,) = _rounded([_ROOT_P])
     return Weights(
-        r=tuple(x.numerator / x.denominator for x in params.r),
-        rbar=tuple((x.denominator - x.numerator) / x.denominator for x in params.r),
-        p=tuple(x.numerator / x.denominator for x in p),
-        copy=tuple((x.denominator - x.numerator) / x.denominator for x in p),
+        r=(r,) * tree.n,
+        rbar=(rbar,) * tree.n,
+        p=tuple(p if e >= 0 else root_p for e in tree.parent_edge),
+        copy=tuple(copy if e >= 0 else root_copy for e in tree.parent_edge),
         one=1.0,
     )
 

@@ -27,6 +27,7 @@ from .chain_model import (
     Weights,
     as_fraction,
     float_weights,
+    grid_float_weights,
     prob_all_zero_many,
     scaled_params,
     uniform_params,
@@ -38,11 +39,11 @@ MAX_VERDICT_ORDER = 20
 MAX_SCALING_ORDER = 14
 
 # The float pass takes consecutive sets in chunks of at most this many
-# boundary events (a set with more is split), and sweeps a chunk for at
-# most this many events times grid points at once.  A sweep's working
-# arrays hold about a dozen numbers per event and point, so the pass
-# stays within about 1 MB on any tree and grid (star(16) has 86M
-# events), and a sweep stops at its witness's chunk.
+# boundary events (a set with more is split), and sweeps a chunk for
+# several grid points at once only while events times points stay within
+# it.  A chunk's working arrays hold about a dozen numbers per event and
+# point, so the pass stays within about 1 MB on any tree and grid
+# (star(16) has 86M events), and a sweep stops at its witness's chunk.
 CHUNK_EVENTS = 1 << 13
 
 # A float sign is kept only when it clears its proved error bound by
@@ -114,14 +115,20 @@ class SweepPlan:
         self.lam_size = lam_size[order]
         self.ends = np.cumsum(np.left_shift(1, self.lam_size))
         self.starts = self.ends - np.left_shift(1, self.lam_size)
+        first = (0, min(CHUNK_EVENTS, int(self.ends[-1])))
+        self._first = (first, self._expand(*first))
 
     def chunk(self, e0, e1):
         """Events at stream positions e0..e1: ``(ids, sign, masks, inverse)``.
 
         ``ids`` and ``sign`` give each event's set index and float sign;
         ``masks`` holds the distinct event masks and ``inverse`` each
-        event's index into them.
+        event's index into them.  The first chunk is kept from the start.
         """
+        key, events = self._first
+        return events if (e0, e1) == key else self._expand(e0, e1)
+
+    def _expand(self, e0, e1):
         lo = int(np.searchsorted(self.ends, e0, side="right"))
         hi = int(np.searchsorted(self.starts, e1))
         counts = np.minimum(self.ends[lo:hi], e1) - np.maximum(self.starts[lo:hi], e0)
@@ -202,87 +209,54 @@ def certified_signs(nu, mag, lam_size, n):
     return nu > MARGIN * b, nu < -MARGIN * b
 
 
-def float_signs(plan, floats, live, first=0):
+def float_signs(plan, floats):
     """The float pass: ``(lo, hi, pos, neg)`` for consecutive runs of sets.
 
-    ``floats`` are :func:`~treerep.chain_model.float_weights` of P
-    parameter points: floats for one point, or ``(P, 1)`` columns, and
-    ``live`` flags the points whose signs are still wanted.  From set
-    ``first`` on, the pass works through the event stream of ``plan``
-    in chunks of at most ``CHUNK_EVENTS`` events, expands each chunk
-    once, sweeps its masks for the live points in groups of at most
-    ``CHUNK_EVENTS`` // (the first chunk's events) points (at least
-    one), and yields after each chunk the proved signs
-    (:func:`certified_signs`) of the sets lo..hi that it completes, as
-    ``(P, hi - lo)`` arrays.  A point that is not live proves nothing
-    there: its rows are all False.  The caller may clear ``live``
-    between chunks.  While more than one point is live, the pass clears
-    a point after a chunk in which one of its sets sums below zero: its
-    sweep may stop there, and stops at or before a set proved negative.
+    ``floats`` are the float weights of P parameter points: those of
+    :func:`~treerep.chain_model.float_weights` for one point, or ``(P, 1)``
+    columns (:func:`~treerep.chain_model.grid_float_weights`).  Works
+    through the event stream of ``plan`` in chunks of at most
+    ``CHUNK_EVENTS`` events, expands each chunk once for all the points,
+    and yields after each chunk the proved signs (:func:`certified_signs`)
+    of the sets lo..hi that it completes, as ``(P, hi - lo)`` arrays.
     An event probability below 2^-900 leaves its set unproved.
     """
     tree = plan.tree
     total = int(plan.ends[-1])
-    done = first
-    e0 = int(plan.ends[first - 1]) if first else 0
-    size = CHUNK_EVENTS // max(1, min(CHUNK_EVENTS, total - e0))
-    carry = np.zeros((2, len(live)))  # (nu, mag) of a set that a chunk edge splits
-    rows = np.arange(len(live))
-    groups = [(rows, floats)] if size >= len(live) else None
-    while e0 < total:
-        if groups is None or np.count_nonzero(live) < len(rows):  # points only ever leave
-            rows = np.flatnonzero(live)
-            groups = [(part, _points_of(floats, part))
-                      for part in np.split(rows, range(size, len(rows), size))]
+    done = 0
+    carry = None  # (nu, mag) of the last set of a chunk, which the next may go on
+    for e0 in range(0, total, CHUNK_EVENTS):
         e1 = min(e0 + CHUNK_EVENTS, total)
+        ids, sign, masks, inverse = plan.chunk(e0, e1)
+        hi = int(ids[-1]) + 1  # the chunk holds sets done..hi-1
         end = int(np.searchsorted(plan.ends, e1, side="right"))
-        pos = neg = np.zeros((len(live), end - done), dtype=bool)
-        if len(rows):
-            ids, sign, masks, inverse = plan.chunk(e0, e1)
-            hi = int(ids[-1]) + 1  # the chunk holds sets done..hi-1
-            starts = np.maximum(plan.starts[done:hi] - e0, 0)
-            whole = len(groups) == 1 and len(rows) == len(live)
-            if not whole:
-                pos, neg = np.zeros((2, len(live), end - done), dtype=bool)
-            for part, cols in groups:
-                with np.errstate(all="ignore"):
-                    prob = prob_all_zero_many(tree, cols, masks).reshape(len(part), -1)
-                    ell = np.log(np.where(prob >= _TINY, prob, np.nan)).take(inverse, axis=1)
-                    nu = np.add.reduceat(sign * ell, starts, axis=1)
-                    mag = np.add.reduceat(np.abs(ell), starts, axis=1)
-                    if plan.starts[done] < e0:
-                        nu[:, 0] += carry[0, part]
-                        mag[:, 0] += carry[1, part]
-                    if end < hi:
-                        carry[0, part], carry[1, part] = nu[:, -1], mag[:, -1]
-                    nu, mag = nu[:, : end - done], mag[:, : end - done]
-                    proved = certified_signs(nu, mag, plan.lam_size[done:end], tree.n)
-                if len(rows) > 1:
-                    live[part[(nu < 0).any(axis=1)]] = False
-                if whole:
-                    pos, neg = proved
-                else:
-                    pos[part], neg[part] = proved
+        starts = np.maximum(plan.starts[done:hi] - e0, 0)
+        with np.errstate(all="ignore"):
+            prob = prob_all_zero_many(tree, floats, masks).reshape(-1, len(masks))
+            ell = np.log(np.where(prob >= _TINY, prob, np.nan)).take(inverse, axis=1)
+            nu = np.add.reduceat(sign * ell, starts, axis=1)
+            mag = np.add.reduceat(np.abs(ell), starts, axis=1)
+            if plan.starts[done] < e0:
+                nu[:, 0] += carry[0]
+                mag[:, 0] += carry[1]
+            carry = nu[:, -1], mag[:, -1]
+            pos, neg = certified_signs(
+                nu[:, : end - done], mag[:, : end - done], plan.lam_size[done:end], tree.n
+            )
         yield done, end, pos, neg
-        done, e0 = end, e1
+        done = end
 
 
-def _points_of(floats, rows):
-    """The float weights of the points ``rows`` of a grid's columns."""
-    return Weights(*(tuple(x[rows] if np.ndim(x) else x for x in field)
-                     for field in floats[:4]), floats.one)
+class _GridPass:
+    """The float pass (:func:`float_signs`) of the points of a grid.
 
-
-class _SharedPass:
-    """One float pass (:func:`float_signs`) shared by the points of a grid.
-
-    The points are read one after another through :meth:`signs`.  The
-    shared pass runs a chunk only when the point being read needs it,
-    runs it once for every point still live, and keeps its rows, so a
-    later point finds ready the chunks that an earlier one ran.  A point
-    that has left the shared pass (see :func:`float_signs`) and is read
-    past the chunks it was live in continues on a float pass of its own,
-    from the first set those chunks did not complete.
+    The points are read one after another through :meth:`signs`.  When
+    ``CHUNK_EVENTS`` holds the plan's whole event stream at least twice,
+    the points are taken in blocks of ``CHUNK_EVENTS`` // events, and a
+    block's one chunk is expanded and swept once, for all its points,
+    when one of them is read first; only that block's signs are kept,
+    so they stay within ``CHUNK_EVENTS`` entries.  Otherwise each point
+    runs a pass of its own, which stops at its witness's chunk.
     """
 
     def __init__(self, plan, floats, points):
@@ -291,33 +265,33 @@ class _SharedPass:
         self._floats = floats
         self._points = points  # held, so the ids below stay theirs
         self._index = {id(params): k for k, params in enumerate(points)}
-        self._live = np.ones(len(points), dtype=bool)
-        self._stream = float_signs(plan, floats, self._live)
-        self._chunks = []  # (lo, hi, pos, neg, the points it ran for)
+        self._size = max(1, CHUNK_EVENTS // int(plan.ends[-1]))
+        self._block = None, None  # (its first point, its signs)
 
     def signs(self, params):
         """The proved signs of ``params``: ``(lo, hi, pos, neg)`` per chunk."""
         k = self._index[id(params)]
-        c = 0
-        while c < len(self._chunks) or self._live[k] and self._extend():
-            lo, hi, pos, neg, ran = self._chunks[c]
-            if not ran[k]:
-                break
-            c += 1
-            yield lo, hi, pos[k], neg[k]
-        if not self._live[k]:
-            first = self._chunks[c - 1][1] if c else 0
-            alone = float_signs(self.plan, _points_of(self._floats, [k]),
-                                np.ones(1, dtype=bool), first)
-            for lo, hi, pos, neg in alone:
-                yield lo, hi, pos[0], neg[0]
+        first = k - k % self._size
+        if self._size == 1:
+            rows = self._pass(first)
+        else:  # the whole stream is one chunk
+            if self._block[0] != first:
+                self._block = first, next(self._pass(first))
+            rows = [self._block[1]]
+        for lo, hi, pos, neg in rows:
+            yield lo, hi, pos[k - first], neg[k - first]
 
-    def _extend(self):
-        ran = self._live.copy()
-        chunk = next(self._stream, None)
-        if chunk is not None:
-            self._chunks.append(chunk + (ran,))
-        return chunk is not None
+    def _pass(self, first):
+        floats = self._floats
+        if self._size < len(self._points):  # a block of the grid's columns
+            floats = _points_of(floats, slice(first, first + self._size))
+        return float_signs(self.plan, floats)
+
+
+def _points_of(floats, rows):
+    """The float weights of the points ``rows`` of a grid's columns."""
+    return Weights(*(tuple(x[rows] if isinstance(x, np.ndarray) else x for x in field)
+                     for field in floats[:4]), floats.one)
 
 
 def is_representable(tree, params, sweep=None) -> Verdict:
@@ -343,7 +317,7 @@ def is_representable(tree, params, sweep=None) -> Verdict:
     if 0 in weights.r:
         raise DomainError("vertex laws must lie in (0, 1] for verdicts")
     if isinstance(sweep, SweepPlan):
-        sweep = _SharedPass(sweep, float_weights(tree, params), [params])
+        sweep = _GridPass(sweep, float_weights(tree, params), [params])
     sets = sweep.plan.sets
     cache = {}
     for lo, _, pos, neg in sweep.signs(params):
@@ -364,10 +338,12 @@ def phase_scan(tree, r_values, p_values):
     """Verdict at every grid point; returns PhasePoints sorted by (r, p).
 
     Grid values must lie strictly inside (0, 1).  The points share one
-    :class:`SweepPlan` and one float pass, which expands each chunk of
-    events once and sweeps it for many points at once (see
-    :func:`float_signs`); then each point's exact path runs on its own
-    row of proved signs, one point after another.
+    :class:`SweepPlan` and their float weights; on a tree whose event
+    stream fits in one chunk at least twice, blocks of points share one
+    float pass, which expands the chunk once and sweeps it for all of a
+    block's points at once (see :class:`_GridPass`).  Then each point's
+    exact path runs on its own row of proved signs, one point after
+    another.
     """
     rs = sorted({as_fraction(r) for r in r_values})
     ps = sorted({as_fraction(p) for p in p_values})
@@ -377,35 +353,11 @@ def phase_scan(tree, r_values, p_values):
     plan = SweepPlan(tree)
     grid = [(r, p) for r in rs for p in ps]
     points = [ChainParams(r=(r,) * tree.n, p=(p,) * len(tree.edges)) for r, p in grid]
-    shared = _SharedPass(plan, _grid_floats(tree, rs, ps), points)
+    shared = _GridPass(plan, grid_float_weights(tree, rs, ps), points)
     return [
         PhasePoint(r, p, is_representable(tree, params, shared))
         for (r, p), params in zip(grid, points)
     ]
-
-
-def _grid_floats(tree, rs, ps):
-    """:func:`~treerep.chain_model.float_weights` of every point of the grid rs x ps.
-
-    Each entry is a column whose row ``len(ps) * i + j`` belongs to the
-    point ``(rs[i], ps[j])``.  Each distinct value is divided once, as
-    :func:`~treerep.chain_model.float_weights` divides it.
-    """
-
-    def columns(values, spread):
-        pairs = [(x.numerator / x.denominator, (x.denominator - x.numerator) / x.denominator)
-                 for x in values]
-        return spread(np.array(pairs).T)[..., None]
-
-    r, rbar = columns(rs, lambda a: np.repeat(a, len(ps), axis=1))
-    p, copy = columns(ps, lambda a: np.tile(a, len(rs)))
-    return Weights(  # the root's unused edge entries are those of p = 0
-        r=(r,) * tree.n,
-        rbar=(rbar,) * tree.n,
-        p=tuple(p if e >= 0 else 0.0 for e in tree.parent_edge),
-        copy=tuple(copy if e >= 0 else 1.0 for e in tree.parent_edge),
-        one=1.0,
-    )
 
 
 def scaling_check(tree, r, p, k) -> bool:

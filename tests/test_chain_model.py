@@ -12,6 +12,7 @@ from treerep.chain_model import (
     _rng,
     as_fraction,
     float_weights,
+    grid_float_weights,
     make_params,
     params_from_json,
     prob_all_zero,
@@ -292,6 +293,26 @@ def test_float_sweep_is_bit_identical_to_the_where_sweep():
         expect = where_prob_all_zero_many(t, weights, masks)
         assert got.dtype == expect.dtype == np.float64
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def test_grid_float_weights_are_each_points_float_weights():
+    # 1 - x is rounded from the exact value, each row of the columns holds
+    # the point's own float_weights, and a grid sweep gives each point's
+    # own sweep bit for bit
+    tree = random_tree(random.Random(101), 7)
+    rs = [Fraction(1, 10**400), Fraction(1, 3), Fraction(9, 20), 1 - Fraction(1, 10**300)]
+    ps = [Fraction(1, 7), Fraction(19, 20), Fraction(1)]
+    grid = grid_float_weights(tree, rs, ps)
+    masks = np.arange(1 << tree.n, dtype=np.int64)
+    table = prob_all_zero_many(tree, grid, masks)
+    assert table.shape == (len(rs) * len(ps), len(masks))
+    for k, (r, p) in enumerate((r, p) for r in rs for p in ps):
+        point = float_weights(tree, uniform_params(tree, r, p))
+        assert set(point.rbar) == {float(1 - r)} and set(point.copy) == {float(1 - p), 1.0}
+        for field, column in zip(point[:4], grid[:4]):
+            assert [y if np.ndim(y) == 0 else y[k, 0] for y in column] == list(field)
+        alone = prob_all_zero_many(tree, point, masks)
+        assert np.array_equal(table[k].view(np.int64), alone.view(np.int64))
 
 
 def test_prob_all_zero_of_chain_params_is_the_fraction_sweep():

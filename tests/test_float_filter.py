@@ -12,9 +12,9 @@ into the subnormal range (r or p = 1/10^k for k up to 400), where the
 
 import random
 import warnings
+import weakref
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import treerep.representability as representability
@@ -93,8 +93,7 @@ def _outcomes(chains):
         plan = SweepPlan(tree)
         weights = scaled_params(tree, params)
         cache = {}
-        one = np.ones(1, dtype=bool)
-        for lo, hi, (pos,), (neg,) in float_signs(plan, float_weights(tree, params), one):
+        for lo, hi, (pos,), (neg,) in float_signs(plan, float_weights(tree, params)):
             assert not (pos & neg).any()
             for i in range(hi - lo):
                 s = VertexSet(int(plan.sets[lo + i]))
@@ -161,8 +160,8 @@ def test_a_wrong_proved_sign_raises(monkeypatch):
 
 
 def test_scan_points_share_one_plan(monkeypatch):
-    # chunks of at most 16 events per live point, expanded once from the
-    # shared plan for all the points that are still live
+    # chunks of 16 events, so every point after the first re-expands the
+    # chunks past the kept first one from the shared plan
     monkeypatch.setattr(representability, "CHUNK_EVENTS", 16)
     tree = octopus(3, 2)
     rs = [Fraction(k, 20) for k in range(7, 14)]
@@ -181,105 +180,96 @@ _SCAN_RS = [Fraction(k, 20) for k in range(6, 15)]
 _SCAN_PS = [Fraction(1, 2), Fraction(9, 10), Fraction(19, 20)]
 
 
-@pytest.mark.parametrize("chunk", [4, 64])
+@pytest.mark.parametrize("chunk", [4, 64, 1024])
 def test_scan_verdicts_equal_single_verdicts_across_chunks(monkeypatch, chunk):
-    # with few events per live point in a chunk, the points of one grid
-    # stop in different chunks, and a point read later finds some chunks
-    # already run and runs the others
+    # chunks of 4 and 64 events hold a part of each stream, so each point
+    # runs a pass of its own and the points stop in different chunks;
+    # chunks of 1024 hold each stream at least twice, so blocks of 2 or 4
+    # points share one chunk, and each grid ends in a partial block
     expect = {
         tree: [is_representable(tree, uniform_params(tree, r, p)) for r in _SCAN_RS for p in _SCAN_PS]
         for tree in _SCAN_TREES
     }
     monkeypatch.setattr(representability, "CHUNK_EVENTS", chunk)
-    spread = []
+    spread, blocks = [], []
     for tree in _SCAN_TREES:
         points = phase_scan(tree, _SCAN_RS, _SCAN_PS)
         assert [point.verdict for point in points] == expect[tree]
         ends = SweepPlan(tree).ends
         stops = [int(ends[v.checked_sets - 1]) for v in expect[tree] if v.witness]
         spread.append(max(stops) - min(stops))
+        blocks.append(chunk // int(ends[-1]))
     assert {v.representable for verdicts in expect.values() for v in verdicts} == {True, False}
-    assert max(spread) >= chunk  # two witnesses this far apart share no chunk
+    if chunk < 210:
+        assert max(spread) >= chunk  # two witnesses this far apart share no chunk
+    else:
+        grid = len(_SCAN_RS) * len(_SCAN_PS)
+        assert min(blocks) >= 2 and all(grid % size for size in blocks)
 
 
 @pytest.mark.parametrize("chunk", [64, 1024, 4096])
 def test_a_sweep_holds_at_most_chunk_events_times_points(monkeypatch, chunk):
     # octopus(3, 2) has 210 events: chunks of 64 sweep one point at a
-    # time, of 1024 four points, of 4096 every point at once.  The grid
-    # starts with witness points, which leave the shared pass at their
-    # first negative sum, before they are read.
-    log, read = [], []
+    # time, each on a pass of its own; a chunk of 1024 holds the stream,
+    # and blocks of four points share one; at 4096 every point shares it
+    log = []
     sweep = representability.prob_all_zero_many
     expand = SweepPlan.chunk
-    verdict = representability.is_representable
 
     def recorded_sweep(tree, weights, masks):
         prob = sweep(tree, weights, masks)
-        log[-1][1].append(prob.shape + (len(read),))
+        log[-1][1].append(prob.shape)
         return prob
 
     def recorded_chunk(plan, e0, e1):
         log.append((e1 - e0, []))
         return expand(plan, e0, e1)
 
-    def recorded_verdict(*args):
-        read.append(args)
-        return verdict(*args)
-
     monkeypatch.setattr(representability, "prob_all_zero_many", recorded_sweep)
     monkeypatch.setattr(SweepPlan, "chunk", recorded_chunk)
-    monkeypatch.setattr(representability, "is_representable", recorded_verdict)
     monkeypatch.setattr(representability, "CHUNK_EVENTS", chunk)
     ps = _SCAN_PS[1:]
     grid = len(_SCAN_RS) * len(ps)
-    assert not phase_scan(octopus(3, 2), _SCAN_RS, ps)[0].verdict.representable
+    phase_scan(octopus(3, 2), _SCAN_RS, ps)
+    swept = []
     for count, sweeps in log:
-        for points, masks, _ in sweeps:
-            assert masks <= count and points * count <= chunk
-    assert max(points for points, _, _ in log[0][1]) == min(grid, chunk // min(chunk, 210))
-    live = [sum(points for points, _, _ in sweeps) for _, sweeps in log]
-    assert live[0] == grid and live == sorted(live, reverse=True)
-    if len(log) > 1:
-        assert any(live < grid - sweeps[0][2] + 1 for live, (_, sweeps) in zip(live, log))
+        ((points, masks),) = sweeps  # one sweep per expanded chunk
+        assert masks <= count and points * count <= chunk
+        swept.append(points)
+    size = max(1, chunk // 210)
+    if size > 1:
+        assert swept == [min(size, grid - k) for k in range(0, grid, size)]
+    else:
+        assert set(swept) == {1} and len(swept) > grid
 
 
-def _proved(rows):
-    return sum(int(pos.sum() + neg.sum()) for _, _, pos, neg in rows)
+def test_a_large_grid_holds_the_signs_of_one_block(monkeypatch):
+    # star(4) has 154 events, so chunks of 1024 events share each block of
+    # six points; after every verdict of a 20 x 20 grid, the proved signs
+    # still held are those of one block, within CHUNK_EVENTS bytes each
+    held, peaks = [], []
+    signs = representability.float_signs
+    verdict = representability.is_representable
 
+    def recorded_signs(plan, floats):
+        for lo, hi, pos, neg in signs(plan, floats):
+            held.extend(weakref.ref(x) for x in (pos, neg))
+            yield lo, hi, pos, neg
 
-def test_points_that_left_the_shared_pass_finish_on_their_own(monkeypatch):
-    # the first point stops at its witness after a few chunks; then every
-    # other point leaves the shared pass, which goes on without them, and
-    # each is read past its last chunk
-    monkeypatch.setattr(representability, "CHUNK_EVENTS", 64)
-    tree = octopus(3, 2)
-    ps = _SCAN_PS[1:]
-    grid = [(r, p) for r in _SCAN_RS for p in ps]
-    points = [ChainParams(r=(r,) * tree.n, p=(p,) * len(tree.edges)) for r, p in grid]
-    floats = representability._grid_floats(tree, _SCAN_RS, ps)
-    shared = representability._SharedPass(SweepPlan(tree), floats, points)
-    expect = [is_representable(tree, params) for params in points]
-    assert is_representable(tree, points[0], shared) == expect[0]
-    assert 0 < len(shared._chunks) and expect[0].witness
-    shared._live[::2] = False
-    for params, verdict in zip(points[::-1] + points, expect[::-1] + expect):
-        assert is_representable(tree, params, shared) == verdict
-        runs = [(lo, hi) for lo, hi, _, _ in shared.signs(params)]
-        assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
-        assert runs[-1][1] == len(shared.plan.sets)
-        alone = representability._SharedPass(shared.plan, float_weights(tree, params), [params])
-        assert _proved(shared.signs(params)) == _proved(alone.signs(params))
-    assert {v.representable for v in expect} == {True, False}
+    def recorded_verdict(*args):
+        result = verdict(*args)
+        peaks.append(sum(x().nbytes for x in held if x() is not None))
+        return result
 
-
-def test_grid_float_weights_are_each_points_float_weights():
-    tree = octopus(3, 2)
-    rs, ps = _SCAN_RS[:4], [Fraction(1, 3)] + _SCAN_PS
-    grid = representability._grid_floats(tree, rs, ps)
-    for k, (r, p) in enumerate((r, p) for r in rs for p in ps):
-        point = float_weights(tree, uniform_params(tree, r, p))
-        for field, column in zip(point[:4], grid[:4]):
-            assert [y if np.ndim(y) == 0 else y[k, 0] for y in column] == list(field)
+    monkeypatch.setattr(representability, "float_signs", recorded_signs)
+    monkeypatch.setattr(representability, "is_representable", recorded_verdict)
+    monkeypatch.setattr(representability, "CHUNK_EVENTS", 1024)
+    rs = [Fraction(k, 40) for k in range(10, 30)]
+    ps = [Fraction(k, 40) for k in range(20, 40)]
+    points = phase_scan(star(4), rs, ps)
+    assert {point.verdict.representable for point in points} == {True, False}
+    assert len(peaks) == 400 and len(held) == 2 * -(-400 // 6)
+    assert 0 < max(peaks) <= 2 * 1024
 
 
 def test_sets_inside_the_margin_go_to_the_exact_path(monkeypatch):
