@@ -15,6 +15,13 @@ times one common denominator) for exact values and verdicts, and with
 jets in them for derivatives; on float64 rows of masks for the
 certified float filter; and on object arrays that broadcast over all
 2^n masks at once for full measures.
+
+The two samplers draw every coin with :func:`_coins`.  Each coin slot
+(a vertex's fresh draws, an edge's resample or cut decisions) reads a
+Philox stream of its own, key = seed and counter = slot * 2^192, two
+coins to a raw word.  A coin of probability q is True with probability
+floor(q * 2^32) / 2^32, within 2^-32 of q.  Draw j reads the same half
+word whatever the number of draws, so fewer draws are a prefix of more.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tree_core import DomainError, VertexSet, decode_json_object
+from .tree_core import DomainError, VertexSet, as_int, decode_json_object
 
 
 def as_fraction(x):
@@ -314,45 +321,68 @@ def prob_all_zero(tree, params, zero_on):
 # samplers
 
 
+def _key(seed):
+    """``seed`` as a Philox key: an integer in [0, 2^64), else :class:`DomainError`."""
+    seed = as_int(seed, "seed")
+    if not 0 <= seed < 1 << 64:
+        raise DomainError("seed must lie in [0, 2^64), got %d" % seed)
+    return seed
+
+
+def _draw_count(n_draws):
+    """``n_draws`` as a nonnegative integer, else :class:`DomainError`."""
+    n_draws = as_int(n_draws, "n_draws")
+    if n_draws < 0:
+        raise DomainError("n_draws must be nonnegative, got %d" % n_draws)
+    return n_draws
+
+
 def _rng(seed):
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    """A generator on the Philox stream of counter 0 at ``seed``."""
+    return np.random.Generator(np.random.Philox(key=_key(seed)))
 
 
-def _bern(rng, q, size):
-    """Boolean draws that are True with probability ``floor(q * 2^63) / 2^63``.
+def _coins(key, slot, q, size):
+    """``size`` coins of slot ``slot``, each True with probability ``floor(q * 2^32) / 2^32``.
 
-    Each draw compares a 63-bit word with ``floor(q * 2^63)``.  The word
-    is a raw 64-bit output of the generator shifted right by one, which
-    is exactly what ``rng.integers(0, 1 << 63, dtype=np.int64)`` returns:
-    its multiply-shift over a range of 2^63 never rejects and keeps the
-    top 63 bits.  So the draws, and the generator's state after them,
-    are those of that call, without its per-draw bounding work.
+    The slot's stream is Philox with key ``key`` and counter ``slot *
+    2^192``.  Coin j is the 32-bit half j mod 2, low half first, of the
+    stream's raw word floor(j / 2), and it is True when that half is
+    below ``floor(q * 2^32)``.  q = 0 is never True and q = 1 always is;
+    neither reads the stream.
     """
     if q == 0:
         return np.zeros(size, dtype=bool)
     if q == 1:
         return np.ones(size, dtype=bool)
-    threshold = (q.numerator << 63) // q.denominator
-    return rng.bit_generator.random_raw(size) >> 1 < threshold
+    words = np.random.Philox(key=key, counter=slot << 192).random_raw((size + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")[:size]
+    return halves < (q.numerator << 32) // q.denominator
 
 
 def sample_recursive_many(tree, params, n_draws, seed):
     """Vectorised root-to-leaf sampler; returns packed bitmask per draw.
 
-    Bit ``v`` of word ``i`` is ``X(v)`` in draw ``i``.  Randomness is
-    consumed in preorder, so draws are reproducible per (tree, params,
-    seed).  ``params`` are checked as :func:`scaled_params` checks them.
+    Bit ``v`` of word ``i`` is ``X(v)`` in draw ``i``.  The coins come
+    from :func:`_coins`: slot 0 is the root's fresh draw, and the k-th
+    non-root vertex in preorder (k = 1, 2, ...) reads its resample coin
+    from slot 2k - 1 and its fresh draw from slot 2k.  So draws are
+    reproducible per (tree, params, seed), and the first k draws of a
+    call are those of every call with more draws.  ``params`` are checked
+    as :func:`scaled_params` checks them; a seed outside [0, 2^64) or a
+    negative draw count is a :class:`DomainError`.
     """
     _check_params(tree, params)
-    rng = _rng(seed)
-    x = np.zeros((tree.n, n_draws), dtype=bool)
-    for v in tree.preorder:
-        if v == tree.root:
-            x[v] = ~_bern(rng, params.r[v], n_draws)
-        else:
-            resample = _bern(rng, params.p[tree.parent_edge[v]], n_draws)
-            fresh = ~_bern(rng, params.r[v], n_draws)
-            x[v] = np.where(resample, fresh, x[tree.parent[v]])
+    n_draws, key = _draw_count(n_draws), _key(seed)
+    root, *rest = tree.preorder
+    x = np.empty((tree.n, n_draws), dtype=bool)
+    x[root] = ~_coins(key, 0, params.r[root], n_draws)
+    for k, v in enumerate(rest, 1):
+        resample = _coins(key, 2 * k - 1, params.p[tree.parent_edge[v]], n_draws)
+        fresh = ~_coins(key, 2 * k, params.r[v], n_draws)
+        up = x[tree.parent[v]]
+        # fresh where resampled, else the parent's value: np.where branches per element
+        x[v] = up ^ (resample & (fresh ^ up))
     return _pack(x)
 
 
@@ -360,29 +390,49 @@ def sample_percolation_many(tree, params, n_draws, seed):
     """Vectorised divide-and-color sampler; same output format as
     :func:`sample_recursive_many` but a genuinely different code path:
     cut edges first, then color each component by its top vertex's draw.
+
+    The coins come from :func:`_coins`: the cut above the k-th non-root
+    vertex in preorder (k = 1, 2, ...) from slot k - 1, then the fresh
+    draw of vertex v from slot n - 1 + v.  Draws have the same prefix
+    property and input checks as :func:`sample_recursive_many`.
     """
     _check_params(tree, params)
-    rng = _rng(seed)
-    cut = np.zeros((tree.n, n_draws), dtype=bool)
-    for v in tree.preorder[1:]:
-        cut[v] = _bern(rng, params.p[tree.parent_edge[v]], n_draws)
-    fresh = np.zeros((tree.n, n_draws), dtype=bool)
-    for v in range(tree.n):
-        fresh[v] = ~_bern(rng, params.r[v], n_draws)
+    n_draws, key = _draw_count(n_draws), _key(seed)
+    cut = [None] * tree.n
+    for k, v in enumerate(tree.preorder[1:]):
+        cut[v] = _coins(key, k, params.p[tree.parent_edge[v]], n_draws)
+    fresh = [~_coins(key, tree.n - 1 + v, params.r[v], n_draws) for v in range(tree.n)]
+    return _pack(_colour(tree, cut, fresh))
 
-    top = np.zeros((tree.n, n_draws), dtype=np.int64)
+
+def _colour(tree, cut, fresh):
+    """Each vertex's value: the fresh draw of the top vertex of its component.
+
+    ``cut[v]`` marks the draws that cut the edge above non-root ``v``,
+    and ``fresh[v]`` holds ``v``'s fresh draws.  The label ``top[v]`` is
+    the nearest vertex at or above ``v`` whose edge is cut (or the root),
+    and ``v`` takes the draw of whichever of its ancestors the label
+    names.
+    """
+    top = np.empty((tree.n, len(fresh[0])), dtype=np.int8)
+    x = np.empty(top.shape, dtype=bool)
     top[tree.root] = tree.root
+    x[tree.root] = fresh[tree.root]
     for v in tree.preorder[1:]:
-        top[v] = np.where(cut[v], v, top[tree.parent[v]])
-    cols = np.arange(n_draws)
-    x = np.zeros((tree.n, n_draws), dtype=bool)
-    for v in range(tree.n):
-        x[v] = fresh[top[v], cols]
-    return _pack(x)
+        up = top[tree.parent[v]]
+        top[v] = up + cut[v].view(np.int8) * (v - up)  # v if cut, else up
+        x[v] = False
+        a = v
+        while a >= 0:
+            x[v] |= (top[v] == a) & fresh[a]
+            a = tree.parent[a]
+    return x
 
 
 def _pack(x):
-    words = np.zeros(x.shape[1], dtype=np.uint64)
+    """Bit ``v`` of word ``i`` is ``x[v, i]``, in uint32: trees have at most
+    ``MAX_TREE_ORDER`` = 24 vertices."""
+    words = np.zeros(x.shape[1], dtype=np.uint32)
     for v in range(x.shape[0]):
-        words |= x[v].astype(np.uint64) << np.uint64(v)
+        words |= x[v].astype(np.uint32) << v
     return words

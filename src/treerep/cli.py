@@ -119,11 +119,15 @@ _DIGEST_EXCLUDES = ("out",)
 
 
 def config_digest(config: RunConfig) -> str:
-    """Short stable digest of everything that shapes the artifact."""
+    """Short stable digest of everything that shapes the artifact.
+
+    Every field is a str, an int or None, so the fields are read as they
+    are, with no deep copy.
+    """
     payload = {
-        key: value
-        for key, value in dataclasses.asdict(config).items()
-        if key not in _DIGEST_EXCLUDES and value is not None
+        f.name: getattr(config, f.name)
+        for f in dataclasses.fields(config)
+        if f.name not in _DIGEST_EXCLUDES and getattr(config, f.name) is not None
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
@@ -436,11 +440,17 @@ def _comparison_payload(report):
     }
 
 
+# The checks draw from seeds seed to seed + 4, and a stream's seed is below 2^64.
+_MAX_VERIFY_SEED = (1 << 64) - 5
+
+
 def _cmd_verify(config):
     tree = parse_tree(config.tree)
     params = resolve_params(tree, config)
     if config.draws < 1:
         raise UsageError("--draws must be positive")
+    if config.seed > _MAX_VERIFY_SEED:
+        raise UsageError("--seed must be at most 2^64 - 5: the checks use seeds seed to seed + 4")
     alpha = parse_rational(config.alpha)
     tolerance = parse_rational(config.tolerance)
     field = field_from_chain(tree, params)

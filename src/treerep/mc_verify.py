@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import chdtrc
 
-from .chain_model import _rng, prob_all_zero, scaled_params
+from .chain_model import _draw_count, _rng, prob_all_zero, scaled_params
 from .signed_measure import SignedMeasure, nu_full
 from .tree_core import DomainError, VertexSet
 
@@ -85,8 +85,10 @@ def sample_poisson_field_many(field: PoissonField, n_draws, seed) -> np.ndarray:
     this is the field's law, for about n_draws * Lambda integer draws
     in all, where Lambda = sum of lambda_K = -log P(X = 0 everywhere).
     Randomness is consumed atom by atom in bitmask order, so output is
-    reproducible per seed.
+    reproducible per seed.  A seed outside [0, 2^64) or a negative draw
+    count is a :class:`DomainError`.
     """
+    n_draws = _draw_count(n_draws)
     rng = _rng(seed)
     words = np.zeros(n_draws, dtype=np.uint64)
     for atom, intensity in field.atoms:
@@ -137,7 +139,7 @@ class ComparisonReport:
 def compare_laws(sampler_a, sampler_b, n, n_draws=100_000, alpha=0.01, seed=0):
     """Chi-square homogeneity test between two pattern samplers.
 
-    Samplers are callables ``(n_draws, seed) -> packed uint64 words``
+    Samplers are callables ``(n_draws, seed) -> packed unsigned words``
     over the same ``n <= 12`` vertices; they receive split seeds
     (``seed`` and ``seed + 1``).  Cells start as all 2^n patterns and
     the smallest-count cells are merged pairwise (ties by pattern id)

@@ -117,16 +117,91 @@ def where_prob_all_zero_many(tree, weights, masks):
     return r[ro] * f0[ro] + rbar[ro] * f1[ro]
 
 
-def integers_bern(rng, q, size):
-    """Reference for ``chain_model._bern``: a bounded 63-bit integer per draw
-    from ``rng.integers``, compared with ``floor(q * 2^63)``.
+def philox_coins(seed, slot, q, size):
+    """Reference for ``chain_model._coins``, in Python ints.
+
+    Reads the raw words of the Philox stream with key ``seed`` and
+    counter ``slot * 2^192`` itself, splits each into its low and then
+    its high 32 bits, and calls a half h True when h < floor(q * 2^32),
+    with the floor taken on the exact Fraction.  It reads the stream for
+    q = 0 and q = 1 too.
     """
-    if q == 0:
-        return np.zeros(size, dtype=bool)
-    if q == 1:
-        return np.ones(size, dtype=bool)
-    threshold = (q.numerator << 63) // q.denominator
-    return rng.integers(0, 1 << 63, size=size, dtype=np.int64) < threshold
+    raw = np.random.Philox(key=seed, counter=slot << 192).random_raw((size + 1) // 2)
+    halves = []
+    for word in raw.tolist():
+        halves += [word & 0xFFFFFFFF, word >> 32]
+    threshold = math.floor(Fraction(q) * 2**32)
+    return np.array([h < threshold for h in halves[:size]], dtype=bool)
+
+
+def recursive_coins(tree, params, n_draws, seed):
+    """The coins of ``chain_model.sample_recursive_many``, from :func:`philox_coins`.
+
+    Returns ``(resample, fresh)``, each a list indexed by vertex:
+    ``fresh[v]`` is True where v's fresh draw is 1, and ``resample[v]``
+    (None at the root) where the edge above v resamples.  Slot 0 is the
+    root's fresh draw; the k-th non-root vertex in preorder reads slots
+    2k - 1 (resample) and 2k (fresh).
+    """
+    resample = [None] * tree.n
+    fresh = [None] * tree.n
+    fresh[tree.root] = ~philox_coins(seed, 0, params.r[tree.root], n_draws)
+    for k, v in enumerate(tree.preorder[1:], 1):
+        resample[v] = philox_coins(seed, 2 * k - 1, params.p[tree.parent_edge[v]], n_draws)
+        fresh[v] = ~philox_coins(seed, 2 * k, params.r[v], n_draws)
+    return resample, fresh
+
+
+def percolation_coins(tree, params, n_draws, seed):
+    """The coins of ``chain_model.sample_percolation_many``, from :func:`philox_coins`.
+
+    Returns ``(cut, fresh)`` as :func:`recursive_coins` does: the cut above
+    the k-th non-root vertex in preorder reads slot k - 1, and the fresh
+    draw of vertex v slot n - 1 + v.
+    """
+    cut = [None] * tree.n
+    for k, v in enumerate(tree.preorder[1:]):
+        cut[v] = philox_coins(seed, k, params.p[tree.parent_edge[v]], n_draws)
+    fresh = [~philox_coins(seed, tree.n - 1 + v, params.r[v], n_draws) for v in range(tree.n)]
+    return cut, fresh
+
+
+def where_walk(tree, resample, fresh):
+    """Reference for the recursive sampler's walk: ``np.where`` per vertex,
+    a resampled vertex taking its fresh draw and any other its parent's value.
+    """
+    x = np.zeros((tree.n, len(fresh[0])), dtype=bool)
+    for v in tree.preorder:
+        if v == tree.root:
+            x[v] = fresh[v]
+        else:
+            x[v] = np.where(resample[v], fresh[v], x[tree.parent[v]])
+    return x
+
+
+def gather_colour(tree, cut, fresh):
+    """Reference for ``chain_model._colour``: int64 component labels and a
+    2-D gather ``fresh[top[v], cols]``.
+    """
+    n_draws = len(fresh[0])
+    fresh = np.array(fresh)
+    top = np.zeros((tree.n, n_draws), dtype=np.int64)
+    top[tree.root] = tree.root
+    for v in tree.preorder[1:]:
+        top[v] = np.where(cut[v], v, top[tree.parent[v]])
+    cols = np.arange(n_draws)
+    x = np.zeros((tree.n, n_draws), dtype=bool)
+    for v in range(tree.n):
+        x[v] = fresh[top[v], cols]
+    return x
+
+
+def pack64(x):
+    """Reference for ``chain_model._pack``: the same bits in uint64 words."""
+    words = np.zeros(x.shape[1], dtype=np.uint64)
+    for v in range(x.shape[0]):
+        words |= x[v].astype(np.uint64) << np.uint64(v)
+    return words
 
 
 def bernoulli_field_sampler(atoms):

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from fractions import Fraction
@@ -8,8 +7,7 @@ import pytest
 
 from treerep.chain_model import (
     ChainParams,
-    _bern,
-    _rng,
+    _coins,
     as_fraction,
     float_weights,
     grid_float_weights,
@@ -29,9 +27,14 @@ from treerep.tree_core import DomainError, VertexSet, build_tree, path, star
 from conftest import random_params, random_tree
 from oracles import (
     brute_force_prob_all_zero,
-    integers_bern,
+    gather_colour,
+    pack64,
+    percolation_coins,
+    philox_coins,
+    recursive_coins,
     ring_weights,
     where_prob_all_zero_many,
+    where_walk,
 )
 
 HALF = Fraction(1, 2)
@@ -210,11 +213,21 @@ def test_samplers_deterministic_by_seed():
     assert np.array_equal(a, b)
     c = sample_recursive_many(t, params, 64, seed=43)
     assert not np.array_equal(a, c)
-    assert sample_recursive_many(t, params, 1, seed=42)[0] == a[0]
     pa = sample_percolation_many(t, params, 64, seed=42)
     pb = sample_percolation_many(t, params, 64, seed=42)
     assert np.array_equal(pa, pb)
-    assert sample_percolation_many(t, params, 1, seed=42)[0] == pa[0]
+
+
+@pytest.mark.parametrize("maker", [sample_recursive_many, sample_percolation_many])
+def test_fewer_draws_are_a_prefix_of_more(maker):
+    # coin j of every slot reads the same half word whatever n_draws is
+    t = star(3)
+    params = uniform_params(t, HALF, Fraction(1, 3))
+    for seed in range(50):
+        full = maker(t, params, 64, seed=seed)
+        assert maker(t, params, 1, seed=seed)[0] == full[0]
+        for k in (0, 2, 3, 63):
+            assert np.array_equal(maker(t, params, k, seed=seed), full[:k])
 
 
 @pytest.mark.parametrize("maker", [sample_recursive_many, sample_percolation_many])
@@ -244,23 +257,50 @@ def test_degenerate_parameter_sampling():
     assert set(np.unique(draws)) == {7}
 
 
-def _generator_state(rng):
-    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
-
-
-def test_bern_draws_what_bounded_integers_draw():
-    # the same booleans and the same generator state after every call, so
-    # every sampler's words stay those of the bounded-integer draws
+def test_coins_read_each_slots_stream_as_the_oracle_does():
     qs = [Fraction(0), Fraction(1), HALF, Fraction(1, 3),
           Fraction(1, 10 ** 30), 1 - Fraction(1, 10 ** 30)]
-    for seed in (0, 7):
-        fast, reference = _rng(seed), _rng(seed)
+    for seed, slot in ((0, 0), (7, 1), (7, 46), (2 ** 64 - 1, 5)):
         for q in qs:
-            for size in (0, 1, 10 ** 5):
-                got = _bern(fast, q, size)
+            for size in (0, 1, 12_345, 10 ** 5):
+                got = _coins(seed, slot, q, size)
                 assert got.dtype == bool and got.shape == (size,)
-                assert np.array_equal(got, integers_bern(reference, q, size))
-                assert _generator_state(fast) == _generator_state(reference)
+                assert np.array_equal(got, philox_coins(seed, slot, q, size))
+
+
+def test_coins_of_different_slots_differ():
+    a, b = (_coins(3, slot, HALF, 1000) for slot in (0, 1))
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, _coins(4, 0, HALF, 1000))
+
+
+def _cap_cases():
+    # every tree order up to the cap, with r and p at 0 and 1 among the values
+    rng = random.Random(24)
+    cases = [
+        (path(24), uniform_params(path(24), HALF, 0)),
+        (path(24), uniform_params(path(24), Fraction(1, 3), 1)),
+        (star(23), uniform_params(star(23), 1, HALF)),
+        (star(23), uniform_params(star(23), 0, Fraction(2, 3))),
+    ]
+    for n in range(1, 25):
+        t = random_tree(rng, n)
+        cases.append((t, random_params(rng, t, denom=rng.randint(1, 6), interior=False)))
+    return cases
+
+
+def test_samplers_colour_and_pack_their_oracle_coins():
+    # from the same coins, the recursive walk equals the np.where walk and
+    # percolation equals the int64-label gather, word for word in uint64
+    for seed, (t, params) in enumerate(_cap_cases()):
+        n_draws = 33
+        rec = sample_recursive_many(t, params, n_draws, seed)
+        perc = sample_percolation_many(t, params, n_draws, seed)
+        assert rec.dtype == perc.dtype == np.uint32
+        expect_rec = pack64(where_walk(t, *recursive_coins(t, params, n_draws, seed)))
+        expect_perc = pack64(gather_colour(t, *percolation_coins(t, params, n_draws, seed)))
+        assert rec.tolist() == expect_rec.tolist()
+        assert perc.tolist() == expect_perc.tolist()
 
 
 # parameters at and past the edges of float64: r = 1/10^400 rounds to

@@ -472,6 +472,26 @@ def test_verify_refuses_a_wide_tree_before_the_full_lattice(monkeypatch, capsys)
     assert "capped at 12 vertices" in capsys.readouterr().err
 
 
+def test_verify_seed_range(monkeypatch, capsys, tmp_path):
+    import treerep.cli as cli
+
+    # the checks use seeds seed to seed + 4, so 2^64 - 5 is the largest that runs
+    argv = ["verify", "--tree", "path:2", "--r", "1/2", "--p", "1/2", "--draws", "2000"]
+    code, blob = run_to_file(argv + ["--seed", str(2**64 - 5)], tmp_path)
+    assert code == 0 and json.loads(blob)["seed"] == 2**64 - 5
+    # a negative seed is the library's DomainError
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
+
+    def no_sampling(*args):
+        raise AssertionError("the seed must be checked before any sampling")
+
+    monkeypatch.setattr(cli, "sample_percolation_many", no_sampling)
+    for seed in (2**64 - 4, 18446744073709551612, 2**64, 2**70):
+        assert main(argv + ["--seed", str(seed)]) == 2
+        assert "--seed must be at most 2^64 - 5" in capsys.readouterr().err
+
+
 def test_verify_builds_the_lattice_once(monkeypatch, tmp_path):
     import treerep.mc_verify as mc_verify
 

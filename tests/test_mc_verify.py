@@ -24,7 +24,7 @@ from treerep.mc_verify import (
     sample_poisson_field_many,
 )
 from treerep.signed_measure import MeasureValue, SignedMeasure, nu_full
-from treerep.tree_core import VertexSet, octopus, path, star
+from treerep.tree_core import DomainError, VertexSet, octopus, path, star
 
 from oracles import bernoulli_field_sampler
 
@@ -92,6 +92,26 @@ def test_field_sampling_is_seed_deterministic():
     b = sample_poisson_field_many(field, 500, seed=42)
     assert (a == b).all()
     assert (a != sample_poisson_field_many(field, 500, seed=43)).any()
+
+
+def test_samplers_refuse_bad_seeds_and_draw_counts():
+    t = path(3)
+    params = uniform_params(t, F(1, 2), F(1, 2))
+    samplers = [
+        partial(sample_recursive_many, t, params),
+        partial(sample_percolation_many, t, params),
+        partial(sample_poisson_field_many, field_from_chain(t, params)),
+    ]
+    for sampler in samplers:
+        for seed in (-1, 2**64, 2**64 + 3, 1.0, "3", True, None):
+            with pytest.raises(DomainError, match="seed"):
+                sampler(10, seed)
+        for n_draws in (-1, -(2**70), 2.0, "10", True, None):
+            with pytest.raises(DomainError, match="n_draws"):
+                sampler(n_draws, 0)
+        assert sampler(5, 2**64 - 1).shape == (5,)
+        assert sampler(5, np.uint64(2**64 - 1)).tolist() == sampler(5, 2**64 - 1).tolist()
+        assert sampler(0, 0).shape == (0,)
 
 
 def test_closure_on_a_small_representable_chain():
