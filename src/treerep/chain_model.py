@@ -356,6 +356,7 @@ def _coins(key, slot, q, size):
     if q == 1:
         return np.ones(size, dtype=bool)
     words = np.random.Philox(key=key, counter=slot << 192).random_raw((size + 1) // 2)
+    # little-endian bytes put each word's low half first on any platform
     halves = words.astype("<u8", copy=False).view("<u4")[:size]
     return halves < (q.numerator << 32) // q.denominator
 

@@ -125,9 +125,9 @@ def config_digest(config: RunConfig) -> str:
     are, with no deep copy.
     """
     payload = {
-        f.name: getattr(config, f.name)
-        for f in dataclasses.fields(config)
-        if f.name not in _DIGEST_EXCLUDES and getattr(config, f.name) is not None
+        key: value
+        for key, value in vars(config).items()
+        if key not in _DIGEST_EXCLUDES and value is not None
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
