@@ -268,6 +268,18 @@ def test_coins_read_each_slots_stream_as_the_oracle_does():
                 assert np.array_equal(got, philox_coins(seed, slot, q, size))
 
 
+def test_a_coin_is_true_strictly_below_the_floored_threshold():
+    # q puts floor(q * 2^32) exactly on a half the stream will read
+    raw = np.random.Philox(key=9, counter=3 << 192).random_raw(2).tolist()
+    halves = [raw[0] & 0xFFFFFFFF, raw[0] >> 32, raw[1] & 0xFFFFFFFF, raw[1] >> 32]
+    for j, h in enumerate(halves):
+        for q, expect in ((Fraction(h, 2**32), False),
+                          (Fraction(2 * h + 1, 2**33), False),
+                          (Fraction(h + 1, 2**32), True)):
+            assert bool(_coins(9, 3, q, 4)[j]) is expect
+            assert bool(philox_coins(9, 3, q, 4)[j]) is expect
+
+
 def test_coins_of_different_slots_differ():
     a, b = (_coins(3, slot, HALF, 1000) for slot in (0, 1))
     assert not np.array_equal(a, b)
