@@ -390,44 +390,33 @@ def sample_recursive_many(tree, params, n_draws, seed):
 def sample_percolation_many(tree, params, n_draws, seed):
     """Vectorised divide-and-color sampler; same output format as
     :func:`sample_recursive_many` but a genuinely different code path:
-    cut edges first, then color each component by its top vertex's draw.
+    cut edges, then color each component by its top vertex's draw.
 
     The coins come from :func:`_coins`: the cut above the k-th non-root
-    vertex in preorder (k = 1, 2, ...) from slot k - 1, then the fresh
-    draw of vertex v from slot n - 1 + v.  Draws have the same prefix
+    vertex in preorder (k = 1, 2, ...) reads slot k - 1, and the fresh
+    draw of vertex v reads slot n - 1 + v.  Draws have the same prefix
     property and input checks as :func:`sample_recursive_many`.
     """
     _check_params(tree, params)
     n_draws, key = _draw_count(n_draws), _key(seed)
-    cut = [None] * tree.n
-    for k, v in enumerate(tree.preorder[1:]):
-        cut[v] = _coins(key, k, params.p[tree.parent_edge[v]], n_draws)
     fresh = [~_coins(key, tree.n - 1 + v, params.r[v], n_draws) for v in range(tree.n)]
-    return _pack(_colour(tree, cut, fresh))
-
-
-def _colour(tree, cut, fresh):
-    """Each vertex's value: the fresh draw of the top vertex of its component.
-
-    ``cut[v]`` marks the draws that cut the edge above non-root ``v``,
-    and ``fresh[v]`` holds ``v``'s fresh draws.  The label ``top[v]`` is
-    the nearest vertex at or above ``v`` whose edge is cut (or the root),
-    and ``v`` takes the draw of whichever of its ancestors the label
-    names.
-    """
-    top = np.empty((tree.n, len(fresh[0])), dtype=np.int8)
-    x = np.empty(top.shape, dtype=bool)
+    # top[v] labels v's component by its top vertex: the nearest vertex at
+    # or above v whose edge is cut, or the root; v takes the fresh draw of
+    # whichever of its ancestors the label names
+    top = np.empty((tree.n, n_draws), dtype=np.int8)
+    x = np.empty((tree.n, n_draws), dtype=bool)
     top[tree.root] = tree.root
     x[tree.root] = fresh[tree.root]
-    for v in tree.preorder[1:]:
+    for k, v in enumerate(tree.preorder[1:]):
+        cut = _coins(key, k, params.p[tree.parent_edge[v]], n_draws)
         up = top[tree.parent[v]]
-        top[v] = up + cut[v].view(np.int8) * (v - up)  # v if cut, else up
+        top[v] = up + cut.view(np.int8) * (v - up)  # v if cut, else up
         x[v] = False
         a = v
         while a >= 0:
             x[v] |= (top[v] == a) & fresh[a]
             a = tree.parent[a]
-    return x
+    return _pack(x)
 
 
 def _pack(x):

@@ -449,8 +449,8 @@ def _cmd_verify(config):
     params = resolve_params(tree, config)
     if config.draws < 1:
         raise UsageError("--draws must be positive")
-    if config.seed > _MAX_VERIFY_SEED:
-        raise UsageError("--seed must be at most 2^64 - 5: the checks use seeds seed to seed + 4")
+    if not 0 <= config.seed <= _MAX_VERIFY_SEED:
+        raise UsageError("--seed must lie in [0, 2^64 - 5]: the checks use seeds seed to seed + 4")
     alpha = parse_rational(config.alpha)
     tolerance = parse_rational(config.tolerance)
     field = field_from_chain(tree, params)

@@ -180,8 +180,8 @@ def where_walk(tree, resample, fresh):
 
 
 def gather_colour(tree, cut, fresh):
-    """Reference for ``chain_model._colour``: int64 component labels and a
-    2-D gather ``fresh[top[v], cols]``.
+    """Reference for the colouring of ``chain_model.sample_percolation_many``:
+    int64 component labels and a 2-D gather ``fresh[top[v], cols]``.
     """
     n_draws = len(fresh[0])
     fresh = np.array(fresh)

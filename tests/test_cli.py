@@ -479,17 +479,15 @@ def test_verify_seed_range(monkeypatch, capsys, tmp_path):
     argv = ["verify", "--tree", "path:2", "--r", "1/2", "--p", "1/2", "--draws", "2000"]
     code, blob = run_to_file(argv + ["--seed", str(2**64 - 5)], tmp_path)
     assert code == 0 and json.loads(blob)["seed"] == 2**64 - 5
-    # a negative seed is the library's DomainError
-    assert main(argv + ["--seed", "-1"]) == 2
-    assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
 
-    def no_sampling(*args):
-        raise AssertionError("the seed must be checked before any sampling")
+    def no_work(*args):
+        raise AssertionError("the seed must be checked before the field and any sampling")
 
-    monkeypatch.setattr(cli, "sample_percolation_many", no_sampling)
-    for seed in (2**64 - 4, 18446744073709551612, 2**64, 2**70):
+    monkeypatch.setattr(cli, "field_from_chain", no_work)
+    monkeypatch.setattr(cli, "sample_percolation_many", no_work)
+    for seed in (-1, -(2**64), 2**64 - 4, 18446744073709551612, 2**64, 2**70):
         assert main(argv + ["--seed", str(seed)]) == 2
-        assert "--seed must be at most 2^64 - 5" in capsys.readouterr().err
+        assert "--seed must lie in [0, 2^64 - 5]" in capsys.readouterr().err
 
 
 def test_verify_builds_the_lattice_once(monkeypatch, tmp_path):
