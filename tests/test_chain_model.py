@@ -304,8 +304,8 @@ def _cap_cases():
 def test_samplers_colour_and_pack_their_oracle_coins():
     # from the same coins, the recursive walk equals the np.where walk and
     # percolation equals the int64-label gather, word for word in uint64
+    n_draws = 33
     for seed, (t, params) in enumerate(_cap_cases()):
-        n_draws = 33
         rec = sample_recursive_many(t, params, n_draws, seed)
         perc = sample_percolation_many(t, params, n_draws, seed)
         assert rec.dtype == perc.dtype == np.uint32
