@@ -22,6 +22,9 @@ Philox stream of its own, key = seed and counter = slot * 2^192, two
 coins to a raw word.  A coin of probability q is True with probability
 floor(q * 2^32) / 2^32, within 2^-32 of q.  Draw j reads the same half
 word whatever the number of draws, so fewer draws are a prefix of more.
+The samplers run on blocks of ``_BLOCK`` draws, each slot's stream read
+on from block to block, so their words do not depend on the block size
+and only their output grows with the number of draws.
 """
 
 from __future__ import annotations
@@ -342,23 +345,57 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(key=_key(seed)))
 
 
-def _coins(key, slot, q, size):
-    """``size`` coins of slot ``slot``, each True with probability ``floor(q * 2^32) / 2^32``.
+# The samplers work through their draws this many at a time, so every
+# temporary is an (n, _BLOCK) block of tens of KB whatever n_draws is;
+# only the packed output grows with it.  It is even, so every block but
+# the last reads whole raw words of each slot's stream.
+_BLOCK = 1 << 14
 
-    The slot's stream is Philox with key ``key`` and counter ``slot *
-    2^192``.  Coin j is the 32-bit half j mod 2, low half first, of the
-    stream's raw word floor(j / 2), and it is True when that half is
-    below ``floor(q * 2^32)``.  q = 0 is never True and q = 1 always is;
-    neither reads the stream.
+
+def _blocks(n_draws):
+    """``(start, stop)`` of each block of :data:`_BLOCK` draws, the last one shorter."""
+    for lo in range(0, n_draws, _BLOCK):
+        yield lo, min(lo + _BLOCK, n_draws)
+
+
+def _coins(key, slot, q, n_draws):
+    """The ``n_draws`` coins of slot ``slot``, one bool array per block of :func:`_blocks`.
+
+    Each coin is True with probability ``floor(q * 2^32) / 2^32``.  The
+    slot's stream is Philox with key ``key`` and counter ``slot *
+    2^192``, kept live from block to block.  Coin j is the 32-bit half
+    j mod 2, low half first, of the stream's raw word floor(j / 2), and
+    it is True when that half is below ``floor(q * 2^32)``.  A block
+    reads the stream's next words, so the coins do not depend on the
+    block size.  q = 0 is never True and q = 1 always is; neither reads
+    the stream.
     """
-    if q == 0:
-        return np.zeros(size, dtype=bool)
-    if q == 1:
-        return np.ones(size, dtype=bool)
-    words = np.random.Philox(key=key, counter=slot << 192).random_raw((size + 1) // 2)
+    if q == 0 or q == 1:
+        for lo, hi in _blocks(n_draws):
+            yield np.full(hi - lo, q == 1)
+        return
+    stream = np.random.Philox(key=key, counter=slot << 192)
+    threshold = (q.numerator << 32) // q.denominator
+    for lo, hi in _blocks(n_draws):
+        # yielded unnamed, so a block's coins are freed once the sampler drops them
+        yield _halves(stream, hi - lo) < threshold
+
+
+def _halves(stream, size):
+    """The next ``size`` 32-bit halves of Philox ``stream``, low half of each word first."""
     # little-endian bytes put each word's low half first on any platform
-    halves = words.astype("<u8", copy=False).view("<u4")[:size]
-    return halves < (q.numerator << 32) // q.denominator
+    return stream.random_raw((size + 1) // 2).astype("<u8", copy=False).view("<u4")[:size]
+
+
+def _sample_in_blocks(n, n_draws, colour):
+    """Packed words of ``n_draws`` draws: ``colour(x)`` sets row v of each
+    block's (n, size) bool array ``x`` to X(v) in the block's draws."""
+    words = np.empty(n_draws, dtype=np.uint32)
+    x = np.empty((n, min(_BLOCK, n_draws)), dtype=bool)
+    for lo, hi in _blocks(n_draws):
+        colour(x[:, : hi - lo])
+        _pack(x[:, : hi - lo], words[lo:hi])
+    return words
 
 
 def sample_recursive_many(tree, params, n_draws, seed):
@@ -369,22 +406,31 @@ def sample_recursive_many(tree, params, n_draws, seed):
     non-root vertex in preorder (k = 1, 2, ...) reads its resample coin
     from slot 2k - 1 and its fresh draw from slot 2k.  So draws are
     reproducible per (tree, params, seed), and the first k draws of a
-    call are those of every call with more draws.  ``params`` are checked
-    as :func:`scaled_params` checks them; a seed outside [0, 2^64) or a
-    negative draw count is a :class:`DomainError`.
+    call are those of every call with more draws.  The walk runs on
+    blocks of ``_BLOCK`` = 2^14 draws, so its temporaries stay small
+    whatever ``n_draws`` is; the words do not depend on the block size.
+    ``params`` are checked as :func:`scaled_params` checks them; a seed
+    outside [0, 2^64) or a negative draw count is a :class:`DomainError`.
     """
     _check_params(tree, params)
     n_draws, key = _draw_count(n_draws), _key(seed)
     root, *rest = tree.preorder
-    x = np.empty((tree.n, n_draws), dtype=bool)
-    x[root] = ~_coins(key, 0, params.r[root], n_draws)
-    for k, v in enumerate(rest, 1):
-        resample = _coins(key, 2 * k - 1, params.p[tree.parent_edge[v]], n_draws)
-        fresh = ~_coins(key, 2 * k, params.r[v], n_draws)
-        up = x[tree.parent[v]]
-        # fresh where resampled, else the parent's value: np.where branches per element
-        x[v] = up ^ (resample & (fresh ^ up))
-    return _pack(x)
+    root_fresh = _coins(key, 0, params.r[root], n_draws)
+    steps = [
+        (v, tree.parent[v],
+         _coins(key, 2 * k - 1, params.p[tree.parent_edge[v]], n_draws),
+         _coins(key, 2 * k, params.r[v], n_draws))
+        for k, v in enumerate(rest, 1)
+    ]
+
+    def walk(x):
+        x[root] = ~next(root_fresh)
+        for v, up, resample, fresh in steps:
+            up = x[up]
+            # fresh where resampled, else the parent's value: np.where branches per element
+            x[v] = up ^ (next(resample) & (~next(fresh) ^ up))
+
+    return _sample_in_blocks(tree.n, n_draws, walk)
 
 
 def sample_percolation_many(tree, params, n_draws, seed):
@@ -395,34 +441,41 @@ def sample_percolation_many(tree, params, n_draws, seed):
     The coins come from :func:`_coins`: the cut above the k-th non-root
     vertex in preorder (k = 1, 2, ...) reads slot k - 1, and the fresh
     draw of vertex v reads slot n - 1 + v.  Draws have the same prefix
-    property and input checks as :func:`sample_recursive_many`.
+    property, blocks of ``_BLOCK`` draws and input checks as
+    :func:`sample_recursive_many`.
     """
     _check_params(tree, params)
     n_draws, key = _draw_count(n_draws), _key(seed)
-    fresh = [~_coins(key, tree.n - 1 + v, params.r[v], n_draws) for v in range(tree.n)]
-    # top[v] labels v's component by its top vertex: the nearest vertex at
-    # or above v whose edge is cut, or the root; v takes the fresh draw of
-    # whichever of its ancestors the label names
-    top = np.empty((tree.n, n_draws), dtype=np.int8)
-    x = np.empty((tree.n, n_draws), dtype=bool)
-    top[tree.root] = tree.root
-    x[tree.root] = fresh[tree.root]
-    for k, v in enumerate(tree.preorder[1:]):
-        cut = _coins(key, k, params.p[tree.parent_edge[v]], n_draws)
-        up = top[tree.parent[v]]
-        top[v] = up + cut.view(np.int8) * (v - up)  # v if cut, else up
-        x[v] = False
-        a = v
-        while a >= 0:
-            x[v] |= (top[v] == a) & fresh[a]
-            a = tree.parent[a]
-    return _pack(x)
+    fresh_coins = [_coins(key, tree.n - 1 + v, params.r[v], n_draws) for v in range(tree.n)]
+    cut_coins = [
+        (v, _coins(key, k, params.p[tree.parent_edge[v]], n_draws))
+        for k, v in enumerate(tree.preorder[1:])
+    ]
+    labels = np.empty((tree.n, min(_BLOCK, n_draws)), dtype=np.int8)
+
+    def colour(x):
+        fresh = [~next(coins) for coins in fresh_coins]
+        # top[v] labels v's component by its top vertex: the nearest vertex at
+        # or above v whose edge is cut, or the root; v takes the fresh draw of
+        # whichever of its ancestors the label names
+        top = labels[:, : x.shape[1]]
+        top[tree.root] = tree.root
+        x[tree.root] = fresh[tree.root]
+        for v, cuts in cut_coins:
+            up = top[tree.parent[v]]
+            top[v] = up + next(cuts).view(np.int8) * (v - up)  # v if cut, else up
+            x[v] = False
+            a = v
+            while a >= 0:
+                x[v] |= (top[v] == a) & fresh[a]
+                a = tree.parent[a]
+
+    return _sample_in_blocks(tree.n, n_draws, colour)
 
 
-def _pack(x):
-    """Bit ``v`` of word ``i`` is ``x[v, i]``, in uint32: trees have at most
-    ``MAX_TREE_ORDER`` = 24 vertices."""
-    words = np.zeros(x.shape[1], dtype=np.uint32)
-    for v in range(x.shape[0]):
+def _pack(x, words):
+    """Sets bit ``v`` of ``words[i]`` to ``x[v, i]``, in uint32: trees have
+    at most ``MAX_TREE_ORDER`` = 24 vertices."""
+    words[:] = x[0]
+    for v in range(1, x.shape[0]):
         words |= x[v].astype(np.uint32) << v
-    return words

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import chdtrc
 
-from .chain_model import _draw_count, _rng, prob_all_zero, scaled_params
+from .chain_model import _blocks, _draw_count, _rng, prob_all_zero, scaled_params
 from .signed_measure import SignedMeasure, nu_full
 from .tree_core import DomainError, VertexSet
 
@@ -69,9 +69,11 @@ def field_from_chain(tree, params) -> PoissonField:
     return poisson_field(nu_full(tree, params))
 
 
-# Arrivals are placed at most this many at a time: 2^18 int64 indices
-# and the words they gather are 2 MB each, whatever the intensities.
-_ARRIVAL_CHUNK = 1 << 18
+# Arrivals are placed at most this many at a time: 2^14 int64 indices
+# and the words they gather are 128 KB each, whatever the intensities
+# and the draw count.  Generator.integers reads its stream the same way
+# however a count is split, so the words do not depend on this size.
+_ARRIVAL_CHUNK = 1 << 14
 
 
 def sample_poisson_field_many(field: PoissonField, n_draws, seed) -> np.ndarray:
@@ -101,10 +103,22 @@ def sample_poisson_field_many(field: PoissonField, n_draws, seed) -> np.ndarray:
     return words
 
 
+def _positive_draw_count(n_draws):
+    """``n_draws`` as a positive integer, else :class:`DomainError`: the
+    checks below divide by it."""
+    n_draws = _draw_count(n_draws)
+    if n_draws < 1:
+        raise DomainError("n_draws must be at least 1, got %d" % n_draws)
+    return n_draws
+
+
 def _pattern_histogram(words, n):
     if len(words) and int(words.max()) >> n:
         raise ValueError("sampler produced a pattern outside %d vertices" % n)
-    return np.bincount(words.astype(np.int64), minlength=1 << n)
+    hist = np.zeros(1 << n, dtype=np.int64)
+    for lo, hi in _blocks(len(words)):
+        hist += np.bincount(words[lo:hi].astype(np.int64), minlength=1 << n)
+    return hist
 
 
 def _zeros_on_table(hist, n):
@@ -144,12 +158,14 @@ def compare_laws(sampler_a, sampler_b, n, n_draws=100_000, alpha=0.01, seed=0):
     (``seed`` and ``seed + 1``).  Cells start as all 2^n patterns and
     the smallest-count cells are merged pairwise (ties by pattern id)
     until every expected count reaches 5, the standard validity
-    threshold.  Fails loudly if pooling cannot get there.
+    threshold.  Fails loudly if pooling cannot get there, and refuses
+    ``n_draws < 1`` before sampling.
     """
     if not 1 <= n <= MAX_FIELD_ORDER:
         raise DomainError("pattern chi-square needs 1 <= n <= %d" % MAX_FIELD_ORDER)
     if not 0 < alpha < 1:
         raise DomainError("alpha must lie in (0, 1)")
+    n_draws = _positive_draw_count(n_draws)
     hist_a = _pattern_histogram(sampler_a(n_draws, seed), n)
     hist_b = _pattern_histogram(sampler_b(n_draws, seed + 1), n)
     total_a = int(hist_a.sum())
@@ -211,7 +227,11 @@ class ClosureReport:
 
 
 def poisson_closure_report(tree, params, field, n_draws, seed, tolerance=4.0):
-    """Sample ``field``, the chain's Poisson field, and compare all zero patterns."""
+    """Sample ``field``, the chain's Poisson field, and compare all zero patterns.
+
+    ``n_draws < 1`` is a :class:`DomainError`, raised before sampling.
+    """
+    n_draws = _positive_draw_count(n_draws)
     words = sample_poisson_field_many(field, n_draws, seed)
     zeros_on = _zeros_on_table(_pattern_histogram(words, tree.n), tree.n)
     weights = scaled_params(tree, params)

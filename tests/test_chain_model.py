@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from treerep import chain_model
 from treerep.chain_model import (
     ChainParams,
     _coins,
@@ -257,13 +258,21 @@ def test_degenerate_parameter_sampling():
     assert set(np.unique(draws)) == {7}
 
 
+def _slot_coins(seed, slot, q, size):
+    """All ``size`` coins of one slot, its blocks joined."""
+    return np.concatenate([np.zeros(0, dtype=bool), *_coins(seed, slot, q, size)])
+
+
 def test_coins_read_each_slots_stream_as_the_oracle_does():
     qs = [Fraction(0), Fraction(1), HALF, Fraction(1, 3),
           Fraction(1, 10 ** 30), 1 - Fraction(1, 10 ** 30)]
     for seed, slot in ((0, 0), (7, 1), (7, 46), (2 ** 64 - 1, 5)):
         for q in qs:
             for size in (0, 1, 12_345, 10 ** 5):
-                got = _coins(seed, slot, q, size)
+                blocks = [len(b) for b in _coins(seed, slot, q, size)]
+                assert blocks == [min(chain_model._BLOCK, size - lo)
+                                  for lo in range(0, size, chain_model._BLOCK)]
+                got = _slot_coins(seed, slot, q, size)
                 assert got.dtype == bool and got.shape == (size,)
                 assert np.array_equal(got, philox_coins(seed, slot, q, size))
 
@@ -276,14 +285,14 @@ def test_a_coin_is_true_strictly_below_the_floored_threshold():
         for q, expect in ((Fraction(h, 2**32), False),
                           (Fraction(2 * h + 1, 2**33), False),
                           (Fraction(h + 1, 2**32), True)):
-            assert bool(_coins(9, 3, q, 4)[j]) is expect
+            assert bool(_slot_coins(9, 3, q, 4)[j]) is expect
             assert bool(philox_coins(9, 3, q, 4)[j]) is expect
 
 
 def test_coins_of_different_slots_differ():
-    a, b = (_coins(3, slot, HALF, 1000) for slot in (0, 1))
+    a, b = (_slot_coins(3, slot, HALF, 1000) for slot in (0, 1))
     assert not np.array_equal(a, b)
-    assert not np.array_equal(a, _coins(4, 0, HALF, 1000))
+    assert not np.array_equal(a, _slot_coins(4, 0, HALF, 1000))
 
 
 def _cap_cases():
@@ -301,18 +310,46 @@ def _cap_cases():
     return cases
 
 
-def test_samplers_colour_and_pack_their_oracle_coins():
+def _assert_oracle_words(t, params, n_draws, seed):
     # from the same coins, the recursive walk equals the np.where walk and
     # percolation equals the int64-label gather, word for word in uint64
-    n_draws = 33
+    rec = sample_recursive_many(t, params, n_draws, seed)
+    perc = sample_percolation_many(t, params, n_draws, seed)
+    assert rec.dtype == perc.dtype == np.uint32
+    expect_rec = pack64(where_walk(t, *recursive_coins(t, params, n_draws, seed)))
+    expect_perc = pack64(gather_colour(t, *percolation_coins(t, params, n_draws, seed)))
+    assert rec.tolist() == expect_rec.tolist()
+    assert perc.tolist() == expect_perc.tolist()
+    return rec, perc
+
+
+def test_samplers_colour_and_pack_their_oracle_coins():
     for seed, (t, params) in enumerate(_cap_cases()):
-        rec = sample_recursive_many(t, params, n_draws, seed)
-        perc = sample_percolation_many(t, params, n_draws, seed)
-        assert rec.dtype == perc.dtype == np.uint32
-        expect_rec = pack64(where_walk(t, *recursive_coins(t, params, n_draws, seed)))
-        expect_perc = pack64(gather_colour(t, *percolation_coins(t, params, n_draws, seed)))
-        assert rec.tolist() == expect_rec.tolist()
-        assert perc.tolist() == expect_perc.tolist()
+        _assert_oracle_words(t, params, 33, seed)
+
+
+def test_small_blocks_give_the_oracle_words(monkeypatch):
+    # 33 draws in blocks of 6: five whole blocks and one of 3
+    monkeypatch.setattr(chain_model, "_BLOCK", 6)
+    for seed, (t, params) in enumerate(_cap_cases()):
+        rec, perc = _assert_oracle_words(t, params, 33, seed)
+        for k in (5, 6, 7, 13):
+            assert np.array_equal(sample_recursive_many(t, params, k, seed), rec[:k])
+            assert np.array_equal(sample_percolation_many(t, params, k, seed), perc[:k])
+
+
+def test_draw_counts_around_the_block_size_give_the_oracle_words():
+    block = chain_model._BLOCK
+    assert block % 2 == 0
+    t = build_tree([(0, 1), (0, 2), (2, 3), (2, 4), (4, 5)])
+    params = random_params(random.Random(6), t, denom=7)
+    longest = 2 * block + 3
+    rec, perc = _assert_oracle_words(t, params, longest, 5)
+    for n_draws in (block - 1, block + 1):
+        # fewer draws end mid-block where more draws run on
+        got = _assert_oracle_words(t, params, n_draws, 5)
+        assert np.array_equal(got[0], rec[:n_draws])
+        assert np.array_equal(got[1], perc[:n_draws])
 
 
 # parameters at and past the edges of float64: r = 1/10^400 rounds to

@@ -6,6 +6,7 @@ chosen tolerances either hold forever or never.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -68,6 +69,54 @@ def test_arrivals_beyond_one_chunk_are_all_placed():
     assert (sample_poisson_field_many(saturated, 3, seed=0) == 1).all()
 
 
+def test_field_words_do_not_depend_on_the_arrival_chunk(monkeypatch):
+    # Generator.integers reads its stream the same way however a count is
+    # split, odd splits included, so the scatter may place arrivals in chunks
+    t = path(4)
+    field = field_from_chain(t, uniform_params(t, F(1, 2), F(1, 2)))
+    words = []
+    for chunk in (1, 7, 1 << 14, 1 << 18):
+        monkeypatch.setattr(mc_verify, "_ARRIVAL_CHUNK", chunk)
+        words.append(sample_poisson_field_many(field, 3000, seed=8).tolist())
+    assert words[0] == words[1] == words[2] == words[3]
+
+
+TRACED_SLACK = 32 << 10  # bytes of Python objects, far below one block's arrays
+
+
+def _traced_peak(call):
+    """Peak bytes traced while ``call()`` runs, numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampler_temporaries_do_not_grow_with_the_draw_count():
+    # numpy reports its buffers to tracemalloc: from 10^5 to 4 * 10^5 draws
+    # a sampler's traced peak grows by its output's growth and no more
+    t = path(8)
+    params = uniform_params(t, F(1, 2), F(9, 10))
+    samplers = [
+        (partial(sample_recursive_many, t, params), 4),
+        (partial(sample_percolation_many, t, params), 4),
+        (partial(sample_poisson_field_many, field_from_chain(t, params)), 8),
+    ]
+    for sampler, word_bytes in samplers:
+        small, large = (_traced_peak(partial(sampler, n_draws, 1))
+                        for n_draws in (10 ** 5, 4 * 10 ** 5))
+        assert large - small <= 3 * 10 ** 5 * word_bytes + TRACED_SLACK
+
+
+def test_pattern_histogram_temporaries_do_not_grow_with_the_draw_count():
+    words = np.arange(4 * 10 ** 5, dtype=np.uint64) % 200
+    small, large = (_traced_peak(partial(mc_verify._pattern_histogram, words[:n_draws], 8))
+                    for n_draws in (10 ** 5, 4 * 10 ** 5))
+    assert large - small <= TRACED_SLACK
+
+
 def test_overlapping_atoms_follow_independent_bernoulli_hits():
     atoms = ((VertexSet.of(0, 1), 0.7), (VertexSet.of(1, 2), 1.2))
     field = PoissonField(measure=SignedMeasure(3, {}), atoms=atoms)
@@ -122,6 +171,25 @@ def test_closure_on_a_small_representable_chain():
     assert report.checked == 7
     assert report.passed, report
     assert report.max_sigmas <= 4.0
+
+
+def test_closure_refuses_fewer_than_one_draw_before_sampling(monkeypatch):
+    t = path(3)
+    params = uniform_params(t, F(1, 2), F(1, 2))
+    field = field_from_chain(t, params)
+    monkeypatch.setattr(mc_verify, "sample_poisson_field_many", None)  # not to be called
+    for n_draws in (0, -1):
+        with pytest.raises(DomainError, match="n_draws"):
+            poisson_closure_report(t, params, field, n_draws, seed=0)
+
+
+def test_comparison_refuses_fewer_than_one_draw_before_sampling():
+    def sampler(n_draws, seed):
+        raise AssertionError("sampled %d draws" % n_draws)
+
+    for n_draws in (0, -1):
+        with pytest.raises(DomainError, match="n_draws"):
+            compare_laws(sampler, sampler, 3, n_draws=n_draws)
 
 
 def test_chain_samplers_agree():
