@@ -425,8 +425,8 @@ def sample_recursive_many(tree, params, n_draws, seed):
 
     def walk(x):
         x[root] = ~next(root_fresh)
-        for v, up, resample, fresh in steps:
-            up = x[up]
+        for v, parent, resample, fresh in steps:
+            up = x[parent]
             # fresh where resampled, else the parent's value: np.where branches per element
             x[v] = up ^ (next(resample) & (~next(fresh) ^ up))
 

@@ -86,9 +86,11 @@ def sample_poisson_field_many(field: PoissonField, n_draws, seed) -> np.ndarray:
     receive are i.i.d. Poisson(lambda_K), independent across atoms, so
     this is the field's law, for about n_draws * Lambda integer draws
     in all, where Lambda = sum of lambda_K = -log P(X = 0 everywhere).
-    Randomness is consumed atom by atom in bitmask order, so output is
-    reproducible per seed.  A seed outside [0, 2^64) or a negative draw
-    count is a :class:`DomainError`.
+    Arrivals are placed ``_ARRIVAL_CHUNK`` = 2^14 at a time, so only the
+    output grows with ``n_draws``; the words do not depend on the chunk
+    size.  Randomness is consumed atom by atom in bitmask order, so
+    output is reproducible per seed.  A seed outside [0, 2^64) or a
+    negative draw count is a :class:`DomainError`.
     """
     n_draws = _draw_count(n_draws)
     rng = _rng(seed)
@@ -104,8 +106,8 @@ def sample_poisson_field_many(field: PoissonField, n_draws, seed) -> np.ndarray:
 
 
 def _positive_draw_count(n_draws):
-    """``n_draws`` as a positive integer, else :class:`DomainError`: the
-    checks below divide by it."""
+    """``n_draws`` as a positive integer, else :class:`DomainError`:
+    :func:`compare_laws` and :func:`poisson_closure_report` divide by it."""
     n_draws = _draw_count(n_draws)
     if n_draws < 1:
         raise DomainError("n_draws must be at least 1, got %d" % n_draws)
@@ -113,6 +115,8 @@ def _positive_draw_count(n_draws):
 
 
 def _pattern_histogram(words, n):
+    """Draws per pattern of ``n`` vertices, counted a block of draws at a
+    time: ``np.bincount`` wants int64, and a block's copy stays small."""
     if len(words) and int(words.max()) >> n:
         raise ValueError("sampler produced a pattern outside %d vertices" % n)
     hist = np.zeros(1 << n, dtype=np.int64)
