@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tree_core import DomainError, VertexSet, as_int, decode_json_object
+from .tree_core import DomainError, VertexSet, _nonnegative, as_int, decode_json_object
 
 
 def as_fraction(x):
@@ -332,14 +332,6 @@ def _key(seed):
     return seed
 
 
-def _draw_count(n_draws):
-    """``n_draws`` as a nonnegative integer, else :class:`DomainError`."""
-    n_draws = as_int(n_draws, "n_draws")
-    if n_draws < 0:
-        raise DomainError("n_draws must be nonnegative, got %d" % n_draws)
-    return n_draws
-
-
 def _rng(seed):
     """A generator on the Philox stream of counter 0 at ``seed``."""
     return np.random.Generator(np.random.Philox(key=_key(seed)))
@@ -413,7 +405,7 @@ def sample_recursive_many(tree, params, n_draws, seed):
     outside [0, 2^64) or a negative draw count is a :class:`DomainError`.
     """
     _check_params(tree, params)
-    n_draws, key = _draw_count(n_draws), _key(seed)
+    n_draws, key = _nonnegative(n_draws, "n_draws"), _key(seed)
     root, *rest = tree.preorder
     root_fresh = _coins(key, 0, params.r[root], n_draws)
     steps = [
@@ -445,7 +437,7 @@ def sample_percolation_many(tree, params, n_draws, seed):
     :func:`sample_recursive_many`.
     """
     _check_params(tree, params)
-    n_draws, key = _draw_count(n_draws), _key(seed)
+    n_draws, key = _nonnegative(n_draws, "n_draws"), _key(seed)
     fresh_coins = [_coins(key, tree.n - 1 + v, params.r[v], n_draws) for v in range(tree.n)]
     cut_coins = [
         (v, _coins(key, k, params.p[tree.parent_edge[v]], n_draws))

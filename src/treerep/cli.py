@@ -26,7 +26,10 @@ byte-identical files.
 
 Exit status: 0 on success, 1 when an asserted outcome does not hold
 (``--expect`` mismatch, or a failed ``verify``/``scaling-check``/
-``deriv-check`` comparison), 2 on usage or input errors.
+``deriv-check`` comparison), 2 on usage or input errors.  Every refusal
+is a :class:`~treerep.tree_core.DomainError`: this module raises it for
+command-line text it cannot parse, the library for every other bad
+input.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
 from .chain_model import (
+    as_fraction,
     make_params,
     params_from_json,
     sample_percolation_many,
@@ -75,10 +78,6 @@ from .tree_core import (
     star,
     tree_from_json,
 )
-
-
-class UsageError(Exception):
-    """Bad flags, malformed inputs, or out-of-range parameters (exit 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +136,6 @@ def config_digest(config: RunConfig) -> str:
 # exact parsing helpers
 
 
-def parse_rational(text) -> Fraction:
-    """``a/b`` or decimal literal, exactly; floats never appear."""
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError):
-        raise UsageError("not an exact rational: %r" % text) from None
-
-
 def parse_grid(text) -> list:
     """Comma list, or ``start:stop:step`` stepped exactly.
 
@@ -154,74 +145,75 @@ def parse_grid(text) -> list:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise UsageError("grid syntax is start:stop:step, got %r" % text)
-        start, stop, step = (parse_rational(part) for part in parts)
+            raise DomainError("grid syntax is start:stop:step, got %r" % text)
+        start, stop, step = (as_fraction(part) for part in parts)
         if step <= 0:
-            raise UsageError("grid step must be positive")
+            raise DomainError("grid step must be positive")
         if stop < start:
-            raise UsageError("grid stop lies before start")
+            raise DomainError("grid stop lies before start")
         values = []
         value = start
         while value <= stop:
             values.append(value)
             value += step
         return values
-    return [parse_rational(part) for part in text.split(",")]
+    return [as_fraction(part) for part in text.split(",")]
 
 
 def parse_index_range(text) -> list:
     """``3..8`` (inclusive) or a comma list of integers."""
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise UsageError("empty range %r" % text)
-            return list(range(lo, hi + 1))
-        return [int(part) for part in text.split(",")]
+        if ".." not in text:
+            return [int(part) for part in text.split(",")]
+        lo_text, hi_text = text.split("..", 1)
+        lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        raise UsageError("not an integer range: %r" % text) from None
+        raise DomainError("not an integer range: %r" % text) from None
+    if hi < lo:
+        raise DomainError("empty range %r" % text)
+    return list(range(lo, hi + 1))
 
 
-_GENERATORS = {"path": (path, 1), "star": (star, 1), "spider": (spider, 2), "octopus": (octopus, 2)}
+# builder, sizes it takes, and an example spec for the refusal message
+_GENERATORS = {
+    "path": (path, 1, "path:5"),
+    "star": (star, 1, "star:4"),
+    "spider": (spider, 2, "spider:3x2"),
+    "octopus": (octopus, 2, "octopus:3x2"),
+}
 
 
 def parse_tree(spec):
     """``path:5``, ``star:4``, ``spider:3x2``, ``octopus:3x2``, or a JSON file."""
     kind, sep, rest = spec.partition(":")
     if sep and kind in _GENERATORS:
-        builder, arity = _GENERATORS[kind]
+        builder, arity, example = _GENERATORS[kind]
         try:
             args = tuple(int(part) for part in rest.split("x"))
         except ValueError:
             args = ()
         if len(args) != arity:
-            raise UsageError(
-                "tree %r needs %d integer size(s), e.g. %s" % (spec, arity, _EXAMPLE[kind])
-            )
+            raise DomainError("tree %r needs %d integer size(s), e.g. %s" % (spec, arity, example))
         return builder(*args)
     try:
         with open(spec, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError("cannot read tree file %r: %s" % (spec, exc)) from None
+        raise DomainError("cannot read tree file %r: %s" % (spec, exc)) from None
     return tree_from_json(text)
 
 
-_EXAMPLE = {"path": "path:5", "star": "star:4", "spider": "spider:3x2", "octopus": "octopus:3x2"}
-
-
 def _param_spec(text, count, flag):
-    """A scalar Fraction, or exactly ``count`` comma-separated ones."""
+    """A scalar rational, or exactly ``count`` comma-separated ones."""
     parts = [part.strip() for part in text.split(",")]
     if len(parts) == 1:
-        return parse_rational(parts[0])
+        return as_fraction(parts[0])
     if len(parts) != count:
-        raise UsageError(
+        raise DomainError(
             "%s takes one value or %d comma-separated values, got %d"
             % (flag, count, len(parts))
         )
-    return [parse_rational(part) for part in parts]
+    return [as_fraction(part) for part in parts]
 
 
 def resolve_params(tree, config):
@@ -231,10 +223,10 @@ def resolve_params(tree, config):
             with open(config.params, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError("cannot read params file %r: %s" % (config.params, exc)) from None
+            raise DomainError("cannot read params file %r: %s" % (config.params, exc)) from None
         return params_from_json(tree, text)
     if config.r is None or config.p is None:
-        raise UsageError("give --params FILE, or both --r and --p")
+        raise DomainError("give --params FILE, or both --r and --p")
     r_spec = _param_spec(config.r, tree.n, "--r")
     if isinstance(r_spec, list):
         r_spec = dict(enumerate(r_spec))
@@ -249,7 +241,7 @@ def parse_vertices(text) -> list:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
-        raise UsageError("not a vertex list: %r" % text) from None
+        raise DomainError("not a vertex list: %r" % text) from None
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +303,7 @@ def _cmd_analyze(config):
 def _cmd_scan(config):
     tree = parse_tree(config.tree)
     if config.r_grid is None or config.p_grid is None:
-        raise UsageError("scan needs --r-grid and --p-grid")
+        raise DomainError("scan needs --r-grid and --p-grid")
     points = phase_scan(tree, parse_grid(config.r_grid), parse_grid(config.p_grid))
     rows = []
     for point in points:
@@ -337,7 +329,7 @@ _R0_NOTE = (
 
 def _cmd_thresholds(config):
     if config.ns is None:
-        raise UsageError("thresholds needs --n, e.g. --n 3..8")
+        raise DomainError("thresholds needs --n, e.g. --n 3..8")
     rows = threshold_table(parse_index_range(config.ns))
     table = []
     notes = []
@@ -383,12 +375,12 @@ def _octopus_closed_form(config, tree, params, subset, vertices):
 def _cmd_deriv_check(config):
     tree = parse_tree(config.tree)
     if config.subset is None or config.multiset is None:
-        raise UsageError("deriv-check needs --set and --multiset")
+        raise DomainError("deriv-check needs --set and --multiset")
     subset = VertexSet.of(*parse_vertices(config.subset))
     closed = None
     if config.at in ("p0", "p1"):
         if config.r is None:
-            raise UsageError("--at %s needs --r (vertex laws)" % config.at)
+            raise DomainError("--at %s needs --r (vertex laws)" % config.at)
         base_p = "0" if config.at == "p0" else "1"
         params = resolve_params(
             tree, dataclasses.replace(config, p=config.p if config.p is not None else base_p)
@@ -406,7 +398,7 @@ def _cmd_deriv_check(config):
         multiset_text = str(edges)
     elif config.at == "r1":
         if config.p is None:
-            raise UsageError("--at r1 needs --p (edge parameters)")
+            raise DomainError("--at r1 needs --p (edge parameters)")
         params = resolve_params(
             tree, dataclasses.replace(config, r=config.r if config.r is not None else "1")
         )
@@ -415,7 +407,7 @@ def _cmd_deriv_check(config):
         closed = _octopus_closed_form(config, tree, params, subset, vertices)
         multiset_text = ",".join(str(v) for v in sorted(vertices))
     else:
-        raise UsageError("deriv-check needs --at p0, p1 or r1")
+        raise DomainError("deriv-check needs --at p0, p1 or r1")
     payload = {
         "command": "deriv-check",
         "tree": config.tree,
@@ -448,11 +440,11 @@ def _cmd_verify(config):
     tree = parse_tree(config.tree)
     params = resolve_params(tree, config)
     if config.draws < 1:
-        raise UsageError("--draws must be positive")
+        raise DomainError("--draws must be positive")
     if not 0 <= config.seed <= _MAX_VERIFY_SEED:
-        raise UsageError("--seed must lie in [0, 2^64 - 5]: the checks use seeds seed to seed + 4")
-    alpha = parse_rational(config.alpha)
-    tolerance = parse_rational(config.tolerance)
+        raise DomainError("--seed must lie in [0, 2^64 - 5]: the checks use seeds seed to seed + 4")
+    alpha = as_fraction(config.alpha)
+    tolerance = as_fraction(config.tolerance)
     field = field_from_chain(tree, params)
 
     def percolation(n_draws, seed):
@@ -501,11 +493,11 @@ def _cmd_verify(config):
 def _cmd_scaling_check(config):
     tree = parse_tree(config.tree)
     if config.r is None or config.p is None:
-        raise UsageError("scaling-check needs uniform --r and --p")
+        raise DomainError("scaling-check needs uniform --r and --p")
     if config.k is None:
-        raise UsageError("scaling-check needs --k")
-    r = parse_rational(config.r)
-    p = parse_rational(config.p)
+        raise DomainError("scaling-check needs --k")
+    r = as_fraction(config.r)
+    p = as_fraction(config.p)
     passed = scaling_check(tree, r, p, config.k)
     payload = {
         "command": "scaling-check",
@@ -536,11 +528,11 @@ def run(config: RunConfig) -> int:
     0: success (and any asserted outcome holds); 1: the artifact was
     written but an asserted outcome failed (``--expect`` mismatch, a
     rejected sampler comparison, a failed closure or scaling identity,
-    or a closed-form mismatch); 2: usage or input error, including
-    malformed files, out-of-range parameters and exceeded size caps
-    (:class:`UsageError` and the library's
-    :class:`~treerep.tree_core.DomainError`).  Anything else is a bug
-    and propagates.
+    or a closed-form mismatch); 2: a
+    :class:`~treerep.tree_core.DomainError`, raised here for text that
+    cannot be parsed and by the library for every other bad input, such
+    as malformed files, out-of-range parameters and exceeded size caps.
+    Anything else is a bug and propagates.
     """
     handler = _DISPATCH.get(config.command)
     if handler is None:
@@ -548,7 +540,7 @@ def run(config: RunConfig) -> int:
         return 2
     try:
         return handler(config)
-    except (UsageError, DomainError) as exc:
+    except DomainError as exc:
         print("treerep: %s" % exc, file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ them to ~1e-12 relative); Monte-Carlo tolerances dwarf that.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -24,9 +25,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import chdtrc
 
-from .chain_model import _blocks, _draw_count, _rng, prob_all_zero, scaled_params
+from .chain_model import _blocks, _rng, prob_all_zero, scaled_params
 from .signed_measure import SignedMeasure, nu_full
-from .tree_core import DomainError, VertexSet
+from .tree_core import DomainError, VertexSet, _nonnegative
 
 MAX_FIELD_ORDER = 12
 
@@ -92,7 +93,7 @@ def sample_poisson_field_many(field: PoissonField, n_draws, seed) -> np.ndarray:
     output is reproducible per seed.  A seed outside [0, 2^64) or a
     negative draw count is a :class:`DomainError`.
     """
-    n_draws = _draw_count(n_draws)
+    n_draws = _nonnegative(n_draws, "n_draws")
     rng = _rng(seed)
     words = np.zeros(n_draws, dtype=np.uint64)
     for atom, intensity in field.atoms:
@@ -105,10 +106,10 @@ def sample_poisson_field_many(field: PoissonField, n_draws, seed) -> np.ndarray:
     return words
 
 
-def _positive_draw_count(n_draws):
+def _at_least_one_draw(n_draws):
     """``n_draws`` as a positive integer, else :class:`DomainError`:
     :func:`compare_laws` and :func:`poisson_closure_report` divide by it."""
-    n_draws = _draw_count(n_draws)
+    n_draws = _nonnegative(n_draws, "n_draws")
     if n_draws < 1:
         raise DomainError("n_draws must be at least 1, got %d" % n_draws)
     return n_draws
@@ -162,19 +163,26 @@ def compare_laws(sampler_a, sampler_b, n, n_draws=100_000, alpha=0.01, seed=0):
     (``seed`` and ``seed + 1``).  Cells start as all 2^n patterns and
     the smallest-count cells are merged pairwise (ties by pattern id)
     until every expected count reaches 5, the standard validity
-    threshold.  Fails loudly if pooling cannot get there, and refuses
+    threshold.  Fails loudly if pooling cannot get there, or if both
+    samples fall on one pattern, which no number of draws mends; refuses
     ``n_draws < 1`` before sampling.
     """
     if not 1 <= n <= MAX_FIELD_ORDER:
         raise DomainError("pattern chi-square needs 1 <= n <= %d" % MAX_FIELD_ORDER)
     if not 0 < alpha < 1:
         raise DomainError("alpha must lie in (0, 1)")
-    n_draws = _positive_draw_count(n_draws)
+    n_draws = _at_least_one_draw(n_draws)
     hist_a = _pattern_histogram(sampler_a(n_draws, seed), n)
     hist_b = _pattern_histogram(sampler_b(n_draws, seed + 1), n)
     total_a = int(hist_a.sum())
     total_b = int(hist_b.sum())
     share = min(total_a, total_b) / (total_a + total_b)
+    seen = np.flatnonzero(hist_a + hist_b)
+    if len(seen) == 1:
+        raise DomainError(
+            "every draw of both samples is the pattern with ones on %r: "
+            "a chi-square comparison needs two observed patterns" % VertexSet(int(seen[0]))
+        )
 
     # each cell: [pooled count, tie-break key, count_a, count_b]
     cells = sorted(
@@ -184,12 +192,7 @@ def compare_laws(sampler_a, sampler_b, n, n_draws=100_000, alpha=0.01, seed=0):
     while len(cells) > 1 and cells[0][0] * share < 5:
         lo = cells.pop(0)
         hi = cells.pop(0)
-        merged = [lo[0] + hi[0], min(lo[1], hi[1]), lo[2] + hi[2], lo[3] + hi[3]]
-        # re-insert keeping the ascending order
-        at = 0
-        while at < len(cells) and cells[at] < merged:
-            at += 1
-        cells.insert(at, merged)
+        bisect.insort(cells, [lo[0] + hi[0], min(lo[1], hi[1]), lo[2] + hi[2], lo[3] + hi[3]])
     if len(cells) < 2 or cells[0][0] * share < 5:
         raise DomainError("not enough draws: pooling cannot reach expected counts of 5")
 
@@ -233,9 +236,12 @@ class ClosureReport:
 def poisson_closure_report(tree, params, field, n_draws, seed, tolerance=4.0):
     """Sample ``field``, the chain's Poisson field, and compare all zero patterns.
 
-    ``n_draws < 1`` is a :class:`DomainError`, raised before sampling.
+    ``n_draws < 1`` and a ``tolerance`` that is not >= 0 (NaN included)
+    are :class:`DomainError`, raised before sampling.
     """
-    n_draws = _positive_draw_count(n_draws)
+    n_draws = _at_least_one_draw(n_draws)
+    if not tolerance >= 0:
+        raise DomainError("tolerance must be >= 0, got %r" % (tolerance,))
     words = sample_poisson_field_many(field, n_draws, seed)
     zeros_on = _zeros_on_table(_pattern_histogram(words, tree.n), tree.n)
     weights = scaled_params(tree, params)

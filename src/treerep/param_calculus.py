@@ -34,7 +34,7 @@ from fractions import Fraction
 from .chain_model import ChainParams, as_fraction, prob_all_zero, scaled_params
 from .signed_measure import connected_log_events, signed_products
 from .thresholds import f_poly
-from .tree_core import DomainError, VertexSet, as_int, is_connected, spanning_subtree
+from .tree_core import DomainError, VertexSet, _nonnegative, as_int, is_connected, spanning_subtree
 
 DEFAULT_JET_CAP = 6
 
@@ -245,13 +245,6 @@ class DualValue:
     def __repr__(self):
         body = ", ".join("%s: %s" % (e, c) for e, c in self.terms.items())
         return "DualValue(caps=%s, order=%d, {%s})" % (self.caps, self.order, body)
-
-
-def _nonnegative(x, what):
-    x = as_int(x, what)
-    if x < 0:
-        raise DomainError("%s must be nonnegative, got %d" % (what, x))
-    return x
 
 
 @dataclass(frozen=True)

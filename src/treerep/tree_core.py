@@ -20,8 +20,9 @@ class DomainError(ValueError):
     """An input outside the library's domain (exit 2 on the command line).
 
     Raised for bad trees, vertex sets and parameters and for exceeded
-    size caps.  Any other exception, a plain ``ValueError`` included,
-    is a bug.
+    size caps, and by the CLI for command-line text it cannot parse; it
+    is the one exception the CLI turns into exit 2.  Any other
+    exception, a plain ``ValueError`` included, is a bug.
     """
 
 
@@ -34,6 +35,14 @@ def as_int(x, what):
         except TypeError:
             pass
     raise DomainError("%s must be an integer, got %r" % (what, x))
+
+
+def _nonnegative(x, what):
+    """``x`` as a nonnegative integer, else a :class:`DomainError` naming ``what``."""
+    x = as_int(x, what)
+    if x < 0:
+        raise DomainError("%s must be nonnegative, got %d" % (what, x))
+    return x
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,17 @@ from fractions import Fraction
 
 import pytest
 
+from treerep.chain_model import as_fraction
 from treerep.cli import (
     RunConfig,
-    UsageError,
     config_digest,
     main,
     parse_grid,
     parse_index_range,
-    parse_rational,
     parse_tree,
     run,
 )
-from treerep.tree_core import tree_to_json
+from treerep.tree_core import DomainError, tree_to_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -161,14 +160,14 @@ def test_stdout_matches_file_artifact(tmp_path, capsys):
 # exact parsing
 
 
-def test_parse_rational_is_exact():
-    assert parse_rational("0.45") == Fraction(9, 20)
-    assert parse_rational("9/20") == Fraction(9, 20)
-    assert parse_rational(" 1 ") == 1
-    with pytest.raises(UsageError):
-        parse_rational("almost 1/2")
-    with pytest.raises(UsageError):
-        parse_rational("1/0")
+def test_command_line_rationals_are_exact():
+    assert as_fraction("0.45") == Fraction(9, 20)
+    assert as_fraction("9/20") == Fraction(9, 20)
+    assert as_fraction(" 1 ") == 1
+    with pytest.raises(DomainError):
+        as_fraction("almost 1/2")
+    with pytest.raises(DomainError):
+        as_fraction("1/0")
 
 
 def test_parse_grid_exact_stepping():
@@ -184,11 +183,11 @@ def test_parse_grid_exact_stepping():
     assert parse_grid("1/10:1/2:3/10") == [Fraction(1, 10), Fraction(2, 5)]
     assert parse_grid("1/4,3/4") == [Fraction(1, 4), Fraction(3, 4)]
     assert parse_grid("1/2") == [Fraction(1, 2)]
-    with pytest.raises(UsageError):
+    with pytest.raises(DomainError):
         parse_grid("1:2")
-    with pytest.raises(UsageError):
+    with pytest.raises(DomainError):
         parse_grid("0:1:0")
-    with pytest.raises(UsageError):
+    with pytest.raises(DomainError):
         parse_grid("3/4:1/4:1/4")
 
 
@@ -196,9 +195,9 @@ def test_parse_index_range():
     assert parse_index_range("3..8") == [3, 4, 5, 6, 7, 8]
     assert parse_index_range("4,6,3") == [4, 6, 3]
     assert parse_index_range("5") == [5]
-    with pytest.raises(UsageError):
+    with pytest.raises(DomainError):
         parse_index_range("8..3")
-    with pytest.raises(UsageError):
+    with pytest.raises(DomainError):
         parse_index_range("three")
 
 
@@ -212,11 +211,11 @@ def test_parse_tree_generators_and_files(tmp_path):
     stored.write_text(tree_to_json(parse_tree("spider:3x2")))
     assert parse_tree(str(stored)).edges == parse_tree("spider:3x2").edges
 
-    with pytest.raises(UsageError):
+    with pytest.raises(DomainError):
         parse_tree("spider:3")  # missing leg length
-    with pytest.raises(UsageError):
+    with pytest.raises(DomainError):
         parse_tree("path:many")
-    with pytest.raises(UsageError):
+    with pytest.raises(DomainError):
         parse_tree(str(tmp_path / "missing.json"))
     broken = tmp_path / "broken.json"
     broken.write_text('{"edges": [[0, 0]]}')
@@ -284,6 +283,60 @@ def test_usage_errors_exit_2(capsys):
     assert "treerep:" in err
 
 
+_NO_FILE = "[Errno 2] No such file or directory: 'missing.json'"
+_SCAN = ["scan", "--tree", "path:3", "--p-grid", "1/2", "--r-grid"]
+_VERIFY = ["verify", "--tree", "path:2", "--r", "1/2", "--p", "1/2"]
+
+TEXT_REFUSALS = [
+    (["analyze", "--tree", "path:3", "--r", "x", "--p", "1/2"], "not an exact rational: 'x'"),
+    (["analyze", "--tree", "path:3", "--r", "1/2", "--p", "1/0"], "not an exact rational: '1/0'"),
+    (_SCAN + ["nan"], "not an exact rational: 'nan'"),
+    (_SCAN + ["1:2"], "grid syntax is start:stop:step, got '1:2'"),
+    (_SCAN + ["0:1:0"], "grid step must be positive"),
+    (_SCAN + ["3/4:1/4:1/4"], "grid stop lies before start"),
+    (["thresholds", "--n", "8..3"], "empty range '8..3'"),
+    (["thresholds", "--n", "three"], "not an integer range: 'three'"),
+    (["analyze", "--tree", "spider:3", "--r", "1/2", "--p", "1/2"],
+     "tree 'spider:3' needs 2 integer size(s), e.g. spider:3x2"),
+    (["analyze", "--tree", "missing.json", "--r", "1/2", "--p", "1/2"],
+     "cannot read tree file 'missing.json': " + _NO_FILE),
+    (["analyze", "--tree", "path:2", "--params", "missing.json"],
+     "cannot read params file 'missing.json': " + _NO_FILE),
+    (["analyze", "--tree", "path:3", "--r", "1/2,1/3", "--p", "1/2"],
+     "--r takes one value or 3 comma-separated values, got 2"),
+    (["analyze", "--tree", "path:3", "--r", "1/2"], "give --params FILE, or both --r and --p"),
+    (_VERIFY + ["--draws", "0"], "--draws must be positive"),
+    (_VERIFY + ["--seed", "-1"],
+     "--seed must lie in [0, 2^64 - 5]: the checks use seeds seed to seed + 4"),
+    (_VERIFY + ["--alpha", "1_0/"], "not an exact rational: '1_0/'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", TEXT_REFUSALS)
+def test_text_refusals_exit_2_with_one_stderr_line(monkeypatch, tmp_path, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "artifact"]) == 2
+    assert capsys.readouterr() == ("", "treerep: %s\n" % message)
+    assert not (tmp_path / "artifact").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--r", "1", "--draws", "200000"],
+         "every draw of both samples is the pattern with ones on VertexSet({}): "
+         "a chi-square comparison needs two observed patterns"),
+        (["--r", "1/2", "--draws", "2000", "--tolerance", "-1"], "tolerance must be >= 0, got -1.0"),
+    ],
+)
+def test_verify_checks_that_cannot_pass_exit_2(tmp_path, capsys, extra, message):
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--tree", "path:3", "--p", "1/2", "--out", str(out)]
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err == "treerep: %s\n" % message
+    assert not out.exists()
+
+
 def test_broken_kernel_invariant_escapes_instead_of_exit_2(monkeypatch, tmp_path):
     import treerep.signed_measure as signed_measure
 
@@ -344,7 +397,7 @@ def test_plain_value_error_from_a_tree_builder_escapes(monkeypatch):
     def broken(n):
         raise ValueError("an internal bug")
 
-    monkeypatch.setitem(cli._GENERATORS, "path", (broken, 1))
+    monkeypatch.setitem(cli._GENERATORS, "path", (broken, 1, "path:5"))
     with pytest.raises(ValueError, match="internal bug"):
         main(["analyze", "--tree", "path:3", "--r", "1/2", "--p", "1/2"])
 

@@ -183,6 +183,16 @@ def test_closure_refuses_fewer_than_one_draw_before_sampling(monkeypatch):
             poisson_closure_report(t, params, field, n_draws, seed=0)
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan])
+def test_closure_refuses_a_tolerance_below_zero_before_sampling(monkeypatch, tolerance):
+    t = path(3)
+    params = uniform_params(t, F(1, 2), F(1, 2))
+    field = field_from_chain(t, params)
+    monkeypatch.setattr(mc_verify, "sample_poisson_field_many", None)  # not to be called
+    with pytest.raises(DomainError, match="tolerance must be >= 0"):
+        poisson_closure_report(t, params, field, 1000, seed=0, tolerance=tolerance)
+
+
 def test_comparison_refuses_fewer_than_one_draw_before_sampling():
     def sampler(n_draws, seed):
         raise AssertionError("sampled %d draws" % n_draws)
@@ -248,6 +258,25 @@ def test_pooling_gives_up_without_enough_draws():
     t = path(2)
     params = uniform_params(t, F(1, 2), F(1, 2))
     with pytest.raises(ValueError):
+        compare_laws(partial(sample_recursive_many, t, params),
+                     partial(sample_recursive_many, t, params),
+                     t.n, n_draws=4, seed=1)
+
+
+def test_one_observed_pattern_is_not_a_shortage_of_draws():
+    # no number of draws gives a chi-square a second cell here
+    t = path(3)
+    certain = partial(sample_recursive_many, t, uniform_params(t, F(1), F(1, 2)))
+    with pytest.raises(DomainError, match=r"pattern with ones on VertexSet\(\{\}\): "
+                       "a chi-square comparison needs two observed patterns"):
+        compare_laws(certain, certain, t.n, n_draws=200_000, seed=1)
+    ones = lambda n_draws, seed: np.full(n_draws, 3, dtype=np.uint64)
+    with pytest.raises(DomainError, match=r"ones on VertexSet\(\{0, 1\}\)"):
+        compare_laws(ones, ones, 2, n_draws=1000)
+    # a sparse sample that a larger one would mend keeps its own message
+    t = path(2)
+    params = uniform_params(t, F(1, 2), F(1, 2))
+    with pytest.raises(DomainError, match="not enough draws"):
         compare_laws(partial(sample_recursive_many, t, params),
                      partial(sample_recursive_many, t, params),
                      t.n, n_draws=4, seed=1)
