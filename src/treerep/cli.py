@@ -51,6 +51,8 @@ from .chain_model import (
     sample_recursive_many,
 )
 from .mc_verify import (
+    _check_alpha,
+    _check_tolerance,
     compare_laws,
     field_from_chain,
     poisson_closure_report,
@@ -445,6 +447,8 @@ def _cmd_verify(config):
         raise DomainError("--seed must lie in [0, 2^64 - 5]: the checks use seeds seed to seed + 4")
     alpha = as_fraction(config.alpha)
     tolerance = as_fraction(config.tolerance)
+    _check_alpha(float(alpha))
+    _check_tolerance(float(tolerance))
     field = field_from_chain(tree, params)
 
     def percolation(n_draws, seed):

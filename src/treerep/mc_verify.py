@@ -115,6 +115,18 @@ def _at_least_one_draw(n_draws):
     return n_draws
 
 
+def _check_alpha(alpha):
+    """A chi-square level outside (0, 1) is a :class:`DomainError`."""
+    if not 0 < alpha < 1:
+        raise DomainError("alpha must lie in (0, 1)")
+
+
+def _check_tolerance(tolerance):
+    """A closure tolerance that is not >= 0, NaN included, is a :class:`DomainError`."""
+    if not tolerance >= 0:
+        raise DomainError("tolerance must be >= 0, got %r" % (tolerance,))
+
+
 def _pattern_histogram(words, n):
     """Draws per pattern of ``n`` vertices, counted a block of draws at a
     time: ``np.bincount`` wants int64, and a block's copy stays small."""
@@ -169,8 +181,7 @@ def compare_laws(sampler_a, sampler_b, n, n_draws=100_000, alpha=0.01, seed=0):
     """
     if not 1 <= n <= MAX_FIELD_ORDER:
         raise DomainError("pattern chi-square needs 1 <= n <= %d" % MAX_FIELD_ORDER)
-    if not 0 < alpha < 1:
-        raise DomainError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     n_draws = _at_least_one_draw(n_draws)
     hist_a = _pattern_histogram(sampler_a(n_draws, seed), n)
     hist_b = _pattern_histogram(sampler_b(n_draws, seed + 1), n)
@@ -240,8 +251,7 @@ def poisson_closure_report(tree, params, field, n_draws, seed, tolerance=4.0):
     are :class:`DomainError`, raised before sampling.
     """
     n_draws = _at_least_one_draw(n_draws)
-    if not tolerance >= 0:
-        raise DomainError("tolerance must be >= 0, got %r" % (tolerance,))
+    _check_tolerance(tolerance)
     words = sample_poisson_field_many(field, n_draws, seed)
     zeros_on = _zeros_on_table(_pattern_histogram(words, tree.n), tree.n)
     weights = scaled_params(tree, params)

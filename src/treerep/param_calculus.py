@@ -40,36 +40,33 @@ DEFAULT_JET_CAP = 6
 
 
 class _Layout:
-    """The dense layout of one truncated ring, built once per ``(caps, order)``.
+    """The dense layout of one truncated ring, built once per ``caps``.
 
     ``exponents[i]`` is the monomial stored at index ``i``, in mixed-radix
     order over ``caps`` (the last direction varies fastest); ``index``
-    inverts it for the monomials inside the ring, those of total degree at
-    most ``order``.  ``rows[i]`` lists the ``(j, k)`` pairs whose product
+    inverts it.  ``rows[i]`` lists the ``(j, k)`` pairs whose product
     ``exponents[i] * exponents[j]`` is ``exponents[k]`` inside the ring,
     built in time proportional to the pairs listed.
     """
 
-    __slots__ = ("caps", "order", "exponents", "index", "rows")
+    __slots__ = ("caps", "exponents", "index", "rows")
 
-    def __init__(self, caps, order):
+    def __init__(self, caps):
         self.caps = caps
-        self.order = order
         self.exponents = list(itertools.product(*(range(cap + 1) for cap in caps)))
-        self.index = {e: i for i, e in enumerate(self.exponents) if sum(e) <= order}
+        self.index = {e: i for i, e in enumerate(self.exponents)}
         # Exponents inside the caps add digit by digit with no carry, so
         # their positions add too: i * j lands at i + j.
         rows = []
         for i, e1 in enumerate(self.exponents):
-            room = order - sum(e1)
             fits = itertools.product(*(range(cap - d + 1) for cap, d in zip(caps, e1)))
-            rows.append(tuple((self.index[e2], i + self.index[e2]) for e2 in fits if sum(e2) <= room))
+            rows.append(tuple((self.index[e2], i + self.index[e2]) for e2 in fits))
         self.rows = tuple(rows)
 
 
 @functools.lru_cache(maxsize=64)
-def _ring_layout(caps, order):
-    return _Layout(caps, order)
+def _ring_layout(caps):
+    return _Layout(caps)
 
 
 def _scalar(x):
@@ -78,38 +75,34 @@ def _scalar(x):
 
 
 class DualValue:
-    """Polynomial in named infinitesimal directions, truncated by degree.
+    """Polynomial in named infinitesimal directions, truncated per direction.
 
     The ring is Q[e_1..e_k] modulo every monomial whose exponent in some
-    direction exceeds its entry of ``caps`` or whose total degree exceeds
-    ``order``; it is closed under +, - and *.  Coefficients are stored
-    densely in ``coeffs``, one per exponent tuple in mixed-radix order
-    over ``caps`` (the last direction varies fastest); those of total
-    degree above ``order`` stay 0.  A product runs through the pair table
-    of the ring's layout, built once per ``(caps, order)``.  Coefficients
-    are ints or Fractions, and ints stay ints: a jet over integer weights
-    builds no Fraction until :meth:`log_series` divides.
+    direction exceeds its entry of ``caps``; it is closed under +, - and
+    *.  Coefficients are stored densely in ``coeffs``, one per exponent
+    tuple in mixed-radix order over ``caps`` (the last direction varies
+    fastest).  A product runs through the pair table of the ring's
+    layout, built once per ``caps``.  Coefficients are ints or
+    Fractions, and ints stay ints: a jet over integer weights builds no
+    Fraction until :meth:`log_series` divides.
 
     Instances mix freely with ints and Fractions on either side, which
     is what lets :func:`treerep.chain_model.prob_all_zero` run on jets
     unchanged.  ``terms`` maps each exponent tuple with a nonzero
-    coefficient to that coefficient; a term outside the ring, or caps and
-    an order that are not nonnegative integers, is a :class:`DomainError`.
+    coefficient to that coefficient; a term outside the ring, or caps
+    that are not nonnegative integers, is a :class:`DomainError`.
     """
 
     __slots__ = ("_layout", "coeffs")
 
-    def __init__(self, caps, order, terms):
+    def __init__(self, caps, terms):
         caps = tuple(_nonnegative(cap, "jet cap") for cap in caps)
-        self._layout = layout = _ring_layout(caps, _nonnegative(order, "jet order"))
+        self._layout = layout = _ring_layout(caps)
         self.coeffs = [0] * len(layout.exponents)
         for e, c in terms.items():
             i = layout.index.get(e)
             if i is None:
-                raise DomainError(
-                    "monomial %r is outside the ring with caps %s and order %d"
-                    % (e, caps, order)
-                )
+                raise DomainError("monomial %r is outside the ring with caps %s" % (e, caps))
             self.coeffs[i] = _scalar(c)
 
     def _new(self, coeffs):
@@ -119,15 +112,14 @@ class DualValue:
         return out
 
     @classmethod
-    def constant(cls, caps, order, value):
-        return cls(caps, order, {(0,) * len(caps): value})
+    def constant(cls, caps, value):
+        return cls(caps, {(0,) * len(caps): value})
 
     @classmethod
-    def variable(cls, caps, order, slot, base=0):
-        """``base + eps_slot`` as a jet; ``eps_slot`` is 0 when its cap or
-        ``order`` is 0.  A slot outside ``range(len(caps))`` is a
-        :class:`DomainError`."""
-        out = cls.constant(caps, order, base)
+    def variable(cls, caps, slot, base=0):
+        """``base + eps_slot`` as a jet; ``eps_slot`` is 0 when its cap is
+        0.  A slot outside ``range(len(caps))`` is a :class:`DomainError`."""
+        out = cls.constant(caps, base)
         slot = as_int(slot, "jet slot")
         if not 0 <= slot < len(out.caps):
             raise DomainError("jet slot %d outside the %d directions" % (slot, len(out.caps)))
@@ -139,10 +131,6 @@ class DualValue:
     @property
     def caps(self):
         return self._layout.caps
-
-    @property
-    def order(self):
-        return self._layout.order
 
     @property
     def terms(self):
@@ -160,9 +148,7 @@ class DualValue:
     def _lift(self, other):
         """``other``'s coefficients in this ring; a scalar is returned as one."""
         if isinstance(other, DualValue):
-            if other._layout is not self._layout and (
-                other.caps != self.caps or other.order != self.order
-            ):
+            if other._layout is not self._layout and other.caps != self.caps:
                 raise ValueError("jets from different truncated rings")
             return other.coeffs
         return _scalar(other)
@@ -221,7 +207,7 @@ class DualValue:
         out = self._new([0] * len(self.coeffs))
         power = t
         k = 1
-        while k <= self.order and any(power.coeffs):
+        while any(power.coeffs):
             out = out + power * Fraction((-1) ** (k + 1), k * c**k)
             power = power * t
             k += 1
@@ -229,11 +215,7 @@ class DualValue:
 
     def __eq__(self, other):
         if isinstance(other, DualValue):
-            return (
-                self.caps == other.caps
-                and self.order == other.order
-                and self.coeffs == other.coeffs
-            )
+            return self.caps == other.caps and self.coeffs == other.coeffs
         try:
             other = _scalar(other)
         except DomainError:
@@ -244,7 +226,7 @@ class DualValue:
 
     def __repr__(self):
         body = ", ".join("%s: %s" % (e, c) for e, c in self.terms.items())
-        return "DualValue(caps=%s, order=%d, {%s})" % (self.caps, self.order, body)
+        return "DualValue(caps=%s, {%s})" % (self.caps, body)
 
 
 @dataclass(frozen=True)
@@ -332,7 +314,7 @@ def subtree_edge_multiset(tree, subset) -> EdgeMultiset:
     return EdgeMultiset.of(*edges)
 
 
-def _jet_partial(tree, base, subset, field, slots, mults, degree_cap):
+def _jet_partial(tree, base, subset, field, slots, mults):
     """Mixed partial of nu(S) at ``base``, ``mults[i]`` times in entry
     ``slots[i]`` of its ``field`` (``"p"`` or ``"r"``).
 
@@ -354,8 +336,8 @@ def _jet_partial(tree, base, subset, field, slots, mults, degree_cap):
         raise DomainError(
             "derivative needs at least one %s" % ("edge" if field == "p" else "vertex")
         )
-    if order > degree_cap:
-        raise DomainError("jet cap exceeded: order %d > cap %d" % (order, degree_cap))
+    if order > DEFAULT_JET_CAP:
+        raise DomainError("jet cap exceeded: order %d > cap %d" % (order, DEFAULT_JET_CAP))
     w = scaled_params(tree, base)
     if 0 in w.r:
         raise DomainError("vertex laws must be positive for log derivatives")
@@ -363,7 +345,7 @@ def _jet_partial(tree, base, subset, field, slots, mults, degree_cap):
         return Fraction(0)
     r, rbar, p, copy = list(w.r), list(w.rbar), list(w.p), list(w.copy)
     for pos, slot in enumerate(slots):
-        eps = DualValue.variable(mults, order, pos)
+        eps = DualValue.variable(mults, pos)
         if field == "p":
             v = tree.parent_edge.index(slot)
             d = base.p[slot].denominator
@@ -378,12 +360,12 @@ def _jet_partial(tree, base, subset, field, slots, mults, degree_cap):
         connected_log_events(tree, subset),
         lambda bits: prob_all_zero(tree, weights, VertexSet(bits)),
     )
-    zero = DualValue.constant(mults, order, 0)
+    zero = DualValue.constant(mults, 0)
     series = (zero + even).log_series() - (zero + odd).log_series()
     return series.coefficient(mults) * math.prod(math.factorial(m) for m in mults)
 
 
-def d_nu_dp(tree, params, subset, edges, at="params", degree_cap=DEFAULT_JET_CAP):
+def d_nu_dp(tree, params, subset, edges, at="params"):
     """Exact mixed partial of nu(S) in edge parameters.
 
     ``edges`` is an :class:`EdgeMultiset` (or anything ``EdgeMultiset.of``
@@ -407,10 +389,10 @@ def d_nu_dp(tree, params, subset, edges, at="params", degree_cap=DEFAULT_JET_CAP
         raise DomainError('at must be "params", "p0" or "p1"')
     mults = tuple(m for _, m in multiset.items)
     base = ChainParams(r=params.r, p=base_p)
-    return _jet_partial(tree, base, subset, "p", slots, mults, degree_cap)
+    return _jet_partial(tree, base, subset, "p", slots, mults)
 
 
-def d_nu_dr(tree, params, subset, vertices, at="params", degree_cap=DEFAULT_JET_CAP):
+def d_nu_dr(tree, params, subset, vertices, at="params"):
     """Exact mixed partial of nu(S) in vertex laws.
 
     ``vertices`` is a multiset given as an iterable with repetition
@@ -440,7 +422,7 @@ def d_nu_dr(tree, params, subset, vertices, at="params", degree_cap=DEFAULT_JET_
         raise DomainError('at must be "params" or "r1"')
     support = sorted(counts)
     mults = tuple(counts[v] for v in support)
-    return _jet_partial(tree, base, subset, "r", support, mults, degree_cap)
+    return _jet_partial(tree, base, subset, "r", support, mults)
 
 
 def closed_form_p0(b, r) -> Fraction:

@@ -5,17 +5,20 @@ everywhere.  Disconnected sets carry exactly zero mass on trees, so the
 verdict only has to sweep connected sets, whose count stays far below
 2^n on sparse trees.  Each connected set's nu(S) is a signed sum of the
 log-probabilities of its boundary events.  A float64 pass evaluates the
-events of many sets at once in numpy, for many grid points of a scan at
-once, and certifies a sign wherever it clears a proved forward-error
-bound by the factor ``MARGIN`` (:func:`certified_signs`).  Every set it
-does not certify positive gets its exact sign from the integer encoding of
-:func:`~treerep.chain_model.scaled_params`, one comparison of two int
-products, so near-ties and witnesses are always decided exactly.  The witness is the first negative set in (size, bit pattern)
-order, and ``Verdict.checked_sets`` is its position in that order.
+events of many sets at once in numpy, for a block of grid points of a
+scan at once, and certifies a sign wherever it clears a proved
+forward-error bound by the factor ``MARGIN`` (:func:`certified_signs`).
+Every set it does not certify positive gets its exact sign from the
+integer encoding of :func:`~treerep.chain_model.scaled_params`, one
+comparison of two int products, so near-ties and witnesses are always
+decided exactly.  The witness is the first negative set in (size, bit
+pattern) order, and ``Verdict.checked_sets`` is its position in that
+order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -247,51 +250,16 @@ def float_signs(plan, floats):
         done = end
 
 
-class _GridPass:
-    """The float pass (:func:`float_signs`) of the points of a grid.
-
-    The points are read one after another through :meth:`signs`.  When
-    ``CHUNK_EVENTS`` holds the plan's whole event stream at least twice,
-    the points are taken in blocks of ``CHUNK_EVENTS`` // events, and a
-    block's one chunk is expanded and swept once, for all its points,
-    when one of them is read first; only that block's signs are kept,
-    so they stay within ``CHUNK_EVENTS`` entries.  Otherwise each point
-    runs a pass of its own, which stops at its witness's chunk.
-    """
-
-    def __init__(self, plan, floats, points):
-        self.plan = plan
-        self.tree = plan.tree
-        self._floats = floats
-        self._points = points  # held, so the ids below stay theirs
-        self._index = {id(params): k for k, params in enumerate(points)}
-        self._size = max(1, CHUNK_EVENTS // int(plan.ends[-1]))
-        self._block = None, None  # (its first point, its signs)
-
-    def signs(self, params):
-        """The proved signs of ``params``: ``(lo, hi, pos, neg)`` per chunk."""
-        k = self._index[id(params)]
-        first = k - k % self._size
-        if self._size == 1:
-            rows = self._pass(first)
-        else:  # the whole stream is one chunk
-            if self._block[0] != first:
-                self._block = first, next(self._pass(first))
-            rows = [self._block[1]]
-        for lo, hi, pos, neg in rows:
-            yield lo, hi, pos[k - first], neg[k - first]
-
-    def _pass(self, first):
-        floats = self._floats
-        if self._size < len(self._points):  # a block of the grid's columns
-            floats = _points_of(floats, slice(first, first + self._size))
-        return float_signs(self.plan, floats)
-
-
 def _points_of(floats, rows):
     """The float weights of the points ``rows`` of a grid's columns."""
     return Weights(*(tuple(x[rows] if isinstance(x, np.ndarray) else x for x in field)
                      for field in floats[:4]), floats.one)
+
+
+def _row(signs, k):
+    """Row ``k`` of each ``(lo, hi, pos, neg)`` that :func:`float_signs` yields."""
+    for lo, hi, pos, neg in signs:
+        yield lo, hi, pos[k], neg[k]
 
 
 def is_representable(tree, params, sweep=None) -> Verdict:
@@ -301,26 +269,29 @@ def is_representable(tree, params, sweep=None) -> Verdict:
     the first negative sign.  The float pass (:func:`float_signs`) proves
     most signs; every set it does not prove positive, the witness among
     them, is decided on the exact integer path, and an exact sign that
-    contradicts a proved one raises AssertionError.  ``sweep`` is the
-    tree's :class:`SweepPlan`, for callers that already have one, or the
-    float pass that :func:`phase_scan` shares among its grid points; one
-    built for another tree is a :class:`DomainError`.  Without a shared
-    pass, the point runs the float pass as a grid of one.
-    Vertex laws must lie in (0, 1]; trees are capped at
+    contradicts a proved one raises AssertionError.  ``sweep`` is None,
+    the tree's :class:`SweepPlan` for callers that already have one, or
+    a ``(plan, rows)`` pair, where ``rows`` yields this point's
+    ``(lo, hi, pos, neg)`` per chunk of a float pass that
+    :func:`phase_scan` shares among a block of grid points; a plan built
+    for another tree is a :class:`DomainError` in every form.  Without
+    ``rows``, the point runs a float pass of its own, on its own float
+    weights.  Vertex laws must lie in (0, 1]; trees are capped at
     ``MAX_VERDICT_ORDER`` vertices since the sweep is exponential in
     the boundary sizes.
     """
-    if sweep is not None and sweep.tree != tree:
+    plan, rows = sweep if isinstance(sweep, tuple) else (sweep, None)
+    if plan is not None and plan.tree != tree:
         raise DomainError("the sweep plan was built for another tree")
-    sweep = SweepPlan(tree) if sweep is None else sweep
+    plan = SweepPlan(tree) if plan is None else plan
     weights = scaled_params(tree, params)
     if 0 in weights.r:
         raise DomainError("vertex laws must lie in (0, 1] for verdicts")
-    if isinstance(sweep, SweepPlan):
-        sweep = _GridPass(sweep, float_weights(tree, params), [params])
-    sets = sweep.plan.sets
+    if rows is None:
+        rows = _row(float_signs(plan, float_weights(tree, params)), 0)
+    sets = plan.sets
     cache = {}
-    for lo, _, pos, neg in sweep.signs(params):
+    for lo, _, pos, neg in rows:
         for i in np.flatnonzero(~pos):
             bits = VertexSet(int(sets[lo + i]))
             if nu_connected(tree, weights, bits, prob_cache=cache).sign < 0:
@@ -338,12 +309,13 @@ def phase_scan(tree, r_values, p_values):
     """Verdict at every grid point; returns PhasePoints sorted by (r, p).
 
     Grid values must lie strictly inside (0, 1).  The points share one
-    :class:`SweepPlan` and their float weights; on a tree whose event
-    stream fits in one chunk at least twice, blocks of points share one
-    float pass, which expands the chunk once and sweeps it for all of a
-    block's points at once (see :class:`_GridPass`).  Then each point's
-    exact path runs on its own row of proved signs, one point after
-    another.
+    :class:`SweepPlan` and their float weights.  They are taken in blocks
+    of ``CHUNK_EVENTS`` // events points, and each block runs one float
+    pass, which ``itertools.tee`` splits into one lazy row per point: a
+    block of two or more points sweeps the one chunk of the whole stream
+    once for all of them, and a block of one stops at its witness's
+    chunk.  Then each point's exact path runs on its own row of proved
+    signs, one point after another.
     """
     rs = sorted({as_fraction(r) for r in r_values})
     ps = sorted({as_fraction(p) for p in p_values})
@@ -351,13 +323,18 @@ def phase_scan(tree, r_values, p_values):
         if not 0 < x < 1:
             raise DomainError("scan grids must lie strictly inside (0, 1)")
     plan = SweepPlan(tree)
+    floats = grid_float_weights(tree, rs, ps)
     grid = [(r, p) for r in rs for p in ps]
-    points = [ChainParams(r=(r,) * tree.n, p=(p,) * len(tree.edges)) for r, p in grid]
-    shared = _GridPass(plan, grid_float_weights(tree, rs, ps), points)
-    return [
-        PhasePoint(r, p, is_representable(tree, params, shared))
-        for (r, p), params in zip(grid, points)
-    ]
+    size = max(1, CHUNK_EVENTS // int(plan.ends[-1]))
+    points = []
+    for first in range(0, len(grid), size):
+        block = grid[first : first + size]
+        signs = float_signs(plan, _points_of(floats, slice(first, first + size)))
+        for k, ((r, p), shared) in enumerate(zip(block, itertools.tee(signs, len(block)))):
+            params = ChainParams(r=(r,) * tree.n, p=(p,) * len(tree.edges))
+            verdict = is_representable(tree, params, (plan, _row(shared, k)))
+            points.append(PhasePoint(r, p, verdict))
+    return points
 
 
 def scaling_check(tree, r, p, k) -> bool:

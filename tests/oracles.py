@@ -280,28 +280,26 @@ class FractionJet:
     """Reference for ``param_calculus.DualValue``: a dict of Fraction terms.
 
     ``terms`` maps exponent tuples to Fraction coefficients.  Monomials
-    whose exponent exceeds the per-direction ``caps`` or whose total
-    degree exceeds ``order`` are dropped when a product makes them.
-    Mixes with ints and Fractions on either side.
+    whose exponent exceeds the per-direction ``caps`` are dropped when a
+    product makes them.  Mixes with ints and Fractions on either side.
     """
 
-    __slots__ = ("caps", "order", "terms")
+    __slots__ = ("caps", "terms")
 
-    def __init__(self, caps, order, terms):
+    def __init__(self, caps, terms):
         self.caps = tuple(caps)
-        self.order = order
         self.terms = {e: c for e, c in terms.items() if c != 0}
 
     @classmethod
-    def constant(cls, caps, order, value):
+    def constant(cls, caps, value):
         zero = (0,) * len(caps)
-        return cls(caps, order, {zero: as_fraction(value)})
+        return cls(caps, {zero: as_fraction(value)})
 
     @classmethod
-    def variable(cls, caps, order, slot, base=0):
+    def variable(cls, caps, slot, base=0):
         unit = tuple(1 if i == slot else 0 for i in range(len(caps)))
         terms = {(0,) * len(caps): as_fraction(base), unit: Fraction(1)}
-        return cls(caps, order, terms)
+        return cls(caps, terms)
 
     @property
     def constant_term(self):
@@ -312,22 +310,22 @@ class FractionJet:
 
     def _lift(self, other):
         if isinstance(other, FractionJet):
-            if other.caps != self.caps or other.order != self.order:
+            if other.caps != self.caps:
                 raise ValueError("jets from different truncated rings")
             return other
-        return FractionJet.constant(self.caps, self.order, other)
+        return FractionJet.constant(self.caps, other)
 
     def __add__(self, other):
         other = self._lift(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, Fraction(0)) + c
-        return FractionJet(self.caps, self.order, terms)
+        return FractionJet(self.caps, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FractionJet(self.caps, self.order, {e: -c for e, c in self.terms.items()})
+        return FractionJet(self.caps, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -337,15 +335,14 @@ class FractionJet:
 
     def __mul__(self, other):
         other = self._lift(other)
-        caps, order = self.caps, self.order
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > order or any(d > cap for d, cap in zip(e, caps)):
+                if any(d > cap for d, cap in zip(e, self.caps)):
                     continue
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return FractionJet(caps, order, out)
+        return FractionJet(self.caps, out)
 
     __rmul__ = __mul__
 
@@ -355,10 +352,10 @@ class FractionJet:
         if c <= 0:
             raise DomainError("log needs a positive constant term")
         t = self * (Fraction(1) / c) - 1
-        out = FractionJet.constant(self.caps, self.order, 0)
+        out = FractionJet.constant(self.caps, 0)
         power = t
         k = 1
-        while k <= self.order and power.terms:
+        while power.terms:
             out = out + power * Fraction((-1) ** (k + 1), k)
             power = power * t
             k += 1
@@ -375,16 +372,15 @@ def fraction_jet_partial(tree, base, subset, field, slots, mults):
     """
     if not is_connected(tree, subset):
         return Fraction(0)
-    order = sum(mults)
     values = getattr(base, field)
     jet = list(values)
     for pos, slot in enumerate(slots):
-        jet[slot] = FractionJet.variable(mults, order, pos, values[slot])
+        jet[slot] = FractionJet.variable(mults, pos, values[slot])
     weights = ring_weights(tree, replace(base, **{field: tuple(jet)}))
     even, odd = signed_products(
         connected_log_events(tree, subset),
         lambda bits: prob_all_zero(tree, weights, VertexSet(bits)),
     )
-    zero = FractionJet.constant(mults, order, 0)
+    zero = FractionJet.constant(mults, 0)
     series = (zero + even).log_series() - (zero + odd).log_series()
     return series.coefficient(mults) * math.prod(math.factorial(m) for m in mults)

@@ -332,8 +332,7 @@ def _check_distinguished(tree, subset, r, seen):
     subtree = subtree_edge_multiset(tree, subset)
 
     if 2 <= boundary.total <= 6:
-        cap = max(6, boundary.total)
-        jet = d_nu_dp(tree, params, subset, boundary, at="p0", degree_cap=cap)
+        jet = d_nu_dp(tree, params, subset, boundary, at="p0")
         assert jet == closed_form_p0(boundary.total, r)
         seen["p0"] += 1
         # same order, wrong support: swap one boundary edge for an
@@ -342,24 +341,23 @@ def _check_distinguished(tree, subset, r, seen):
         if subtree.support:
             swapped = EdgeMultiset.of(subtree.support[0], *support[1:])
             if swapped != boundary:
-                assert d_nu_dp(tree, params, subset, swapped, at="p0", degree_cap=cap) == 0
+                assert d_nu_dp(tree, params, subset, swapped, at="p0") == 0
         # same order, repeated edge
         repeated = EdgeMultiset.of(*([support[0]] * boundary.total))
         if repeated != boundary:
-            assert d_nu_dp(tree, params, subset, repeated, at="p0", degree_cap=cap) == 0
+            assert d_nu_dp(tree, params, subset, repeated, at="p0") == 0
         # below the distinguished order
         assert d_nu_dp(tree, params, subset, [support[0]], at="p0") == 0
 
     if len(subset) >= 2 and subtree.total <= 6:
-        cap = max(6, subtree.total)
-        jet = d_nu_dp(tree, params, subset, subtree, at="p1", degree_cap=cap)
+        jet = d_nu_dp(tree, params, subset, subtree, at="p1")
         assert jet == closed_form_p1(tree, subset, r)
         seen["p1"] += 1
         support = list(subtree.support)
         if boundary.total:
             swapped = EdgeMultiset.of(boundary.support[0], *support[1:])
             if swapped != subtree:
-                assert d_nu_dp(tree, params, subset, swapped, at="p1", degree_cap=cap) == 0
+                assert d_nu_dp(tree, params, subset, swapped, at="p1") == 0
         assert d_nu_dp(tree, params, subset, [support[0]], at="p1") == (
             closed_form_p1(tree, subset, r) if subtree.total == 1 else 0
         )

@@ -337,6 +337,32 @@ def test_verify_checks_that_cannot_pass_exit_2(tmp_path, capsys, extra, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--alpha", "0"], "alpha must lie in (0, 1)"),
+        (["--alpha", "1"], "alpha must lie in (0, 1)"),
+        (["--tolerance", "-1"], "tolerance must be >= 0, got -1.0"),
+    ],
+)
+def test_verify_refuses_its_alpha_and_tolerance_before_any_work(
+    monkeypatch, tmp_path, capsys, extra, message
+):
+    import treerep.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("verify did work before checking its arguments")
+
+    for name in ("field_from_chain", "sample_percolation_many", "sample_recursive_many",
+                 "sample_poisson_field_many"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--tree", "path:3", "--r", "1/2", "--p", "1/2", "--out", str(out)]
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err == "treerep: %s\n" % message
+    assert not out.exists()
+
+
 def test_broken_kernel_invariant_escapes_instead_of_exit_2(monkeypatch, tmp_path):
     import treerep.signed_measure as signed_measure
 

@@ -46,32 +46,31 @@ from oracles import FractionJet, fraction_jet_partial
 F = Fraction
 
 
-def _jet(caps, order, terms):
-    return DualValue(caps, order, {e: F(c) for e, c in terms.items()})
+def _jet(caps, terms):
+    return DualValue(caps, {e: F(c) for e, c in terms.items()})
 
 
 def test_dual_ring_basics():
-    one_plus = _jet((2,), 2, {(0,): 1, (1,): 1})
-    one_minus = _jet((2,), 2, {(0,): 1, (1,): -1})
-    assert one_plus * one_minus == _jet((2,), 2, {(0,): 1, (2,): -1})
-    # truncation by total order and by per-variable cap
-    eps = DualValue.variable((3,), 2, 0)
-    assert eps * eps * eps == _jet((3,), 2, {})
-    x = DualValue.variable((1, 1), 2, 0)
-    y = DualValue.variable((1, 1), 2, 1)
-    assert x * x == _jet((1, 1), 2, {})
-    assert x * y == _jet((1, 1), 2, {(1, 1): 1})
+    one_plus = _jet((2,), {(0,): 1, (1,): 1})
+    one_minus = _jet((2,), {(0,): 1, (1,): -1})
+    assert one_plus * one_minus == _jet((2,), {(0,): 1, (2,): -1})
+    # truncation by per-variable cap
+    x = DualValue.variable((1, 1), 0)
+    y = DualValue.variable((1, 1), 1)
+    assert x * x == _jet((1, 1), {})
+    assert x * y == _jet((1, 1), {(1, 1): 1})
     # scalars mix on either side
-    assert 1 - eps == _jet((3,), 2, {(0,): 1, (1,): -1})
+    eps = DualValue.variable((3,), 0)
+    assert 1 - eps == _jet((3,), {(0,): 1, (1,): -1})
     assert F(2, 3) * eps + eps * F(1, 3) == eps
     assert (2 + eps) - 2 == eps
     with pytest.raises(ValueError):
-        eps + DualValue.variable((2,), 2, 0)
+        eps + DualValue.variable((2,), 0)
 
 
 def test_dual_log_series():
-    eps = DualValue.variable((3,), 3, 0)
-    expect = _jet((3,), 3, {(1,): 1, (2,): F(-1, 2), (3,): F(1, 3)})
+    eps = DualValue.variable((3,), 0)
+    expect = _jet((3,), {(1,): 1, (2,): F(-1, 2), (3,): F(1, 3)})
     assert (1 + eps).log_series() == expect
     # scaling by a positive constant does not move the series part
     assert (F(5, 3) * (1 + eps)).log_series() == expect
@@ -87,37 +86,35 @@ small = st.integers(min_value=-3, max_value=3)
 @given(c1=st.integers(1, 5), c2=st.integers(1, 5), coeffs=st.tuples(*[small] * 6))
 def test_dual_log_turns_products_into_sums(c1, c2, coeffs):
     a1, b1, m1, a2, b2, m2 = coeffs
-    u = _jet((2, 2), 3, {(0, 0): c1, (1, 0): a1, (0, 1): b1, (1, 1): m1})
-    v = _jet((2, 2), 3, {(0, 0): c2, (1, 0): a2, (0, 1): b2, (1, 1): m2})
+    u = _jet((2, 2), {(0, 0): c1, (1, 0): a1, (0, 1): b1, (1, 1): m1})
+    v = _jet((2, 2), {(0, 0): c2, (1, 0): a2, (0, 1): b2, (1, 1): m2})
     assert (u * v).log_series() == u.log_series() + v.log_series()
 
 
 def test_dual_refuses_terms_outside_its_ring():
-    for caps, order, terms in [
-        ((1,), 1, {(0,): 1, (2,): 5}),       # above the cap of its direction
-        ((1,), 1, {(0, 0): 1}),              # one exponent per direction
-        ((1, 1), 1, {(1, 1): 1}),            # above the total order
-        ((2,), 2, {0: 1}),                   # not an exponent tuple
+    for caps, terms in [
+        ((1,), {(0,): 1, (2,): 5}),       # above the cap of its direction
+        ((1,), {(0, 0): 1}),              # one exponent per direction
+        ((2,), {0: 1}),                   # not an exponent tuple
     ]:
         with pytest.raises(DomainError, match="outside the ring"):
-            DualValue(caps, order, terms)
-    for caps, order in [((-1,), 1), ((1.5,), 1), ((True,), 1), ((1,), -1), ((1,), 1.0)]:
-        with pytest.raises(DomainError, match="jet (cap|order)"):
-            DualValue(caps, order, {})
+            DualValue(caps, terms)
+    for caps in [(-1,), (1.5,), (True,)]:
+        with pytest.raises(DomainError, match="jet cap"):
+            DualValue(caps, {})
     for slot in (3, -1, 1.0, "0"):
         with pytest.raises(DomainError, match="jet slot"):
-            DualValue.variable((1,), 1, slot, base=5)
-    # a direction whose cap or order is 0 is the zero element of its ring
-    assert DualValue.variable((0, 1), 1, 0, base=5) == 5
-    assert DualValue.variable((1,), 0, 0, base=5) == 5
+            DualValue.variable((1,), slot, base=5)
+    # a direction whose cap is 0 is the zero element of its ring
+    assert DualValue.variable((0, 1), 0, base=5) == 5
 
 
 def test_dual_compares_unequal_to_non_rationals():
-    eps = DualValue.variable((1,), 1, 0)
+    eps = DualValue.variable((1,), 0)
     assert not eps == None  # noqa: E711
     assert eps != "x"
     assert eps.__eq__(object()) is NotImplemented
-    assert DualValue.constant((1,), 1, F(2, 3)) == F(2, 3) == DualValue.constant((1,), 1, "2/3")
+    assert DualValue.constant((1,), F(2, 3)) == F(2, 3) == DualValue.constant((1,), "2/3")
     assert eps + 1 != 1
     with pytest.raises(DomainError, match="not an exact rational"):
         eps + "x"
@@ -125,22 +122,19 @@ def test_dual_compares_unequal_to_non_rationals():
 
 @st.composite
 def _ring_pair(draw):
-    """Caps, an order (often below their sum) and two term maps inside that ring."""
+    """Caps and two term maps inside that ring."""
     caps = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
-    order = draw(st.integers(0, sum(caps)))
-    monomials = [
-        e for e in itertools.product(*(range(cap + 1) for cap in caps)) if sum(e) <= order
-    ]
+    monomials = list(itertools.product(*(range(cap + 1) for cap in caps)))
     coeff = st.one_of(st.integers(-4, 4), st.fractions(min_value=-2, max_value=2, max_denominator=5))
     terms = st.dictionaries(st.sampled_from(monomials), coeff)
-    return caps, order, draw(terms), draw(terms), draw(coeff)
+    return caps, draw(terms), draw(terms), draw(coeff)
 
 
 @given(_ring_pair())
 def test_dense_ring_agrees_with_the_fraction_reference(ring):
-    caps, order, t1, t2, scalar = ring
-    u, v = DualValue(caps, order, t1), DualValue(caps, order, t2)
-    ru, rv = FractionJet(caps, order, t1), FractionJet(caps, order, t2)
+    caps, t1, t2, scalar = ring
+    u, v = DualValue(caps, t1), DualValue(caps, t2)
+    ru, rv = FractionJet(caps, t1), FractionJet(caps, t2)
     assert (u + v).terms == (ru + rv).terms
     assert (u - v).terms == (ru - rv).terms
     assert (u * v).terms == (ru * rv).terms
@@ -370,8 +364,7 @@ def test_closed_forms_on_random_trees():
             b = len({w for v in s for w in VertexSet(t.neighbor_masks[v]) if w not in s})
             if b >= 2:
                 edges = boundary_edge_multiset(t, s)
-                got = d_nu_dp(t, params, s, edges, at="p0",
-                              degree_cap=max(DEFAULT_JET_CAP, b))
+                got = d_nu_dp(t, params, s, edges, at="p0")
                 assert got == closed_form_p0(b, r)
                 seen_p0 += 1
                 # dropping any one edge lands below the threshold order
@@ -381,8 +374,7 @@ def test_closed_forms_on_random_trees():
                     assert d_nu_dp(t, params, s, rest, at="p0") == 0
             if len(s) >= 2:
                 edges = subtree_edge_multiset(t, s)
-                got = d_nu_dp(t, params, s, edges, at="p1",
-                              degree_cap=max(DEFAULT_JET_CAP, edges.total))
+                got = d_nu_dp(t, params, s, edges, at="p1")
                 assert got == closed_form_p1(t, s, r)
                 seen_p1 += 1
     assert seen_p0 >= 8 and seen_p1 >= 8

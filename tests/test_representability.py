@@ -165,8 +165,10 @@ def test_scaling_needs_the_aggregated_parameter():
 def test_a_sweep_plan_of_another_tree_is_refused():
     for tree, other in ((star(4), path(5)), (path(6), star(5)), (path(3), path(4))):
         params = uniform_params(tree, F(1, 2), F(9, 10))
-        with pytest.raises(DomainError, match="another tree"):
-            is_representable(tree, params, SweepPlan(other))
+        plan = SweepPlan(other)
+        for sweep in (plan, (plan, iter(()))):
+            with pytest.raises(DomainError, match="another tree"):
+                is_representable(tree, params, sweep)
     t = star(4)
     params = uniform_params(t, F(1, 2), F(1, 2))
     assert is_representable(t, params, SweepPlan(star(4))) == is_representable(t, params)
