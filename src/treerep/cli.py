@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -304,8 +305,6 @@ def _cmd_analyze(config):
 
 def _cmd_scan(config):
     tree = parse_tree(config.tree)
-    if config.r_grid is None or config.p_grid is None:
-        raise DomainError("scan needs --r-grid and --p-grid")
     points = phase_scan(tree, parse_grid(config.r_grid), parse_grid(config.p_grid))
     rows = []
     for point in points:
@@ -330,8 +329,6 @@ _R0_NOTE = (
 
 
 def _cmd_thresholds(config):
-    if config.ns is None:
-        raise DomainError("thresholds needs --n, e.g. --n 3..8")
     rows = threshold_table(parse_index_range(config.ns))
     table = []
     notes = []
@@ -376,8 +373,6 @@ def _octopus_closed_form(config, tree, params, subset, vertices):
 
 def _cmd_deriv_check(config):
     tree = parse_tree(config.tree)
-    if config.subset is None or config.multiset is None:
-        raise DomainError("deriv-check needs --set and --multiset")
     subset = VertexSet.of(*parse_vertices(config.subset))
     closed = None
     if config.at in ("p0", "p1"):
@@ -408,8 +403,6 @@ def _cmd_deriv_check(config):
         value = d_nu_dr(tree, params, subset, vertices, at="r1")
         closed = _octopus_closed_form(config, tree, params, subset, vertices)
         multiset_text = ",".join(str(v) for v in sorted(vertices))
-    else:
-        raise DomainError("deriv-check needs --at p0, p1 or r1")
     payload = {
         "command": "deriv-check",
         "tree": config.tree,
@@ -450,16 +443,9 @@ def _cmd_verify(config):
     _check_alpha(float(alpha))
     _check_tolerance(float(tolerance))
     field = field_from_chain(tree, params)
-
-    def percolation(n_draws, seed):
-        return sample_percolation_many(tree, params, n_draws, seed)
-
-    def recursive(n_draws, seed):
-        return sample_recursive_many(tree, params, n_draws, seed)
-
-    def poisson(n_draws, seed):
-        return sample_poisson_field_many(field, n_draws, seed)
-
+    percolation = functools.partial(sample_percolation_many, tree, params)
+    recursive = functools.partial(sample_recursive_many, tree, params)
+    poisson = functools.partial(sample_poisson_field_many, field)
     # Split seed ranges per check; compare_laws itself uses seed and seed+1.
     perc_vs_rec = compare_laws(
         percolation, recursive, tree.n, n_draws=config.draws, alpha=float(alpha), seed=config.seed
@@ -496,10 +482,6 @@ def _cmd_verify(config):
 
 def _cmd_scaling_check(config):
     tree = parse_tree(config.tree)
-    if config.r is None or config.p is None:
-        raise DomainError("scaling-check needs uniform --r and --p")
-    if config.k is None:
-        raise DomainError("scaling-check needs --k")
     r = as_fraction(config.r)
     p = as_fraction(config.p)
     passed = scaling_check(tree, r, p, config.k)

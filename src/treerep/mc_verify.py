@@ -18,9 +18,8 @@ them to ~1e-12 relative); Monte-Carlo tolerances dwarf that.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import chdtrc
@@ -138,22 +137,6 @@ def _pattern_histogram(words, n):
     return hist
 
 
-def _zeros_on_table(hist, n):
-    """For every mask I, the number of draws that are all-zero on I.
-
-    Subset-sum transform: f[m] = number of draws whose pattern is
-    contained in m; the draws vanishing on I are those contained in the
-    complement of I.
-    """
-    f = hist.astype(np.int64).copy()
-    idx = np.arange(1 << n)
-    for b in range(n):
-        sel = (idx >> b) & 1 == 1
-        f[sel] += f[idx[sel] ^ (1 << b)]
-    full = (1 << n) - 1
-    return lambda bits: int(f[full & ~bits])
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Two-sample chi-square over (pooled) zero/one pattern cells."""
@@ -247,32 +230,40 @@ class ClosureReport:
 def poisson_closure_report(tree, params, field, n_draws, seed, tolerance=4.0):
     """Sample ``field``, the chain's Poisson field, and compare all zero patterns.
 
-    ``n_draws < 1`` and a ``tolerance`` that is not >= 0 (NaN included)
-    are :class:`DomainError`, raised before sampling.
+    Works on arrays over the 2^n masks: the draws' pattern histogram is
+    summed over submasks one vertex at a time, so entry m counts the
+    draws inside m, and the draws all-zero on I are those inside its
+    complement.  The exact side is one ``prob_all_zero`` call per mask.
+    A gap where the exact probability is 0 or 1 counts as infinitely
+    many sigmas; the worst set is the first mask with the largest
+    deviation, and None when every deviation is 0.  ``n_draws < 1`` and
+    a ``tolerance`` that is not >= 0 (NaN included) are
+    :class:`DomainError`, raised before sampling.
     """
     n_draws = _at_least_one_draw(n_draws)
     _check_tolerance(tolerance)
     words = sample_poisson_field_many(field, n_draws, seed)
-    zeros_on = _zeros_on_table(_pattern_histogram(words, tree.n), tree.n)
+    inside = _pattern_histogram(words, tree.n)
+    for b in range(tree.n):
+        level = inside.reshape(-1, 2, 1 << b)
+        level[:, 1] += level[:, 0]
+    zeros = inside[::-1][1:]  # entry I - 1 is inside[full ^ I], for I = 1 .. full
     weights = scaled_params(tree, params)
-    worst = 0.0
-    worst_set = None
-    checked = 0
-    for bits in range(1, 1 << tree.n):
-        checked += 1
-        # int / int is correctly rounded, so this is float() of the exact Fraction
-        exact = prob_all_zero(tree, weights, VertexSet(bits)) / weights.one
-        sigma = math.sqrt(exact * (1.0 - exact) / n_draws)
-        gap = abs(zeros_on(bits) / n_draws - exact)
-        sigmas = gap / sigma if sigma > 0 else (0.0 if gap == 0 else math.inf)
-        if sigmas > worst:
-            worst = sigmas
-            worst_set = VertexSet(bits)
+    # int / int is correctly rounded, so each is float() of the exact Fraction
+    exact = np.array(
+        [prob_all_zero(tree, weights, VertexSet(m)) / weights.one for m in range(1, 1 << tree.n)]
+    )
+    sigma = np.sqrt(exact * (1.0 - exact) / n_draws)
+    gap = np.abs(zeros / n_draws - exact)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigmas = np.where(gap == 0, 0.0, gap / sigma)  # a gap at sigma = 0 is inf
+    k = int(np.argmax(sigmas))  # the first of the largest
+    worst = float(sigmas[k])
     return ClosureReport(
         draws=n_draws,
-        checked=checked,
+        checked=len(sigmas),
         max_sigmas=worst,
-        worst_set=worst_set,
+        worst_set=VertexSet(k + 1) if worst > 0 else None,
         tolerance=tolerance,
         passed=worst <= tolerance,
     )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain_model import ChainParams, as_fraction, prob_all_zero, scaled_params
-from .signed_measure import connected_log_events, signed_products
+from .signed_measure import _require_positive_r, connected_log_events, signed_products
 from .thresholds import f_poly
 from .tree_core import DomainError, VertexSet, _nonnegative, as_int, is_connected, spanning_subtree
 
@@ -319,11 +319,13 @@ def _jet_partial(tree, base, subset, field, slots, mults):
     ``slots[i]`` of its ``field`` (``"p"`` or ``"r"``).
 
     The one derivative core behind :func:`d_nu_dp` and :func:`d_nu_dr`:
-    it checks the request, plants a jet variable in each slot of the
-    integer weights of :func:`~treerep.chain_model.scaled_params` and
-    reads the coefficient off the log series of nu(S)'s two signed
-    products.  With ``p_e = c/d`` on the edge above ``v`` and
-    ``r_v = a/b``, ``p_e + eps`` scales to ``p = c + d*eps`` and
+    it checks the request (a vertex law of 0, which has no log, is the
+    :class:`DomainError` of :func:`~treerep.signed_measure.nu_full`),
+    plants a jet variable in each slot of the integer weights of
+    :func:`~treerep.chain_model.scaled_params` and reads the coefficient
+    off the log series of nu(S)'s two signed products.  With
+    ``p_e = c/d`` on the edge above ``v`` and ``r_v = a/b``,
+    ``p_e + eps`` scales to ``p = c + d*eps`` and
     ``copy = ((d - c) - d*eps) * b_v``, and ``r_v + eps`` to
     ``r = a + b*eps`` and ``rbar = (b - a) - b*eps``; every sweep then
     returns ``den * P(eps)`` on int coefficients.  The + and - events are
@@ -339,8 +341,7 @@ def _jet_partial(tree, base, subset, field, slots, mults):
     if order > DEFAULT_JET_CAP:
         raise DomainError("jet cap exceeded: order %d > cap %d" % (order, DEFAULT_JET_CAP))
     w = scaled_params(tree, base)
-    if 0 in w.r:
-        raise DomainError("vertex laws must be positive for log derivatives")
+    _require_positive_r(w)
     if not is_connected(tree, subset):
         return Fraction(0)
     r, rbar, p, copy = list(w.r), list(w.rbar), list(w.p), list(w.copy)

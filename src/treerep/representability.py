@@ -35,7 +35,7 @@ from .chain_model import (
     scaled_params,
     uniform_params,
 )
-from .signed_measure import nu_connected, nu_full, restrict_measure
+from .signed_measure import _require_positive_r, nu_connected, nu_full, restrict_measure
 from .tree_core import DomainError, VertexSet, as_int, connected_subsets, subdivide
 
 MAX_VERDICT_ORDER = 20
@@ -276,17 +276,17 @@ def is_representable(tree, params, sweep=None) -> Verdict:
     :func:`phase_scan` shares among a block of grid points; a plan built
     for another tree is a :class:`DomainError` in every form.  Without
     ``rows``, the point runs a float pass of its own, on its own float
-    weights.  Vertex laws must lie in (0, 1]; trees are capped at
-    ``MAX_VERDICT_ORDER`` vertices since the sweep is exponential in
-    the boundary sizes.
+    weights.  A vertex law of 0 is the :class:`DomainError` of
+    :func:`~treerep.signed_measure.nu_full`, raised before the plan is
+    built; trees are capped at ``MAX_VERDICT_ORDER`` vertices since the
+    sweep is exponential in the boundary sizes.
     """
     plan, rows = sweep if isinstance(sweep, tuple) else (sweep, None)
     if plan is not None and plan.tree != tree:
         raise DomainError("the sweep plan was built for another tree")
-    plan = SweepPlan(tree) if plan is None else plan
     weights = scaled_params(tree, params)
-    if 0 in weights.r:
-        raise DomainError("vertex laws must lie in (0, 1] for verdicts")
+    _require_positive_r(weights)
+    plan = SweepPlan(tree) if plan is None else plan
     if rows is None:
         rows = _row(float_signs(plan, float_weights(tree, params)), 0)
     sets = plan.sets

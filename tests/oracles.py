@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from treerep.chain_model import Weights, as_fraction, prob_all_zero, scaled_params
+from treerep.mc_verify import ClosureReport, sample_poisson_field_many
 from treerep.signed_measure import MeasureValue, connected_log_events, signed_products
 from treerep.tree_core import DomainError, VertexSet, is_connected
 
@@ -222,6 +223,54 @@ def bernoulli_field_sampler(atoms):
         return words
 
     return sample
+
+
+def loop_closure_report(tree, params, field, n_draws, seed, tolerance=4.0):
+    """Reference for ``mc_verify.poisson_closure_report``: one mask at a time.
+
+    Takes the same field draws, counts the draws all-zero on each
+    nonempty set I straight from the words, and keeps a running maximum
+    of the deviations in sigma units, updated only on a strictly larger
+    one, so the worst set is the first mask that reaches the maximum.
+    """
+    words = sample_poisson_field_many(field, n_draws, seed)
+    weights = scaled_params(tree, params)
+    worst = 0.0
+    worst_set = None
+    for bits in range(1, 1 << tree.n):
+        zeros = int(np.count_nonzero(words & np.uint64(bits) == 0))
+        exact = prob_all_zero(tree, weights, VertexSet(bits)) / weights.one
+        sigma = math.sqrt(exact * (1.0 - exact) / n_draws)
+        gap = abs(zeros / n_draws - exact)
+        sigmas = gap / sigma if sigma > 0 else (0.0 if gap == 0 else math.inf)
+        if sigmas > worst:
+            worst = sigmas
+            worst_set = VertexSet(bits)
+    return ClosureReport(
+        draws=n_draws,
+        checked=(1 << tree.n) - 1,
+        max_sigmas=worst,
+        worst_set=worst_set,
+        tolerance=tolerance,
+        passed=worst <= tolerance,
+    )
+
+
+def certified_bound(n, lam_size, mag):
+    """The error bound B of ``representability.certified_signs``, in Fractions.
+
+    B = N (2 g_K + 8u) + (8u + g_N) mag / (1 - g_N), with N = 2^lam_size,
+    K = 10 n, u = 2^-53 and g_m = m u / (1 - m u); ``mag``, the computed
+    sum of |l_J|, is low by at most the factor 1 - g_N.
+    """
+    u = Fraction(1, 2**53)
+
+    def gamma(m):
+        return m * u / (1 - m * u)
+
+    count = 2**lam_size
+    g_n = gamma(count)
+    return count * (2 * gamma(10 * n) + 8 * u) + (8 * u + g_n) * Fraction(mag) / (1 - g_n)
 
 
 def fraction_nu_full(tree, params):

@@ -602,6 +602,57 @@ def test_unknown_flags_and_commands_are_rejected():
     assert run(RunConfig(command="summon")) == 2
 
 
+_SCAN_FULL = ["scan", "--tree", "path:3", "--r-grid", "1/2", "--p-grid", "1/2"]
+_DERIV = ["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "p0", "--r", "1/2",
+          "--multiset", "0-1"]
+_SCALING = ["scaling-check", "--tree", "path:3", "--r", "1/2", "--p", "1/3", "--k", "2"]
+
+
+def _without(argv, flag):
+    """``argv`` with ``flag`` and its value left out."""
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2 :]
+
+
+REQUIRED_FLAGS = [
+    _without(_SCAN_FULL, "--r-grid"),
+    _without(_SCAN_FULL, "--p-grid"),
+    ["thresholds"],
+    _without(_DERIV, "--set"),
+    _without(_DERIV, "--multiset"),
+    _without(_DERIV, "--at"),
+    _without(_DERIV, "--at") + ["--at", "p2"],
+    _without(_SCALING, "--r"),
+    _without(_SCALING, "--p"),
+    _without(_SCALING, "--k"),
+]
+
+
+@pytest.mark.parametrize("argv", REQUIRED_FLAGS)
+def test_argparse_refuses_a_missing_required_flag(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "treerep" in capsys.readouterr().err
+
+
+_NO_LOG = "fresh-draw probabilities must be > 0: zero-probability events have no finite log"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--tree", "path:3", "--r", "0", "--p", "1/2"],
+        _without(_DERIV, "--r") + ["--r", "0"],
+    ],
+)
+def test_a_vertex_law_of_zero_exits_2_with_the_one_refusal(tmp_path, capsys, argv):
+    out = tmp_path / "artifact"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "treerep: %s\n" % _NO_LOG)
+    assert not out.exists()
+
+
 def test_main_builds_one_parser_and_keeps_no_state_between_calls(monkeypatch, tmp_path):
     import treerep.cli as cli
 

@@ -15,15 +15,24 @@ import warnings
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import treerep.representability as representability
 from treerep.chain_model import ChainParams, float_weights, scaled_params, uniform_params
-from treerep.representability import SweepPlan, float_signs, is_representable, phase_scan
+from treerep.representability import (
+    MARGIN,
+    SweepPlan,
+    certified_signs,
+    float_signs,
+    is_representable,
+    phase_scan,
+)
 from treerep.signed_measure import connected_log_events, nu_connected
 from treerep.tree_core import VertexSet, build_tree, octopus, spider, star
 
 from conftest import random_tree
+from oracles import certified_bound
 from test_integer_kernel import _mixed_params
 
 
@@ -284,3 +293,18 @@ def test_sets_inside_the_margin_go_to_the_exact_path(monkeypatch):
     monkeypatch.setattr(representability, "MARGIN", 1.0)
     assert _outcomes(chains[1:]) == {(1, 1): sum(near.values())}
     assert _verdicts(chains) == expect
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 20])
+def test_no_sign_is_kept_within_margin_times_the_proved_bound(n):
+    # nu is the largest float below MARGIN * B, B computed in Fractions
+    for lam_size in (0, 1, 4, 9, 13):
+        for mag in (0.0, 1e-300, 1e-9, 0.5, 1.0, 3.0, 700.0, 1e7):
+            target = Fraction(MARGIN) * certified_bound(n, lam_size, mag)
+            nu = float(target)
+            if Fraction(nu) >= target:
+                nu = float(np.nextafter(nu, 0.0))
+            pos, neg = certified_signs(
+                np.array([nu, -nu]), np.array([mag, mag]), np.array([lam_size, lam_size]), n
+            )
+            assert not pos.any() and not neg.any(), (lam_size, mag)

@@ -25,9 +25,9 @@ from treerep.mc_verify import (
     sample_poisson_field_many,
 )
 from treerep.signed_measure import MeasureValue, SignedMeasure, nu_full
-from treerep.tree_core import DomainError, VertexSet, octopus, path, star
+from treerep.tree_core import DomainError, VertexSet, octopus, path, spider, star
 
-from oracles import bernoulli_field_sampler
+from oracles import bernoulli_field_sampler, loop_closure_report
 
 F = Fraction
 
@@ -171,6 +171,40 @@ def test_closure_on_a_small_representable_chain():
     assert report.checked == 7
     assert report.passed, report
     assert report.max_sigmas <= 4.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize(
+    "tree", [path(4), octopus(3, 1), spider(3, 2), path(8)], ids=["path4", "oct3x1", "spi3x2", "path8"]
+)
+def test_closure_matches_the_per_mask_loop(tree, seed):
+    params = uniform_params(tree, F(1, 2), F(1, 2))
+    field = field_from_chain(tree, params)
+    report = poisson_closure_report(tree, params, field, 20_000, seed)
+    assert report == loop_closure_report(tree, params, field, 20_000, seed)
+    assert report.worst_set is not None
+
+
+def test_closure_at_r_one_has_no_deviation():
+    # every vertex is 0 with probability 1 and the field has no atom
+    t = path(4)
+    params = uniform_params(t, F(1), F(1, 2))
+    field = field_from_chain(t, params)
+    report = poisson_closure_report(t, params, field, 1000, seed=0)
+    assert report == loop_closure_report(t, params, field, 1000, seed=0)
+    assert report.max_sigmas == 0.0 and report.worst_set is None and report.passed
+
+
+def test_closure_against_another_chains_field_is_infinitely_far():
+    # at r = 1 every exact probability is 1 (sigma 0); the r = 1/2 field's
+    # draws are not all zero, so the first gap is infinitely many sigmas
+    t = path(4)
+    params = uniform_params(t, F(1), F(1, 2))
+    field = field_from_chain(t, uniform_params(t, F(1, 2), F(1, 2)))
+    report = poisson_closure_report(t, params, field, 1000, seed=0)
+    assert report == loop_closure_report(t, params, field, 1000, seed=0)
+    assert report.max_sigmas == math.inf and report.passed is False
+    assert report.worst_set == VertexSet.of(0)
 
 
 def test_closure_refuses_fewer_than_one_draw_before_sampling(monkeypatch):

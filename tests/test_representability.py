@@ -1,11 +1,14 @@
 """Verdicts, phase points, and the subdivision consistency check."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import treerep.representability as representability
 from treerep.chain_model import ChainParams, uniform_params
+from treerep.param_calculus import EdgeMultiset, d_nu_dp
 from treerep.representability import (
     MAX_SCALING_ORDER,
     MAX_VERDICT_ORDER,
@@ -172,6 +175,32 @@ def test_a_sweep_plan_of_another_tree_is_refused():
     t = star(4)
     params = uniform_params(t, F(1, 2), F(1, 2))
     assert is_representable(t, params, SweepPlan(star(4))) == is_representable(t, params)
+
+
+_NO_LOG = "fresh-draw probabilities must be > 0: zero-probability events have no finite log"
+
+
+def test_a_vertex_law_of_zero_has_one_refusal():
+    t = path(3)
+    params = ChainParams(r=(F(1, 2), 0, F(1, 2)), p=(F(1, 2),) * 2)
+    calls = [
+        lambda: is_representable(t, params),
+        lambda: nu_full(t, params),
+        lambda: d_nu_dp(t, params, VertexSet.of(0, 1), EdgeMultiset.of((0, 1)), at="p0"),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="^%s$" % re.escape(_NO_LOG)):
+            call()
+
+
+def test_a_vertex_law_of_zero_is_refused_before_the_plan_is_built(monkeypatch):
+    def no_plan(tree):
+        raise AssertionError("built a sweep plan")
+
+    monkeypatch.setattr(representability, "SweepPlan", no_plan)
+    t = star(19)
+    with pytest.raises(DomainError, match=re.escape(_NO_LOG)):
+        is_representable(t, uniform_params(t, F(0), F(1, 2)))
 
 
 def test_verdict_input_validation():
