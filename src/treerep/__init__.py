@@ -22,8 +22,8 @@ Modules
 ``thresholds``
     Complementary Bell numbers, polylog roots, threshold table.
 ``param_calculus``
-    Truncated rational jets; derivatives of the measure at p=0, p=1,
-    r=1; closed forms they must match.
+    Exact derivatives of the measure at p=0, p=1, r=1 from 0/1 cube
+    evaluations; closed forms they must match.
 ``representability``
     Verdicts, parameter-grid scans, subdivision consistency.
 ``mc_verify``
@@ -52,7 +52,6 @@ from .mc_verify import (
     sample_poisson_field_many,
 )
 from .param_calculus import (
-    DualValue,
     EdgeMultiset,
     boundary_edge_multiset,
     closed_form_p0,
@@ -150,7 +149,6 @@ __all__ = [
     "r_star",
     "threshold_table",
     # param_calculus
-    "DualValue",
     "EdgeMultiset",
     "boundary_edge_multiset",
     "closed_form_p0",

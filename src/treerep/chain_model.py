@@ -12,7 +12,7 @@ probability, and its callers differ only in the factors ``keep`` that
 mark the vertices that must be zero.  It uses ring operations only, so
 it runs on the integers of :func:`scaled_params` (every probability
 times one common denominator) for exact values and verdicts, and with
-jets in them for derivatives; on float64 rows of masks for the
+0/1 object arrays in them for derivatives; on float64 rows of masks for the
 certified float filter; and on object arrays that broadcast over all
 2^n masks at once for full measures.
 
@@ -139,7 +139,8 @@ class Weights(NamedTuple):
     value of the sure event.  :func:`scaled_params` gives integers that
     are all probabilities times one common factor, and
     :func:`float_weights` the probabilities rounded to float64; the
-    derivative layer plants jet variables in the integers.
+    derivative layer plants a ``[0, 1]`` object array, on an axis of its
+    own, in each differentiated integer.
     """
 
     r: tuple
@@ -254,7 +255,7 @@ def _sweep(tree, w, keep):
     through the copy/resample kernel, and ``keep[v]`` multiplies
     ``f_v(1)``: 0 where ``v`` must be zero, 1 where it is free.  Only
     ring operations are used, so the weights and ``keep`` may be ints,
-    jets, floats, or numpy arrays that broadcast against each other,
+    floats, or numpy arrays that broadcast against each other,
     and the result has their kind and shape.
     """
     r, rbar, p, copy = w.r, w.rbar, w.p, w.copy
@@ -307,7 +308,7 @@ def prob_all_zero(tree, params, zero_on):
     With a :class:`ChainParams` the result is a Fraction, the sweep on
     :func:`scaled_params` over its ``one``.  With :class:`Weights` it is
     the sweep's value in their ring: ``den * P`` for the integers of
-    :func:`scaled_params`, a jet when jets are planted in them.
+    :func:`scaled_params`, an object array when arrays are planted in them.
     """
     a = zero_on.bits
     if a >> tree.n:

@@ -163,8 +163,12 @@ def parse_grid(text) -> list:
     return [as_fraction(part) for part in text.split(",")]
 
 
-def parse_index_range(text) -> list:
-    """``3..8`` (inclusive) or a comma list of integers."""
+def parse_index_range(text):
+    """``3..8`` (inclusive) as a ``range``, or a comma list of integers as a list.
+
+    The range is not expanded, so ``3..10**15`` reaches the index refusal
+    of :func:`~treerep.thresholds.threshold_table` instead of allocating.
+    """
     try:
         if ".." not in text:
             return [int(part) for part in text.split(",")]
@@ -174,7 +178,7 @@ def parse_index_range(text) -> list:
         raise DomainError("not an integer range: %r" % text) from None
     if hi < lo:
         raise DomainError("empty range %r" % text)
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 # builder, sizes it takes, and an example spec for the refusal message
@@ -590,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(thresholds, tree=False)
 
     deriv = commands.add_parser(
-        "deriv-check", help="jet derivative vs closed form at a base point (JSON)"
+        "deriv-check", help="exact derivative vs closed form at a base point (JSON)"
     )
     _add_common(deriv, params=True)
     deriv.add_argument("--set", dest="subset", required=True, metavar="V,V,...", help="vertex set")

@@ -1,232 +1,40 @@
-"""Exact parameter derivatives of the signed measure via truncated jets.
+"""Exact parameter derivatives of the signed measure from cube evaluations.
 
 Every probability the chain produces is a polynomial in the edge
-parameters ``p_e`` and vertex laws ``r_v`` (multilinear in each), so
-running the message-passing recursion on truncated-polynomial
-coefficients instead of plain rationals yields exact mixed partials —
-no finite differences, no floats.  The sweep runs on the integer
-encoding the verdicts use, :func:`~treerep.chain_model.scaled_params`,
-with a jet variable planted in each differentiated entry, so it returns
-``den * P`` as a :class:`DualValue` with int coefficients, stored
-densely.  nu(S) comes from the verdicts' own
-:func:`~treerep.signed_measure.signed_products` on those jets, and only
-its two products go through a logarithm, where ``den`` cancels.  Inside
-the truncated algebra ``log u = log c + log1p(u/c - 1)``; the second
-term is a terminating series, because ``u/c - 1`` is nilpotent, and it
-turns products into sums.  It is the one place that builds Fractions.
-The constant terms are ``den`` times probabilities of all-zero events,
-positive whenever every ``r_v`` is (and ``den`` itself when ``r == 1``),
-so the series is always legal.
+parameters ``p_e`` and vertex laws ``r_v``, multilinear in each.  So with
+``eps_i`` added to each of k differentiated entries, ``P(eps)`` is the
+sum over subsets T of the k slots of ``a_T * prod_{i in T} eps_i``, and
+its values at the 2^k corners of the 0/1 cube give every ``a_T`` by
+finite differences: exact mixed partials, no floats.  One sweep on the
+integer encoding of :func:`~treerep.chain_model.scaled_params`, with a
+``[0, 1]`` array planted on its own axis for each slot, returns
+``den * P`` at every corner at once.  nu(S) is the signed sum of the logs
+of the probabilities of
+:func:`~treerep.signed_measure.connected_log_events`, and each log's
+partial follows from the ``a_T`` by Faà di Bruno's formula, where
+``den`` cancels.  That formula is the one place that builds Fractions.
+The constant terms ``a_0`` are ``den`` times probabilities of all-zero
+events, positive whenever every ``r_v`` is (and ``den`` itself when
+``r == 1``), so every log is defined.
 
 The closed forms at the degenerate base points ``p == 0`` and ``p == 1``
-live here as well, next to the jet oracle that certifies them.
+live here as well, next to the derivative core that certifies them.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .chain_model import ChainParams, as_fraction, prob_all_zero, scaled_params
-from .signed_measure import _require_positive_r, connected_log_events, signed_products
+from .signed_measure import _require_positive_r, connected_log_events
 from .thresholds import f_poly
-from .tree_core import DomainError, VertexSet, _nonnegative, as_int, is_connected, spanning_subtree
+from .tree_core import DomainError, VertexSet, as_int, is_connected, spanning_subtree
 
 DEFAULT_JET_CAP = 6
-
-
-class _Layout:
-    """The dense layout of one truncated ring, built once per ``caps``.
-
-    ``exponents[i]`` is the monomial stored at index ``i``, in mixed-radix
-    order over ``caps`` (the last direction varies fastest); ``index``
-    inverts it.  ``rows[i]`` lists the ``(j, k)`` pairs whose product
-    ``exponents[i] * exponents[j]`` is ``exponents[k]`` inside the ring,
-    built in time proportional to the pairs listed.
-    """
-
-    __slots__ = ("caps", "exponents", "index", "rows")
-
-    def __init__(self, caps):
-        self.caps = caps
-        self.exponents = list(itertools.product(*(range(cap + 1) for cap in caps)))
-        self.index = {e: i for i, e in enumerate(self.exponents)}
-        # Exponents inside the caps add digit by digit with no carry, so
-        # their positions add too: i * j lands at i + j.
-        rows = []
-        for i, e1 in enumerate(self.exponents):
-            fits = itertools.product(*(range(cap - d + 1) for cap, d in zip(caps, e1)))
-            rows.append(tuple((self.index[e2], i + self.index[e2]) for e2 in fits))
-        self.rows = tuple(rows)
-
-
-@functools.lru_cache(maxsize=64)
-def _ring_layout(caps):
-    return _Layout(caps)
-
-
-def _scalar(x):
-    """An int or Fraction as it is; anything else through :func:`as_fraction`."""
-    return x if type(x) in (int, Fraction) else as_fraction(x)
-
-
-class DualValue:
-    """Polynomial in named infinitesimal directions, truncated per direction.
-
-    The ring is Q[e_1..e_k] modulo every monomial whose exponent in some
-    direction exceeds its entry of ``caps``; it is closed under +, - and
-    *.  Coefficients are stored densely in ``coeffs``, one per exponent
-    tuple in mixed-radix order over ``caps`` (the last direction varies
-    fastest).  A product runs through the pair table of the ring's
-    layout, built once per ``caps``.  Coefficients are ints or
-    Fractions, and ints stay ints: a jet over integer weights builds no
-    Fraction until :meth:`log_series` divides.
-
-    Instances mix freely with ints and Fractions on either side, which
-    is what lets :func:`treerep.chain_model.prob_all_zero` run on jets
-    unchanged.  ``terms`` maps each exponent tuple with a nonzero
-    coefficient to that coefficient; a term outside the ring, or caps
-    that are not nonnegative integers, is a :class:`DomainError`.
-    """
-
-    __slots__ = ("_layout", "coeffs")
-
-    def __init__(self, caps, terms):
-        caps = tuple(_nonnegative(cap, "jet cap") for cap in caps)
-        self._layout = layout = _ring_layout(caps)
-        self.coeffs = [0] * len(layout.exponents)
-        for e, c in terms.items():
-            i = layout.index.get(e)
-            if i is None:
-                raise DomainError("monomial %r is outside the ring with caps %s" % (e, caps))
-            self.coeffs[i] = _scalar(c)
-
-    def _new(self, coeffs):
-        out = object.__new__(DualValue)
-        out._layout = self._layout
-        out.coeffs = coeffs
-        return out
-
-    @classmethod
-    def constant(cls, caps, value):
-        return cls(caps, {(0,) * len(caps): value})
-
-    @classmethod
-    def variable(cls, caps, slot, base=0):
-        """``base + eps_slot`` as a jet; ``eps_slot`` is 0 when its cap is
-        0.  A slot outside ``range(len(caps))`` is a :class:`DomainError`."""
-        out = cls.constant(caps, base)
-        slot = as_int(slot, "jet slot")
-        if not 0 <= slot < len(out.caps):
-            raise DomainError("jet slot %d outside the %d directions" % (slot, len(out.caps)))
-        unit = out._layout.index.get(tuple(int(i == slot) for i in range(len(out.caps))))
-        if unit is not None:
-            out.coeffs[unit] = 1
-        return out
-
-    @property
-    def caps(self):
-        return self._layout.caps
-
-    @property
-    def terms(self):
-        exponents = self._layout.exponents
-        return {exponents[i]: c for i, c in enumerate(self.coeffs) if c}
-
-    @property
-    def constant_term(self) -> Fraction:
-        return Fraction(self.coeffs[0])
-
-    def coefficient(self, exponents) -> Fraction:
-        i = self._layout.index.get(tuple(exponents))
-        return Fraction(0 if i is None else self.coeffs[i])
-
-    def _lift(self, other):
-        """``other``'s coefficients in this ring; a scalar is returned as one."""
-        if isinstance(other, DualValue):
-            if other._layout is not self._layout and other.caps != self.caps:
-                raise ValueError("jets from different truncated rings")
-            return other.coeffs
-        return _scalar(other)
-
-    def _termwise(self, other, op):
-        other = self._lift(other)
-        if isinstance(other, list):
-            return self._new(list(map(op, self.coeffs, other)))
-        coeffs = list(self.coeffs)
-        coeffs[0] = op(coeffs[0], other)
-        return self._new(coeffs)
-
-    def __add__(self, other):
-        return self._termwise(other, operator.add)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._new([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self._termwise(other, operator.sub)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if not isinstance(other, list):
-            return self._new([other * c for c in self.coeffs])
-        out = [0] * len(other)
-        for a, row in zip(self.coeffs, self._layout.rows):
-            if a:
-                for j, k in row:
-                    b = other[j]
-                    if b:
-                        out[k] += a * b
-        return self._new(out)
-
-    __rmul__ = __mul__
-
-    def log_series(self):
-        """``log(self) - log(constant term)``, exact in the truncated ring.
-
-        The constant term ``c`` must be positive.  With ``t = self - c``,
-        nilpotent and on the coefficients' own type, the series is
-        ``sum_k (-1)**(k+1) t**k / (k c**k)``; only that division builds
-        Fractions.  Only the polynomial part of the log is representable
-        over the rationals; the dropped ``log c`` is a constant, which no
-        derivative sees.
-        """
-        c = self.coeffs[0]
-        if c <= 0:
-            raise DomainError("log needs a positive constant term")
-        t = self - c
-        out = self._new([0] * len(self.coeffs))
-        power = t
-        k = 1
-        while any(power.coeffs):
-            out = out + power * Fraction((-1) ** (k + 1), k * c**k)
-            power = power * t
-            k += 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, DualValue):
-            return self.caps == other.caps and self.coeffs == other.coeffs
-        try:
-            other = _scalar(other)
-        except DomainError:
-            return NotImplemented
-        return self.coeffs[0] == other and not any(self.coeffs[1:])
-
-    __hash__ = None
-
-    def __repr__(self):
-        body = ", ".join("%s: %s" % (e, c) for e, c in self.terms.items())
-        return "DualValue(caps=%s, {%s})" % (self.caps, body)
 
 
 @dataclass(frozen=True)
@@ -314,22 +122,52 @@ def subtree_edge_multiset(tree, subset) -> EdgeMultiset:
     return EdgeMultiset.of(*edges)
 
 
+def _log_partial_terms(mults):
+    """Faà di Bruno's formula for a mixed partial of ``log P``, P multilinear.
+
+    The partial takes ``mults[i]`` derivatives in direction i.  It is the
+    sum, over the set partitions pi of those derivatives, of
+    ``(-1)**(|pi| - 1) * (|pi| - 1)! * prod_B a_B / a_0**|pi|``, where
+    ``a_B`` is P's partial in the derivatives of block B.  A block that
+    names one direction twice has ``a_B = 0``, as P is multilinear, so it
+    is never built.  Returns ``(coefficient, blocks)`` per remaining
+    partition, each block the mask of its directions.
+    """
+    partitions = [()]
+    for i, m in enumerate(mults):
+        bit = 1 << i
+        for _ in range(m):
+            grown = []
+            for blocks in partitions:
+                # the next derivative opens a block or joins one without its direction
+                grown.append(blocks + (bit,))
+                grown += (
+                    blocks[:j] + (b | bit,) + blocks[j + 1 :]
+                    for j, b in enumerate(blocks)
+                    if not b & bit
+                )
+            partitions = grown
+    return [((-1) ** (len(pi) - 1) * math.factorial(len(pi) - 1), pi) for pi in partitions]
+
+
 def _jet_partial(tree, base, subset, field, slots, mults):
     """Mixed partial of nu(S) at ``base``, ``mults[i]`` times in entry
     ``slots[i]`` of its ``field`` (``"p"`` or ``"r"``).
 
     The one derivative core behind :func:`d_nu_dp` and :func:`d_nu_dr`:
     it checks the request (a vertex law of 0, which has no log, is the
-    :class:`DomainError` of :func:`~treerep.signed_measure.nu_full`),
-    plants a jet variable in each slot of the integer weights of
-    :func:`~treerep.chain_model.scaled_params` and reads the coefficient
-    off the log series of nu(S)'s two signed products.  With
-    ``p_e = c/d`` on the edge above ``v`` and ``r_v = a/b``,
-    ``p_e + eps`` scales to ``p = c + d*eps`` and
-    ``copy = ((d - c) - d*eps) * b_v``, and ``r_v + eps`` to
-    ``r = a + b*eps`` and ``rbar = (b - a) - b*eps``; every sweep then
-    returns ``den * P(eps)`` on int coefficients.  The + and - events are
-    equally many, so ``den`` cancels, and the log series drops constants.
+    :class:`DomainError` of :func:`~treerep.signed_measure.nu_full`) and
+    plants ``eps_i``, an object array ``[0, 1]`` on the axis of stride
+    2^i, in slot i of the integer weights of
+    :func:`~treerep.chain_model.scaled_params`.  With ``p_e = c/d`` on the
+    edge above ``v`` and ``r_v = a/b``, ``p_e + eps`` scales to
+    ``p = c + d*eps`` and ``copy = ((d - c) - d*eps) * b_v``, and
+    ``r_v + eps`` to ``r = a + b*eps`` and ``rbar = (b - a) - b*eps``.
+    Each event's sweep then returns ``den * P`` at every corner of the
+    cube, entry T of its flattened table being the corner with
+    ``eps_i = 1`` for the slots i in T; differences along each axis turn
+    it into the coefficients ``a_T``, which :func:`_log_partial_terms`
+    combines over the common denominator ``a_0**order``.
     """
     if not subset.bits:
         raise DomainError("subset must be nonempty")
@@ -345,8 +183,8 @@ def _jet_partial(tree, base, subset, field, slots, mults):
     if not is_connected(tree, subset):
         return Fraction(0)
     r, rbar, p, copy = list(w.r), list(w.rbar), list(w.p), list(w.copy)
-    for pos, slot in enumerate(slots):
-        eps = DualValue.variable(mults, pos)
+    for i, slot in enumerate(slots):
+        eps = np.array([0, 1], dtype=object).reshape((2,) + (1,) * i)
         if field == "p":
             v = tree.parent_edge.index(slot)
             d = base.p[slot].denominator
@@ -357,13 +195,24 @@ def _jet_partial(tree, base, subset, field, slots, mults):
             r[slot] = r[slot] + b * eps
             rbar[slot] = rbar[slot] - b * eps
     weights = w._replace(r=tuple(r), rbar=tuple(rbar), p=tuple(p), copy=tuple(copy))
-    even, odd = signed_products(
-        connected_log_events(tree, subset),
-        lambda bits: prob_all_zero(tree, weights, VertexSet(bits)),
-    )
-    zero = DualValue.constant(mults, 0)
-    series = (zero + even).log_series() - (zero + odd).log_series()
-    return series.coefficient(mults) * math.prod(math.factorial(m) for m in mults)
+    events = connected_log_events(tree, subset)
+    if sum(sign for sign, _ in events):
+        raise AssertionError("boundary events must split evenly between the signs")
+    terms = _log_partial_terms(mults)
+    total = Fraction(0)
+    for sign, bits in events:
+        # the empty event's sweep is the constant den, broadcast to every corner
+        corners = np.broadcast_to(
+            prob_all_zero(tree, weights, VertexSet(bits)), (2,) * len(slots)
+        ).flatten()
+        for b in range(len(slots)):
+            level = corners.reshape(-1, 2, 1 << b)
+            level[:, 1] -= level[:, 0]
+        a = corners.tolist()
+        powers = [a[0] ** j for j in range(order + 1)]
+        num = sum(c * powers[order - len(pi)] * math.prod(a[t] for t in pi) for c, pi in terms)
+        total += sign * Fraction(num, powers[order])
+    return total
 
 
 def d_nu_dp(tree, params, subset, edges, at="params"):
@@ -493,11 +342,12 @@ def d_nu_dr_octopus(m, p_first, p_second) -> Fraction:
         d nu(S) / d r_center |_{r == 1} = -prod_j (1 - p_{j,1}) * p_{j,2}
 
     where ``p_first[j]`` is the center-to-inner edge of arm j and
-    ``p_second[j]`` the inner-to-leaf edge.  The jet computation of the
+    ``p_second[j]`` the inner-to-leaf edge.  :func:`d_nu_dr`'s value for the
     same derivative on the depth-2 truncation must (and does) agree
-    exactly; see the companion tests.
+    exactly; see the companion tests.  An ``m`` that is not an integer
+    is a :class:`DomainError`.
     """
-    if m < 3:
+    if as_int(m, "octopus arm count") < 3:
         raise DomainError("octopus needs at least 3 arms")
     p_first = [as_fraction(x) for x in p_first]
     p_second = [as_fraction(x) for x in p_second]

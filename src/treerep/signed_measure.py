@@ -224,7 +224,7 @@ def signed_products(events, prob):
     """``(even, odd)``, the products of ``prob(bits)`` over the + and - events.
 
     ``nu(S) = log(even / odd)`` for the events of :func:`connected_log_events`.
-    Only ring operations are used, so ``prob`` may return ints, Fractions or jets.
+    Only ring operations are used, so ``prob`` may return ints or Fractions.
     """
     evens = []
     odds = []

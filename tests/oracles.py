@@ -326,11 +326,13 @@ def _pair(x):
 
 
 class FractionJet:
-    """Reference for ``param_calculus.DualValue``: a dict of Fraction terms.
+    """Truncated multivariate polynomials over the Fractions, a dict of terms.
 
-    ``terms`` maps exponent tuples to Fraction coefficients.  Monomials
-    whose exponent exceeds the per-direction ``caps`` are dropped when a
-    product makes them.  Mixes with ints and Fractions on either side.
+    The ring :func:`fraction_jet_partial` differentiates in; the engine's
+    derivative core shares none of it.  ``terms`` maps exponent tuples to
+    Fraction coefficients.  Monomials whose exponent exceeds the
+    per-direction ``caps`` are dropped when a product makes them.  Mixes
+    with ints and Fractions on either side.
     """
 
     __slots__ = ("caps", "terms")

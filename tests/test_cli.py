@@ -192,7 +192,7 @@ def test_parse_grid_exact_stepping():
 
 
 def test_parse_index_range():
-    assert parse_index_range("3..8") == [3, 4, 5, 6, 7, 8]
+    assert list(parse_index_range("3..8")) == [3, 4, 5, 6, 7, 8]
     assert parse_index_range("4,6,3") == [4, 6, 3]
     assert parse_index_range("5") == [5]
     with pytest.raises(DomainError):
@@ -309,6 +309,8 @@ TEXT_REFUSALS = [
     (_VERIFY + ["--seed", "-1"],
      "--seed must lie in [0, 2^64 - 5]: the checks use seeds seed to seed + 4"),
     (_VERIFY + ["--alpha", "1_0/"], "not an exact rational: '1_0/'"),
+    # the range is never listed, so a huge bound reaches the index refusal
+    (["thresholds", "--n", "3..1000000000000000"], "complementary Bell index must be in 0..64"),
 ]
 
 

@@ -1,22 +1,20 @@
-"""Jet derivatives: ring laws, closed forms, and the vanishing identities.
+"""Exact derivatives: the jet reference, closed forms, and the vanishing identities.
 
 Frozen rational values come from an independent symbolic-differentiation
 oracle (full Mobius sum over brute-force percolation probabilities),
 run once and pinned here.
 """
 
-import itertools
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from treerep.chain_model import ChainParams, make_params, uniform_params
 from treerep.param_calculus import (
     DEFAULT_JET_CAP,
-    DualValue,
     EdgeMultiset,
     boundary_edge_multiset,
     closed_form_p0,
@@ -41,108 +39,9 @@ from treerep.tree_core import (
 )
 
 from conftest import random_params, random_tree
-from oracles import FractionJet, fraction_jet_partial
+from oracles import fraction_jet_partial
 
 F = Fraction
-
-
-def _jet(caps, terms):
-    return DualValue(caps, {e: F(c) for e, c in terms.items()})
-
-
-def test_dual_ring_basics():
-    one_plus = _jet((2,), {(0,): 1, (1,): 1})
-    one_minus = _jet((2,), {(0,): 1, (1,): -1})
-    assert one_plus * one_minus == _jet((2,), {(0,): 1, (2,): -1})
-    # truncation by per-variable cap
-    x = DualValue.variable((1, 1), 0)
-    y = DualValue.variable((1, 1), 1)
-    assert x * x == _jet((1, 1), {})
-    assert x * y == _jet((1, 1), {(1, 1): 1})
-    # scalars mix on either side
-    eps = DualValue.variable((3,), 0)
-    assert 1 - eps == _jet((3,), {(0,): 1, (1,): -1})
-    assert F(2, 3) * eps + eps * F(1, 3) == eps
-    assert (2 + eps) - 2 == eps
-    with pytest.raises(ValueError):
-        eps + DualValue.variable((2,), 0)
-
-
-def test_dual_log_series():
-    eps = DualValue.variable((3,), 0)
-    expect = _jet((3,), {(1,): 1, (2,): F(-1, 2), (3,): F(1, 3)})
-    assert (1 + eps).log_series() == expect
-    # scaling by a positive constant does not move the series part
-    assert (F(5, 3) * (1 + eps)).log_series() == expect
-    with pytest.raises(ValueError):
-        (eps - 1).log_series()
-    with pytest.raises(ValueError):
-        eps.log_series()
-
-
-small = st.integers(min_value=-3, max_value=3)
-
-
-@given(c1=st.integers(1, 5), c2=st.integers(1, 5), coeffs=st.tuples(*[small] * 6))
-def test_dual_log_turns_products_into_sums(c1, c2, coeffs):
-    a1, b1, m1, a2, b2, m2 = coeffs
-    u = _jet((2, 2), {(0, 0): c1, (1, 0): a1, (0, 1): b1, (1, 1): m1})
-    v = _jet((2, 2), {(0, 0): c2, (1, 0): a2, (0, 1): b2, (1, 1): m2})
-    assert (u * v).log_series() == u.log_series() + v.log_series()
-
-
-def test_dual_refuses_terms_outside_its_ring():
-    for caps, terms in [
-        ((1,), {(0,): 1, (2,): 5}),       # above the cap of its direction
-        ((1,), {(0, 0): 1}),              # one exponent per direction
-        ((2,), {0: 1}),                   # not an exponent tuple
-    ]:
-        with pytest.raises(DomainError, match="outside the ring"):
-            DualValue(caps, terms)
-    for caps in [(-1,), (1.5,), (True,)]:
-        with pytest.raises(DomainError, match="jet cap"):
-            DualValue(caps, {})
-    for slot in (3, -1, 1.0, "0"):
-        with pytest.raises(DomainError, match="jet slot"):
-            DualValue.variable((1,), slot, base=5)
-    # a direction whose cap is 0 is the zero element of its ring
-    assert DualValue.variable((0, 1), 0, base=5) == 5
-
-
-def test_dual_compares_unequal_to_non_rationals():
-    eps = DualValue.variable((1,), 0)
-    assert not eps == None  # noqa: E711
-    assert eps != "x"
-    assert eps.__eq__(object()) is NotImplemented
-    assert DualValue.constant((1,), F(2, 3)) == F(2, 3) == DualValue.constant((1,), "2/3")
-    assert eps + 1 != 1
-    with pytest.raises(DomainError, match="not an exact rational"):
-        eps + "x"
-
-
-@st.composite
-def _ring_pair(draw):
-    """Caps and two term maps inside that ring."""
-    caps = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
-    monomials = list(itertools.product(*(range(cap + 1) for cap in caps)))
-    coeff = st.one_of(st.integers(-4, 4), st.fractions(min_value=-2, max_value=2, max_denominator=5))
-    terms = st.dictionaries(st.sampled_from(monomials), coeff)
-    return caps, draw(terms), draw(terms), draw(coeff)
-
-
-@given(_ring_pair())
-def test_dense_ring_agrees_with_the_fraction_reference(ring):
-    caps, t1, t2, scalar = ring
-    u, v = DualValue(caps, t1), DualValue(caps, t2)
-    ru, rv = FractionJet(caps, t1), FractionJet(caps, t2)
-    assert (u + v).terms == (ru + rv).terms
-    assert (u - v).terms == (ru - rv).terms
-    assert (u * v).terms == (ru * rv).terms
-    assert (scalar - u * scalar).terms == (scalar - ru * scalar).terms
-    assert (u + scalar).terms == (ru + scalar).terms
-    assert all(u.coefficient(e) == ru.coefficient(e) for e in ru.terms)
-    w, rw = u - u.constant_term + 3, ru - ru.constant_term + 3
-    assert w.log_series().terms == rw.log_series().terms
 
 
 def _mixed_params(rng, tree):
@@ -188,13 +87,36 @@ def test_jets_match_the_fraction_reference_on_random_trees():
     assert min(seen.values()) >= 10 and nonzero >= 16
 
 
+def test_every_multiset_up_to_the_cap_matches_the_fraction_reference():
+    # repeated slots and the cap boundary on purpose: every edge and
+    # vertex multiset of total order 1 to DEFAULT_JET_CAP, then one above
+    for t, s in [(star(3), VertexSet.of(0, 1)), (path(4), VertexSet.of(1, 2))]:
+        params = _mixed_params(random.Random(t.n), t)
+        for order in range(1, DEFAULT_JET_CAP + 1):
+            for edges in combinations_with_replacement(t.edges, order):
+                multiset = EdgeMultiset.of(*edges)
+                slots = [t.edge_index(u, v) for u, v in multiset.support]
+                mults = [m for _, m in multiset.items]
+                want = fraction_jet_partial(t, params, s, "p", slots, mults)
+                assert d_nu_dp(t, params, s, edges) == want, edges
+            for vertices in combinations_with_replacement(range(t.n), order):
+                slots = sorted(set(vertices))
+                mults = [vertices.count(v) for v in slots]
+                want = fraction_jet_partial(t, params, s, "r", slots, mults)
+                assert d_nu_dr(t, params, s, vertices) == want, vertices
+        with pytest.raises(DomainError, match="jet cap exceeded"):
+            d_nu_dp(t, params, s, [t.edges[0]] * (DEFAULT_JET_CAP + 1))
+        with pytest.raises(DomainError, match="jet cap exceeded"):
+            d_nu_dr(t, params, s, {0: 3, 1: DEFAULT_JET_CAP - 2})
+
+
 def test_jet_sweeps_run_on_ints_once_per_event(monkeypatch):
     sweeps = []
     sweep = param_calculus.prob_all_zero
 
     def recorded(tree, weights, zero_on):
         value = sweep(tree, weights, zero_on)
-        sweeps.append(value.coeffs if isinstance(value, DualValue) else [value])
+        sweeps.append(value.ravel().tolist() if isinstance(value, np.ndarray) else [value])
         return value
 
     monkeypatch.setattr(param_calculus, "prob_all_zero", recorded)
@@ -414,6 +336,10 @@ def test_octopus_closed_form_values():
         d_nu_dr_octopus(3, half[:2], half)
     with pytest.raises(ValueError):
         d_nu_dr_octopus(3, half, [F(1, 2), F(1, 2), 2])
+    # an integer arm count or a refusal, as closed_form_p0 checks b
+    for bad in ("3", 3.0):
+        with pytest.raises(DomainError, match="octopus arm count must be an integer"):
+            d_nu_dr_octopus(bad, half, half)
 
 
 def test_second_derivative_stays_inside_envelope():

@@ -14,7 +14,6 @@ PUBLIC = [
     "ClosureReport",
     "ComparisonReport",
     "DomainError",
-    "DualValue",
     "EdgeMultiset",
     "MeasureValue",
     "PhasePoint",
@@ -87,11 +86,6 @@ SIGNATURES = {
     "ChainParams": "(r, p)",
     "ClosureReport": "(draws, checked, max_sigmas, worst_set, tolerance, passed)",
     "ComparisonReport": "(statistic, dof, p_value, alpha, cells, draws, passed)",
-    "DualValue": "(caps, terms)",
-    "DualValue.constant": "(caps, value)",
-    "DualValue.variable": "(caps, slot, base=0)",
-    "DualValue.coefficient": "(self, exponents)",
-    "DualValue.log_series": "(self)",
     "EdgeMultiset": "(items)",
     "EdgeMultiset.of": "(*edges)",
     "EdgeMultiset.from_string": "(text)",
