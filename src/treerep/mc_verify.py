@@ -9,7 +9,8 @@ scatters them, so its work follows the field's total intensity, not
 its number of atoms.  Sampling that field and comparing zero-pattern
 frequencies against the chain's exact probabilities closes the loop
 numerically; a two-sample chi-square confirms the two chain samplers
-simulate the same law.
+simulate the same law; its tail is a closed form in the standard
+library (:func:`_chi2_tail`), accurate to about 1e-11 relative.
 
 Intensities are double-precision floats (the exact engine guarantees
 them to ~1e-12 relative); Monte-Carlo tolerances dwarf that.
@@ -18,11 +19,11 @@ them to ~1e-12 relative); Monte-Carlo tolerances dwarf that.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .chain_model import _blocks, _rng, prob_all_zero, scaled_params
 from .signed_measure import SignedMeasure, nu_full
@@ -137,6 +138,40 @@ def _pattern_histogram(words, n):
     return hist
 
 
+def _chi2_tail(dof, statistic):
+    """P(chi-square with ``dof`` >= 1 integer degrees of freedom >= ``statistic``).
+
+    With y = statistic / 2 and t(b) = y^b e^-y / Gamma(b + 1), the tail
+    Q is erfc(sqrt(y)) for odd dof plus t(b) over b = dof/2 - 1,
+    dof/2 - 2, ... >= 0, and 1 - Q is t(b) over b = dof/2, dof/2 + 1, ....
+    Each sum starts at its largest term, taken through logarithms, and
+    steps away from it by the ratio t(b + 1) / t(b) = y / (b + 1).
+    Below the mean (y < dof/2, dof >= 3) Q is 1 minus the second sum, so
+    a value near 1 carries no rounding of many terms, which could make
+    it rise by an ulp as the statistic grows.  Accurate to about 1e-11
+    relative at dof <= 4095.
+    """
+    y = statistic / 2
+    if y <= 0:
+        return 1.0
+    lower = dof > 2 and y < dof / 2
+    b = dof / 2 if lower else dof / 2 - 1
+    term = math.exp(b * math.log(y) - y - math.lgamma(b + 1))
+    if lower:
+        below = 0.0
+        while term > below * 1e-17:
+            below += term
+            b += 1
+            term *= y / b
+        return 1.0 - below
+    tail = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    while b >= 0:
+        tail += term
+        term *= b / y
+        b -= 1
+    return tail
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     """Two-sample chi-square over (pooled) zero/one pattern cells."""
@@ -158,9 +193,11 @@ def compare_laws(sampler_a, sampler_b, n, n_draws=100_000, alpha=0.01, seed=0):
     (``seed`` and ``seed + 1``).  Cells start as all 2^n patterns and
     the smallest-count cells are merged pairwise (ties by pattern id)
     until every expected count reaches 5, the standard validity
-    threshold.  Fails loudly if pooling cannot get there, or if both
-    samples fall on one pattern, which no number of draws mends; refuses
-    ``n_draws < 1`` before sampling.
+    threshold.  The p-value is :func:`_chi2_tail` of the statistic, a
+    closed form accurate to about 1e-11 relative.  Fails loudly if
+    pooling cannot get there, or if both samples fall on one pattern,
+    which no number of draws mends; refuses ``n_draws < 1`` before
+    sampling.
     """
     if not 1 <= n <= MAX_FIELD_ORDER:
         raise DomainError("pattern chi-square needs 1 <= n <= %d" % MAX_FIELD_ORDER)
@@ -198,7 +235,7 @@ def compare_laws(sampler_a, sampler_b, n, n_draws=100_000, alpha=0.01, seed=0):
         statistic += (count_a - expect_a) ** 2 / expect_a
         statistic += (count_b - expect_b) ** 2 / expect_b
     dof = len(cells) - 1
-    p_value = float(chdtrc(dof, statistic))
+    p_value = _chi2_tail(dof, statistic)
     return ComparisonReport(
         statistic=statistic,
         dof=dof,

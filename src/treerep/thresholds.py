@@ -49,10 +49,15 @@ def complementary_bell(n):
     The sequence runs 1, -1, 0, 1, 1, -2, -9, -9, 50, ... and measures the
     surplus of even- over odd-block set partitions.
     """
+    row = _stirling2_row(_bell_index(n))
+    return sum((-1) ** k * row[k] for k in range(n + 1))
+
+
+def _bell_index(n):
+    """``n`` if it is an integer in 0..MAX_BELL_INDEX, else a :class:`DomainError`."""
     if not 0 <= as_int(n, "complementary Bell index") <= MAX_BELL_INDEX:
         raise DomainError("complementary Bell index must be in 0..%d" % MAX_BELL_INDEX)
-    row = _stirling2_row(n)
-    return sum((-1) ** k * row[k] for k in range(n + 1))
+    return n
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -135,9 +140,14 @@ def r_star(n) -> float:
     The nonzero roots of ``Li_{1-n}`` are the roots of the Eulerian
     polynomial ``A_{n-1}``; these are simple, real and negative.
     """
+    return float(_largest_negative_eulerian_root(_r_star_index(n) - 1))
+
+
+def _r_star_index(n):
+    """``n`` if it is an integer >= 3, else a :class:`DomainError`."""
     if as_int(n, "n") < 3:
         raise DomainError("r_star needs n >= 3")
-    return float(_largest_negative_eulerian_root(n - 1))
+    return n
 
 
 def r1(m) -> float:
@@ -212,7 +222,17 @@ class ThresholdTable:
 
 
 def threshold_table(ns):
-    """Rows for each n in ``ns`` (each must be >= 3)."""
+    """Rows for each n in ``ns`` (each must be in 3..64).
+
+    Every index is checked before any row is built, and the first bad
+    one gets the refusal its row would raise.  The good indices before
+    it are distinct in 3..64 when ``ns`` is a range, so a range of any
+    length is refused after at most 62 checks.
+    """
+    if not isinstance(ns, range):
+        ns = list(ns)
+    for n in ns:
+        _r_star_index(_bell_index(n))
     return [
         ThresholdTable(n=n, bell_c=complementary_bell(n), r_star=r_star(n), r0=r0(n), r1=r1(n))
         for n in ns

@@ -9,11 +9,17 @@ grid parsing, parameter vectors, exit statuses, artifact shape.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import treerep
+from treerep import thresholds
 from treerep.chain_model import as_fraction
 from treerep.cli import (
     RunConfig,
@@ -322,6 +328,23 @@ def test_text_refusals_exit_2_with_one_stderr_line(monkeypatch, tmp_path, capsys
     assert not (tmp_path / "artifact").exists()
 
 
+def test_thresholds_refuses_a_bad_index_before_building_any_row(monkeypatch, tmp_path, capsys):
+    real = thresholds.complementary_bell
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(thresholds, "complementary_bell", counted)
+    for spec in ["3..1000000000000000", "3,4,70"]:
+        assert main(["thresholds", "--n", spec, "--out", str(tmp_path / "table.csv")]) == 2
+        assert capsys.readouterr().err == "treerep: complementary Bell index must be in 0..64\n"
+        assert calls == [], spec
+    assert main(["thresholds", "--n", "3..4", "--out", str(tmp_path / "table.csv")]) == 0
+    assert calls  # the counter sees the rows that are built
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -589,6 +612,31 @@ def test_verify_builds_the_lattice_once(monkeypatch, tmp_path):
     assert code == 0
     assert blob == (GOLDEN / "verify.json").read_bytes()
     assert calls == [4]
+
+
+def test_treerep_runs_without_scipy(tmp_path):
+    out = tmp_path / "verify.json"
+    script = textwrap.dedent(
+        """
+        import sys
+
+        from treerep import cli
+
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+        sys.modules["scipy"] = None  # any later scipy import fails
+        sys.exit(cli.main(["verify", "--tree", "path:4", "--r", "1/2", "--p", "1/2",
+                           "--draws", "20000", "--out", sys.argv[1]]))
+        """
+    )
+    src = str(pathlib.Path(treerep.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_bytes())["passed"] is True
+    assert out.read_bytes() == (GOLDEN / "verify.json").read_bytes()
 
 
 def test_unknown_flags_and_commands_are_rejected():

@@ -273,6 +273,33 @@ def test_different_laws_are_detected():
     assert report.p_value < 1e-6
 
 
+# 2^12 - 1: the most degrees of freedom compare_laws can produce
+_TAIL_DOFS = list(range(1, 41)) + [41, 63, 64, 100, 127, 128, 255, 256, 511, 1000, 2047, 3001, 4095]
+
+
+def test_chi2_tail_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for dof in _TAIL_DOFS:
+        xs = np.linspace(0.2 * dof, 3 * dof, 57)
+        want = special.chdtrc(dof, xs)
+        got = np.array([mc_verify._chi2_tail(dof, float(x)) for x in xs])
+        kept = want > 1e-300
+        assert kept[0]
+        np.testing.assert_allclose(got[kept], want[kept], rtol=1e-11, atol=0, err_msg="dof %d" % dof)
+
+
+def test_chi2_tail_is_a_falling_probability():
+    tail = mc_verify._chi2_tail
+    for dof in _TAIL_DOFS:
+        assert tail(dof, 0.0) == 1.0
+        values = [tail(dof, float(x)) for x in np.linspace(0, 3 * dof, 400)]
+        assert all(0.0 <= value <= 1.0 for value in values), dof
+        assert all(b <= a for a, b in zip(values, values[1:])), dof
+    for x in [0.0, 1e-9, 0.3, 1.0, 2.0, 7.5, 40.0, 300.0, 1500.0]:
+        assert tail(1, x) == math.erfc(math.sqrt(x / 2))
+        assert tail(2, x) == math.exp(-x / 2)
+
+
 def test_pooling_merges_rare_patterns():
     t = star(3)
     params = uniform_params(t, F(1, 12), F(1, 12))  # rare-corner law

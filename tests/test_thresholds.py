@@ -199,6 +199,19 @@ def test_f_poly_values_and_sign_change():
         assert abs(float((lo + hi) / 2) - boundary) < 1e-10
 
 
+def test_threshold_table_gives_the_first_bad_rows_refusal():
+    for ns, message in [
+        ([70, 2], "complementary Bell index must be in 0..64"),
+        ([2, 70], "r_star needs n >= 3"),
+        (range(3, 10**15), "complementary Bell index must be in 0..64"),
+        (range(-1, 10), "complementary Bell index must be in 0..64"),
+        (range(10, -5, -1), "r_star needs n >= 3"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            threshold_table(ns)
+    assert [row.n for row in threshold_table(iter([4, 3]))] == [4, 3]
+
+
 def test_threshold_table_rows():
     rows = threshold_table(range(3, 9))
     for row in rows:
