@@ -135,12 +135,13 @@ class Weights(NamedTuple):
 
     ``r[v]`` and ``rbar[v]`` weigh a fresh draw of 0 and of 1 at ``v``;
     ``p[c]`` and ``copy[c]`` weigh resampling and copying on the edge
-    from ``c`` up to its parent (unused at the root).  ``one`` is the
+    from ``c`` up to its parent (None at the root).  ``one`` is the
     value of the sure event.  :func:`scaled_params` gives integers that
     are all probabilities times one common factor, and
-    :func:`float_weights` the probabilities rounded to float64; the
-    derivative layer plants a ``[0, 1]`` object array, on an axis of its
-    own, in each differentiated integer.
+    :func:`float_weights` the probabilities of P points rounded to
+    float64, as ``(P, 1)`` columns; the derivative layer plants a
+    ``[0, 1]`` object array, on an axis of its own, in each
+    differentiated integer.
     """
 
     r: tuple
@@ -198,51 +199,30 @@ def scaled_params(tree, params):
     )
 
 
-def _rounded(values):
-    """Each Fraction x of ``values`` and ``1 - x`` in float64: two lists.
+def float_weights(tree, points):
+    """The float64 weights of P parameter points, as ``(P, 1)`` columns.
 
-    Each entry is one int/int true division, which rounds correctly:
-    ``1 - x`` is ``(b - a) / b``, never ``1.0 - float(x)``.
+    Row k of every column belongs to ``points[k]``, a :class:`ChainParams`
+    of ints or Fractions, so :func:`prob_all_zero_many` gives a points x
+    masks table.  Each entry of ``r``, ``rbar = 1 - r``, ``p`` and
+    ``copy = 1 - p`` is one int/int true division, which rounds correctly:
+    ``1 - x`` is ``(b - a) / b``, never ``1.0 - float(x)``.  The root's
+    edge entries are None, as in :func:`scaled_params`.
     """
-    return (
-        [x.numerator / x.denominator for x in values],
-        [(x.denominator - x.numerator) / x.denominator for x in values],
-    )
 
+    def columns(laws, complement):
+        # laws holds each point's tuple; column i is entry i of every point
+        values = [[(x.denominator - x.numerator if complement else x.numerator) / x.denominator
+                   for x in column] for column in zip(*laws)]
+        return tuple(np.array(values, dtype=np.float64)[..., None])
 
-_ROOT_P = Fraction(0)  # the law of the root's unused edge entries in a sweep
-
-
-def float_weights(tree, params):
-    """The probabilities themselves as float64 weights, each correctly rounded.
-
-    ``r``, ``rbar = 1 - r``, ``p`` and ``copy = 1 - p``, each entry
-    rounded by :func:`_rounded`.  The root's unused edge entries are
-    those of p = 0.  ``params`` must hold Fractions.
-    """
-    r, rbar = _rounded(params.r)
-    p, copy = _rounded([params.p[e] if e >= 0 else _ROOT_P for e in tree.parent_edge])
-    return Weights(r=tuple(r), rbar=tuple(rbar), p=tuple(p), copy=tuple(copy), one=1.0)
-
-
-def grid_float_weights(tree, rs, ps):
-    """:func:`float_weights` of every uniform point of the grid ``rs`` x ``ps`` at once.
-
-    Each entry is a ``(P, 1)`` column whose row ``len(ps) * i + j``
-    belongs to the point with r = ``rs[i]`` at every vertex and p =
-    ``ps[j]`` on every edge, so :func:`prob_all_zero_many` gives a
-    points x masks table.  Each distinct value is rounded once, as
-    :func:`float_weights` rounds it; the root's unused edge entries are
-    the same floats for every point.
-    """
-    r, rbar = np.repeat(_rounded(rs), len(ps), axis=1)[..., None]
-    p, copy = np.tile(_rounded(ps), len(rs))[..., None]
-    (root_p,), (root_copy,) = _rounded([_ROOT_P])
+    r = [params.r for params in points]
+    p, copy = (columns([params.p for params in points], c) for c in (False, True))
     return Weights(
-        r=(r,) * tree.n,
-        rbar=(rbar,) * tree.n,
-        p=tuple(p if e >= 0 else root_p for e in tree.parent_edge),
-        copy=tuple(copy if e >= 0 else root_copy for e in tree.parent_edge),
+        r=columns(r, False),
+        rbar=columns(r, True),
+        p=tuple(p[e] if e >= 0 else None for e in tree.parent_edge),
+        copy=tuple(copy[e] if e >= 0 else None for e in tree.parent_edge),
         one=1.0,
     )
 
@@ -276,14 +256,15 @@ def _sweep(tree, w, keep):
 
 
 def prob_all_zero_many(tree, weights, masks):
-    """:func:`prob_all_zero` in float64 for every mask of an int64 array.
+    """:func:`prob_all_zero` in float64 for P points and every mask of an int64 array.
 
-    :func:`_sweep` on :func:`float_weights`, one numpy operation per step
-    for all masks at once, with ``keep`` a 0.0/1.0 row per vertex.  Every
-    value is a sum or product of values in [0, 1], and multiplying by
-    0.0 or 1.0 is exact; along any input-to-output path of one mask's
-    sweep there are at most 7 roundings per edge (two inputs, five
-    operations) and 3 at the root.
+    :func:`_sweep` on the ``(P, 1)`` columns of :func:`float_weights`,
+    one numpy operation per step for all points and masks at once, with
+    ``keep`` a 0.0/1.0 row per vertex, so the result is a points x masks
+    table.  Every value is a sum or product of values in [0, 1], and
+    multiplying by 0.0 or 1.0 is exact; along any input-to-output path
+    of one mask's sweep there are at most 7 roundings per edge (two
+    inputs, five operations) and 3 at the root.
     """
     return _sweep(tree, weights, 1.0 - ((masks >> np.arange(tree.n)[:, None]) & 1))
 

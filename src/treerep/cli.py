@@ -377,7 +377,10 @@ def _octopus_closed_form(config, tree, params, subset, vertices):
 
 def _cmd_deriv_check(config):
     tree = parse_tree(config.tree)
-    subset = VertexSet.of(*parse_vertices(config.subset))
+    ids = parse_vertices(config.subset)
+    if max(ids) >= tree.n:  # before VertexSet shifts 1 by each id
+        raise DomainError("subset contains ids outside the tree")
+    subset = VertexSet.of(*ids)
     closed = None
     if config.at in ("p0", "p1"):
         if config.r is None:
@@ -444,8 +447,11 @@ def _cmd_verify(config):
         raise DomainError("--seed must lie in [0, 2^64 - 5]: the checks use seeds seed to seed + 4")
     alpha = as_fraction(config.alpha)
     tolerance = as_fraction(config.tolerance)
-    _check_alpha(float(alpha))
-    _check_tolerance(float(tolerance))
+    _check_alpha(alpha)
+    if abs(tolerance) > sys.float_info.max:
+        raise DomainError("tolerance must be >= 0 and fit in a float, got %s" % config.tolerance)
+    tolerance = float(tolerance)
+    _check_tolerance(tolerance)
     field = field_from_chain(tree, params)
     percolation = functools.partial(sample_percolation_many, tree, params)
     recursive = functools.partial(sample_recursive_many, tree, params)
@@ -458,7 +464,7 @@ def _cmd_verify(config):
         poisson, recursive, tree.n, n_draws=config.draws, alpha=float(alpha), seed=config.seed + 2
     )
     closure = poisson_closure_report(
-        tree, params, field, config.draws, config.seed + 4, tolerance=float(tolerance)
+        tree, params, field, config.draws, config.seed + 4, tolerance=tolerance
     )
     passed = perc_vs_rec.passed and pois_vs_rec.passed and closure.passed
     payload = {

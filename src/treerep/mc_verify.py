@@ -40,7 +40,6 @@ class PoissonField:
     zero-mass subsets are dropped at construction.
     """
 
-    measure: SignedMeasure
     atoms: tuple
 
 
@@ -61,7 +60,7 @@ def poisson_field(measure: SignedMeasure) -> PoissonField:
             )
         if value.sign > 0:
             atoms.append((VertexSet(bits), value.log_value))
-    return PoissonField(measure=measure, atoms=tuple(atoms))
+    return PoissonField(atoms=tuple(atoms))
 
 
 def field_from_chain(tree, params) -> PoissonField:

@@ -27,10 +27,8 @@ import numpy as np
 
 from .chain_model import (
     ChainParams,
-    Weights,
     as_fraction,
     float_weights,
-    grid_float_weights,
     prob_all_zero_many,
     scaled_params,
     uniform_params,
@@ -215,14 +213,13 @@ def certified_signs(nu, mag, lam_size, n):
 def float_signs(plan, floats):
     """The float pass: ``(lo, hi, pos, neg)`` for consecutive runs of sets.
 
-    ``floats`` are the float weights of P parameter points: those of
-    :func:`~treerep.chain_model.float_weights` for one point, or ``(P, 1)``
-    columns (:func:`~treerep.chain_model.grid_float_weights`).  Works
-    through the event stream of ``plan`` in chunks of at most
-    ``CHUNK_EVENTS`` events, expands each chunk once for all the points,
-    and yields after each chunk the proved signs (:func:`certified_signs`)
-    of the sets lo..hi that it completes, as ``(P, hi - lo)`` arrays.
-    An event probability below 2^-900 leaves its set unproved.
+    ``floats`` are the ``(P, 1)`` float weight columns of P parameter
+    points (:func:`~treerep.chain_model.float_weights`).  Works through
+    the event stream of ``plan`` in chunks of at most ``CHUNK_EVENTS``
+    events, expands each chunk once for all the points, and yields after
+    each chunk the proved signs (:func:`certified_signs`) of the sets
+    lo..hi that it completes, as ``(P, hi - lo)`` arrays.  An event
+    probability below 2^-900 leaves its set unproved.
     """
     tree = plan.tree
     total = int(plan.ends[-1])
@@ -235,7 +232,7 @@ def float_signs(plan, floats):
         end = int(np.searchsorted(plan.ends, e1, side="right"))
         starts = np.maximum(plan.starts[done:hi] - e0, 0)
         with np.errstate(all="ignore"):
-            prob = prob_all_zero_many(tree, floats, masks).reshape(-1, len(masks))
+            prob = prob_all_zero_many(tree, floats, masks)
             ell = np.log(np.where(prob >= _TINY, prob, np.nan)).take(inverse, axis=1)
             nu = np.add.reduceat(sign * ell, starts, axis=1)
             mag = np.add.reduceat(np.abs(ell), starts, axis=1)
@@ -248,12 +245,6 @@ def float_signs(plan, floats):
             )
         yield done, end, pos, neg
         done = end
-
-
-def _points_of(floats, rows):
-    """The float weights of the points ``rows`` of a grid's columns."""
-    return Weights(*(tuple(x[rows] if isinstance(x, np.ndarray) else x for x in field)
-                     for field in floats[:4]), floats.one)
 
 
 def _row(signs, k):
@@ -270,25 +261,25 @@ def is_representable(tree, params, sweep=None) -> Verdict:
     most signs; every set it does not prove positive, the witness among
     them, is decided on the exact integer path, and an exact sign that
     contradicts a proved one raises AssertionError.  ``sweep`` is None,
-    the tree's :class:`SweepPlan` for callers that already have one, or
-    a ``(plan, rows)`` pair, where ``rows`` yields this point's
-    ``(lo, hi, pos, neg)`` per chunk of a float pass that
-    :func:`phase_scan` shares among a block of grid points; a plan built
-    for another tree is a :class:`DomainError` in every form.  Without
-    ``rows``, the point runs a float pass of its own, on its own float
-    weights.  A vertex law of 0 is the :class:`DomainError` of
+    and the point builds the tree's :class:`SweepPlan` and runs a float
+    pass of its own on ``float_weights(tree, [params])``, or a ``(plan,
+    rows)`` pair, where ``rows`` yields this point's ``(lo, hi, pos,
+    neg)`` per chunk of a float pass that :func:`phase_scan` shares
+    among a block of grid points; a plan built for another tree is a
+    :class:`DomainError`.  A vertex law of 0 is the :class:`DomainError` of
     :func:`~treerep.signed_measure.nu_full`, raised before the plan is
     built; trees are capped at ``MAX_VERDICT_ORDER`` vertices since the
     sweep is exponential in the boundary sizes.
     """
-    plan, rows = sweep if isinstance(sweep, tuple) else (sweep, None)
-    if plan is not None and plan.tree != tree:
+    if sweep is not None and sweep[0].tree != tree:
         raise DomainError("the sweep plan was built for another tree")
     weights = scaled_params(tree, params)
     _require_positive_r(weights)
-    plan = SweepPlan(tree) if plan is None else plan
-    if rows is None:
-        rows = _row(float_signs(plan, float_weights(tree, params)), 0)
+    if sweep is None:
+        plan = SweepPlan(tree)
+        rows = _row(float_signs(plan, float_weights(tree, [params])), 0)
+    else:
+        plan, rows = sweep
     sets = plan.sets
     cache = {}
     for lo, _, pos, neg in rows:
@@ -308,31 +299,37 @@ def is_representable(tree, params, sweep=None) -> Verdict:
 def phase_scan(tree, r_values, p_values):
     """Verdict at every grid point; returns PhasePoints sorted by (r, p).
 
-    Grid values must lie strictly inside (0, 1).  The points share one
-    :class:`SweepPlan` and their float weights.  They are taken in blocks
-    of ``CHUNK_EVENTS`` // events points, and each block runs one float
-    pass, which ``itertools.tee`` splits into one lazy row per point: a
+    Grid values must lie strictly inside (0, 1), and each is checked as
+    it is read.  The points share one :class:`SweepPlan`.  They are taken
+    in blocks of ``CHUNK_EVENTS`` // events points, and each block runs
+    one float pass on the float weights of its points' ``ChainParams``
+    (:func:`~treerep.chain_model.float_weights`), which
+    ``itertools.tee`` splits into one lazy row per point: a
     block of two or more points sweeps the one chunk of the whole stream
     once for all of them, and a block of one stops at its witness's
     chunk.  Then each point's exact path runs on its own row of proved
     signs, one point after another.
     """
-    rs = sorted({as_fraction(r) for r in r_values})
-    ps = sorted({as_fraction(p) for p in p_values})
-    for x in rs + ps:
+
+    def inside(x):
+        x = as_fraction(x)
         if not 0 < x < 1:
             raise DomainError("scan grids must lie strictly inside (0, 1)")
+        return x
+
+    rs = sorted(set(map(inside, r_values)))
+    ps = sorted(set(map(inside, p_values)))
     plan = SweepPlan(tree)
-    floats = grid_float_weights(tree, rs, ps)
     grid = [(r, p) for r in rs for p in ps]
     size = max(1, CHUNK_EVENTS // int(plan.ends[-1]))
     points = []
     for first in range(0, len(grid), size):
         block = grid[first : first + size]
-        signs = float_signs(plan, _points_of(floats, slice(first, first + size)))
-        for k, ((r, p), shared) in enumerate(zip(block, itertools.tee(signs, len(block)))):
-            params = ChainParams(r=(r,) * tree.n, p=(p,) * len(tree.edges))
-            verdict = is_representable(tree, params, (plan, _row(shared, k)))
+        params = [ChainParams(r=(r,) * tree.n, p=(p,) * len(tree.edges)) for r, p in block]
+        signs = float_signs(plan, float_weights(tree, params))
+        shared = itertools.tee(signs, len(block))
+        for k, ((r, p), point) in enumerate(zip(block, params)):
+            verdict = is_representable(tree, point, (plan, _row(shared[k], k)))
             points.append(PhasePoint(r, p, verdict))
     return points
 

@@ -11,7 +11,6 @@ from treerep.chain_model import (
     _coins,
     as_fraction,
     float_weights,
-    grid_float_weights,
     make_params,
     params_from_json,
     prob_all_zero,
@@ -372,7 +371,7 @@ def test_float_sweep_is_bit_identical_to_the_where_sweep():
         random_tree(rng, rng.randint(1, 12)) for _ in range(120)
     ]
     for t in trees:
-        weights = float_weights(t, _extreme_params(rng, t))
+        weights = float_weights(t, [_extreme_params(rng, t)])
         full = (1 << t.n) - 1
         if t.n <= 8:
             masks = np.arange(full + 1, dtype=np.int64)
@@ -384,24 +383,39 @@ def test_float_sweep_is_bit_identical_to_the_where_sweep():
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
 
-def test_grid_float_weights_are_each_points_float_weights():
-    # 1 - x is rounded from the exact value, each row of the columns holds
-    # the point's own float_weights, and a grid sweep gives each point's
-    # own sweep bit for bit
-    tree = random_tree(random.Random(101), 7)
-    rs = [Fraction(1, 10**400), Fraction(1, 3), Fraction(9, 20), 1 - Fraction(1, 10**300)]
-    ps = [Fraction(1, 7), Fraction(19, 20), Fraction(1)]
-    grid = grid_float_weights(tree, rs, ps)
+def test_float_weights_rows_are_each_points_own_weights():
+    # row k of every column holds points[k]'s correctly rounded laws, 1 - x
+    # is rounded from the exact value, the root's edge entries are None,
+    # and one sweep of all the points gives each point's own sweep bit for bit
+    rng = random.Random(101)
+    tree = random_tree(rng, 7)
+    tiny, near_one = EXTREMES[:2]
+    thirds = (Fraction(1, 3),) * (tree.n - 2)
+    points = [
+        ChainParams(r=(tiny, near_one) + thirds, p=(near_one, tiny) + (Fraction(19, 20),) * 4),
+        ChainParams(r=(near_one,) * tree.n, p=(tiny,) * 6),
+    ] + [_extreme_params(rng, tree) for _ in range(4)]
+    assert len(tree.edges) == 6 and (float(tiny), float(near_one)) == (0.0, 1.0)
+    weights = float_weights(tree, points)
     masks = np.arange(1 << tree.n, dtype=np.int64)
-    table = prob_all_zero_many(tree, grid, masks)
-    assert table.shape == (len(rs) * len(ps), len(masks))
-    for k, (r, p) in enumerate((r, p) for r in rs for p in ps):
-        point = float_weights(tree, uniform_params(tree, r, p))
-        assert set(point.rbar) == {float(1 - r)} and set(point.copy) == {float(1 - p), 1.0}
-        for field, column in zip(point[:4], grid[:4]):
-            assert [y if np.ndim(y) == 0 else y[k, 0] for y in column] == list(field)
-        alone = prob_all_zero_many(tree, point, masks)
-        assert np.array_equal(table[k].view(np.int64), alone.view(np.int64))
+    table = prob_all_zero_many(tree, weights, masks)
+    assert table.shape == (len(points), len(masks))
+    up = tree.parent_edge
+    for k, point in enumerate(points):
+        expect = (
+            [float(x) for x in point.r],
+            [float(1 - x) for x in point.r],
+            [None if e < 0 else float(point.p[e]) for e in up],
+            [None if e < 0 else float(1 - point.p[e]) for e in up],
+        )
+        alone = float_weights(tree, [point])
+        for field, own, want in zip(weights[:4], alone[:4], expect):
+            assert [None if y is None else y[k, 0] for y in field] == want
+            assert [None if y is None else y[0, 0] for y in own] == want
+        assert alone.one == weights.one == 1.0
+        sweep = prob_all_zero_many(tree, alone, masks)
+        assert sweep.shape == (1, len(masks))
+        assert np.array_equal(table[k].view(np.int64), sweep[0].view(np.int64))
 
 
 def test_prob_all_zero_of_chain_params_is_the_fraction_sweep():

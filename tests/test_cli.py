@@ -14,6 +14,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -317,6 +318,8 @@ TEXT_REFUSALS = [
     (_VERIFY + ["--alpha", "1_0/"], "not an exact rational: '1_0/'"),
     # the range is never listed, so a huge bound reaches the index refusal
     (["thresholds", "--n", "3..1000000000000000"], "complementary Bell index must be in 0..64"),
+    (_VERIFY + ["--alpha", "1e400"], "alpha must lie in (0, 1)"),
+    (_VERIFY + ["--tolerance", "1e400"], "tolerance must be >= 0 and fit in a float, got 1e400"),
 ]
 
 
@@ -684,6 +687,19 @@ def test_argparse_refuses_a_missing_required_flag(capsys, argv):
         main(argv)
     assert info.value.code == 2
     assert "treerep" in capsys.readouterr().err
+
+
+def test_deriv_check_refuses_ids_outside_the_tree_before_building_the_set(capsys):
+    argv = _without(_DERIV, "--set") + ["--set", "0,1000000000"]
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert capsys.readouterr() == ("", "treerep: subset contains ids outside the tree\n")
+    assert peak < 4 << 20  # 1 << 10^9 alone would take 125 MB
 
 
 _NO_LOG = "fresh-draw probabilities must be > 0: zero-probability events have no finite log"

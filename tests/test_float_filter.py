@@ -102,7 +102,7 @@ def _outcomes(chains):
         plan = SweepPlan(tree)
         weights = scaled_params(tree, params)
         cache = {}
-        for lo, hi, (pos,), (neg,) in float_signs(plan, float_weights(tree, params)):
+        for lo, hi, (pos,), (neg,) in float_signs(plan, float_weights(tree, [params])):
             assert not (pos & neg).any()
             for i in range(hi - lo):
                 s = VertexSet(int(plan.sets[lo + i]))

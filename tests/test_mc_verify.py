@@ -59,13 +59,13 @@ def test_single_atom_matches_its_poisson_law():
 def test_arrivals_beyond_one_chunk_are_all_placed():
     n = 100_000
     assert 3 * n > mc_verify._ARRIVAL_CHUNK  # about 3 * 10^5 arrivals: two chunks
-    field = PoissonField(measure=SignedMeasure(1, {}), atoms=((VertexSet.of(0), 3.0),))
+    field = PoissonField(atoms=((VertexSet.of(0), 3.0),))
     zero_rate = float(np.mean(sample_poisson_field_many(field, n, seed=5) == 0))
     expected = math.exp(-3)
     assert abs(zero_rate - expected) <= 4 * math.sqrt(expected * (1 - expected) / n)
     # every index can take an arrival: at intensity 40 a draw stays empty
     # with probability e^-40
-    saturated = PoissonField(measure=SignedMeasure(1, {}), atoms=((VertexSet.of(0), 40.0),))
+    saturated = PoissonField(atoms=((VertexSet.of(0), 40.0),))
     assert (sample_poisson_field_many(saturated, 3, seed=0) == 1).all()
 
 
@@ -119,7 +119,7 @@ def test_pattern_histogram_temporaries_do_not_grow_with_the_draw_count():
 
 def test_overlapping_atoms_follow_independent_bernoulli_hits():
     atoms = ((VertexSet.of(0, 1), 0.7), (VertexSet.of(1, 2), 1.2))
-    field = PoissonField(measure=SignedMeasure(3, {}), atoms=atoms)
+    field = PoissonField(atoms=atoms)
     report = compare_laws(
         partial(sample_poisson_field_many, field),
         bernoulli_field_sampler(atoms),

@@ -92,7 +92,7 @@ SIGNATURES = {
     "MeasureValue": "(num, den)",
     "MeasureValue.from_ratio": "(x)",
     "PhasePoint": "(r, p, verdict)",
-    "PoissonField": "(measure, atoms)",
+    "PoissonField": "(atoms)",
     "RootedTree": "(n, root, edges, parent, children, preorder, neighbor_masks, parent_edge)",
     "RootedTree.edge_index": "(self, u, v)",
     "SignedMeasure": "(n, entries)",

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import treerep.representability as representability
-from treerep.chain_model import ChainParams, uniform_params
+from treerep.chain_model import ChainParams, float_weights, uniform_params
 from treerep.param_calculus import EdgeMultiset, d_nu_dp
 from treerep.representability import (
     MAX_SCALING_ORDER,
@@ -168,13 +168,24 @@ def test_scaling_needs_the_aggregated_parameter():
 def test_a_sweep_plan_of_another_tree_is_refused():
     for tree, other in ((star(4), path(5)), (path(6), star(5)), (path(3), path(4))):
         params = uniform_params(tree, F(1, 2), F(9, 10))
-        plan = SweepPlan(other)
-        for sweep in (plan, (plan, iter(()))):
-            with pytest.raises(DomainError, match="another tree"):
-                is_representable(tree, params, sweep)
+        with pytest.raises(DomainError, match="another tree"):
+            is_representable(tree, params, (SweepPlan(other), iter(())))
     t = star(4)
     params = uniform_params(t, F(1, 2), F(1, 2))
-    assert is_representable(t, params, SweepPlan(star(4))) == is_representable(t, params)
+    plan = SweepPlan(star(4))  # a plan of an equal tree is accepted
+    signs = representability.float_signs(plan, float_weights(t, [params]))
+    rows = representability._row(signs, 0)
+    assert is_representable(t, params, (plan, rows)) == is_representable(t, params)
+
+
+def test_phase_scan_checks_each_grid_value_as_it_is_read():
+    def grid():
+        yield F(0)
+        raise RuntimeError("the grid was read past its first bad value")
+
+    for r_values, p_values in ((grid(), [F(1, 2)]), ([F(1, 2)], grid())):
+        with pytest.raises(DomainError, match=re.escape("scan grids must lie strictly inside (0, 1)")):
+            phase_scan(path(2), r_values, p_values)
 
 
 _NO_LOG = "fresh-draw probabilities must be > 0: zero-probability events have no finite log"
