@@ -8,8 +8,8 @@ zero-pattern probabilities by inclusion-exclusion over connected sets —
 is nonnegative everywhere.  This package computes that measure in exact
 rational arithmetic, decides representability with witnesses, locates
 the phase boundaries in the resampling parameter, differentiates the
-measure symbolically at the degenerate corners, and cross-checks
-everything by simulation.
+measure exactly at the degenerate corners from evaluations on a cube of
+0/1 parameter corners, and cross-checks everything by simulation.
 
 Modules
 -------

@@ -72,7 +72,7 @@ class ChainParams:
 
 def uniform_params(tree, r, p):
     """Same ``r`` at every vertex and ``p`` on every edge."""
-    return make_params(tree, as_fraction(r), as_fraction(p))
+    return make_params(tree, r, p)
 
 
 def make_params(tree, r_spec, p_spec):

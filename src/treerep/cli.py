@@ -9,8 +9,8 @@ Subcommands
 ``thresholds``
     Branching-number threshold table (CSV).
 ``deriv-check``
-    Jet derivative against its closed form at a distinguished base
-    point (JSON).
+    Exact derivative, from 0/1 cube evaluations, against its closed
+    form at a distinguished base point (JSON).
 ``verify``
     Sampler cross-checks and Poisson-field closure (JSON).
 ``scaling-check``
@@ -38,6 +38,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -139,11 +140,14 @@ def config_digest(config: RunConfig) -> str:
 # exact parsing helpers
 
 
-def parse_grid(text) -> list:
+def parse_grid(text):
     """Comma list, or ``start:stop:step`` stepped exactly.
 
     The stop value is included precisely when some ``start + i*step``
-    hits it; there is no float fuzz to absorb a near miss.
+    hits it; there is no float fuzz to absorb a near miss.  The text is
+    checked at once, but a stepped grid's values are yielded lazily, so
+    :func:`~treerep.representability.phase_scan` can refuse a bad value
+    before the rest of the grid exists.
     """
     if ":" in text:
         parts = text.split(":")
@@ -154,12 +158,7 @@ def parse_grid(text) -> list:
             raise DomainError("grid step must be positive")
         if stop < start:
             raise DomainError("grid stop lies before start")
-        values = []
-        value = start
-        while value <= stop:
-            values.append(value)
-            value += step
-        return values
+        return itertools.takewhile(lambda value: value <= stop, itertools.count(start, step))
     return [as_fraction(part) for part in text.split(",")]
 
 

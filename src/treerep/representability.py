@@ -37,7 +37,6 @@ from .signed_measure import _require_positive_r, nu_connected, nu_full, restrict
 from .tree_core import DomainError, VertexSet, as_int, connected_subsets, subdivide
 
 MAX_VERDICT_ORDER = 20
-MAX_SCALING_ORDER = 14
 
 # The float pass takes consecutive sets in chunks of at most this many
 # boundary events (a set with more is split), and sweeps a chunk for
@@ -344,17 +343,15 @@ def scaling_check(tree, r, p, k) -> bool:
     subset; any mismatch returns False.  Both measures hold their pairs
     in lowest terms (``nu_full`` divides by the gcds before each cross
     product, ``restrict_measure`` reduces every level), so equal pairs
-    are equal ratios.  A subdivided tree above ``MAX_SCALING_ORDER``
-    vertices is refused before anything is built.
+    are equal ratios.  A subdivided tree above ``MAX_TREE_ORDER``
+    vertices is refused by :func:`~treerep.tree_core.subdivide` before it
+    is built, and one above ``MAX_LATTICE_ORDER`` by
+    :func:`~treerep.signed_measure.nu_full` before any table is built.
     """
     if as_int(k, "subdivision factor") < 1:
         raise DomainError("subdivision factor must be >= 1")
     if k == 1:
         return True
-    if tree.n + (k - 1) * (tree.n - 1) > MAX_SCALING_ORDER:
-        raise DomainError(
-            "subdivided tree exceeds %d vertices" % MAX_SCALING_ORDER
-        )
     r = as_fraction(r)
     p = as_fraction(p)
     big, originals = subdivide(tree, k)

@@ -331,42 +331,37 @@ def subdivide(tree, k):
     return build_tree(edges, root=tree.root), originals
 
 
-def connected_subsets(tree, min_size=1, max_size=None):
+def connected_subsets(tree):
     """Yield the bitmasks of all nonempty connected vertex sets, once each.
 
     Enumeration grows each set from its minimum vertex, only ever adding
     larger ids, and bans a branching vertex from later siblings so no set
     is produced twice.  Order is by anchor vertex, not canonical; sort the
-    result if a canonical order is needed.
+    result if a canonical order is needed.  Every size is yielded, from
+    the singletons to the whole tree.
     """
-    if max_size is None:
-        max_size = tree.n
     nbr_bits = tree.neighbor_masks
 
     for v0 in range(tree.n):
         allowed = -1 << (v0 + 1)
-        if min_size <= 1:
-            yield 1 << v0
-        # depth-first with an explicit stack of [set, size, candidates, banned]
-        stack = [[1 << v0, 1, nbr_bits[v0] & allowed, 0]] if max_size > 1 else []
+        yield 1 << v0
+        # depth-first with an explicit stack of [set, candidates, banned]
+        stack = [[1 << v0, nbr_bits[v0] & allowed, 0]]
         while stack:
             frame = stack[-1]
-            cur, size, cand, banned = frame
+            cur, cand, banned = frame
             if not cand:
                 stack.pop()
                 continue
             low = cand & -cand
             cand ^= low
-            frame[2] = cand
-            frame[3] = banned | low
+            frame[1] = cand
+            frame[2] = banned | low
             grown = cur | low
-            size += 1
-            if size >= min_size:
-                yield grown
-            if size < max_size:
-                u = low.bit_length() - 1
-                new_cand = (cand | (nbr_bits[u] & allowed)) & ~grown & ~banned
-                stack.append([grown, size, new_cand, banned])
+            yield grown
+            u = low.bit_length() - 1
+            new_cand = (cand | (nbr_bits[u] & allowed)) & ~grown & ~banned
+            stack.append([grown, new_cand, banned])
 
 
 # ---------------------------------------------------------------------------

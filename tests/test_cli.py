@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 import treerep
-from treerep import thresholds
+from treerep import chain_model, signed_measure, thresholds
 from treerep.chain_model import as_fraction
 from treerep.cli import (
     RunConfig,
@@ -179,7 +179,7 @@ def test_command_line_rationals_are_exact():
 
 def test_parse_grid_exact_stepping():
     # the stop value is hit exactly and included
-    assert parse_grid("0.1:0.9:0.2") == [
+    assert list(parse_grid("0.1:0.9:0.2")) == [
         Fraction(1, 10),
         Fraction(3, 10),
         Fraction(1, 2),
@@ -187,9 +187,9 @@ def test_parse_grid_exact_stepping():
         Fraction(9, 10),
     ]
     # stepping that never lands on the stop simply stops short of it
-    assert parse_grid("1/10:1/2:3/10") == [Fraction(1, 10), Fraction(2, 5)]
-    assert parse_grid("1/4,3/4") == [Fraction(1, 4), Fraction(3, 4)]
-    assert parse_grid("1/2") == [Fraction(1, 2)]
+    assert list(parse_grid("1/10:1/2:3/10")) == [Fraction(1, 10), Fraction(2, 5)]
+    assert list(parse_grid("1/4,3/4")) == [Fraction(1, 4), Fraction(3, 4)]
+    assert list(parse_grid("1/2")) == [Fraction(1, 2)]
     with pytest.raises(DomainError):
         parse_grid("1:2")
     with pytest.raises(DomainError):
@@ -700,6 +700,38 @@ def test_deriv_check_refuses_ids_outside_the_tree_before_building_the_set(capsys
     assert status == 2
     assert capsys.readouterr() == ("", "treerep: subset contains ids outside the tree\n")
     assert peak < 4 << 20  # 1 << 10^9 alone would take 125 MB
+
+
+def test_scan_refuses_a_stepped_grid_at_its_first_value(capsys):
+    argv = ["scan", "--tree", "path:2", "--r-grid", "0:1:1/1000000", "--p-grid", "1/2"]
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert capsys.readouterr() == ("", "treerep: scan grids must lie strictly inside (0, 1)\n")
+    assert peak < 1 << 20  # the listed grid of 10^6 + 1 Fractions alone took over 100 MB
+
+
+@pytest.mark.parametrize("tree, k", [("star:7", "2"), ("star:5", "3"), ("path:2", "15")])
+def test_scaling_check_runs_up_to_the_lattice_cap(tmp_path, tree, k):
+    argv = ["scaling-check", "--tree", tree, "--r", "1/2", "--p", "1/3", "--k", k]
+    code, blob = run_to_file(argv, tmp_path)  # 15, 16 and 16 vertices after splitting
+    assert code == 0
+    assert json.loads(blob)["passed"] is True
+
+
+@pytest.mark.parametrize("k", ["8", "11"])  # 17 and 23 vertices after splitting
+def test_scaling_check_above_the_lattice_cap_builds_no_table(monkeypatch, capsys, k):
+    def no_table(tree, weights):
+        raise AssertionError("a lattice table was built")
+
+    monkeypatch.setattr(chain_model, "prob_all_zero_table", no_table)
+    monkeypatch.setattr(signed_measure, "prob_all_zero_table", no_table)
+    assert main(_without(_SCALING, "--k") + ["--k", k]) == 2
+    assert capsys.readouterr() == ("", "treerep: full measures are capped at 16 vertices\n")
 
 
 _NO_LOG = "fresh-draw probabilities must be > 0: zero-probability events have no finite log"

@@ -109,7 +109,7 @@ SIGNATURES = {
     "compare_laws": "(sampler_a, sampler_b, n, n_draws=100000, alpha=0.01, seed=0)",
     "complementary_bell": "(n)",
     "connected_log_events": "(tree, subset)",
-    "connected_subsets": "(tree, min_size=1, max_size=None)",
+    "connected_subsets": "(tree)",
     "d_nu_dp": "(tree, params, subset, edges, at='params')",
     "d_nu_dr": "(tree, params, subset, vertices, at='params')",
     "d_nu_dr_octopus": "(m, p_first, p_second)",

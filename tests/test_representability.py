@@ -10,7 +10,6 @@ import treerep.representability as representability
 from treerep.chain_model import ChainParams, float_weights, uniform_params
 from treerep.param_calculus import EdgeMultiset, d_nu_dp
 from treerep.representability import (
-    MAX_SCALING_ORDER,
     MAX_VERDICT_ORDER,
     PhasePoint,
     SweepPlan,
@@ -153,6 +152,19 @@ def test_scaling_check_fixtures():
     assert scaling_check(star(3), F(1, 3), F(1, 4), 2)   # p' = 7/16
     assert scaling_check(path(4), F(2, 7), F(3, 11), 2)
     assert scaling_check(path(3), F(1, 2), F(1, 2), 1)
+
+
+@pytest.mark.parametrize("tree, k", [(star(7), 2), (star(5), 3), (path(2), 15)])
+def test_scaling_check_runs_up_to_the_lattice_cap(tree, k):
+    assert tree.n + (k - 1) * (tree.n - 1) in (15, 16)
+    assert scaling_check(tree, F(1, 2), F(1, 3), k) is True
+
+
+def test_scaling_check_is_bounded_by_the_lattice_and_tree_caps():
+    with pytest.raises(DomainError, match="full measures are capped at 16 vertices"):
+        scaling_check(path(3), F(1, 2), F(1, 3), 8)  # 17 vertices
+    with pytest.raises(DomainError, match="subdivided order 25 exceeds cap 24"):
+        scaling_check(path(3), F(1, 2), F(1, 3), 12)
 
 
 def test_scaling_needs_the_aggregated_parameter():

@@ -195,13 +195,6 @@ def test_connected_subsets_counts():
     assert set(connected_subsets(irregular)) == expect
 
 
-def test_connected_subsets_size_bounds():
-    t = path(5)
-    sets = list(connected_subsets(t, min_size=2, max_size=3))
-    assert all(2 <= bin(b).count("1") <= 3 for b in sets)
-    assert len(sets) == 4 + 3
-
-
 def test_json_round_trip():
     t = spider(3, 2)
     text = tree_to_json(t)
