@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -55,6 +54,7 @@ from .chain_model import (
 from .mc_verify import (
     _check_alpha,
     _check_tolerance,
+    _pattern_histogram,
     compare_laws,
     field_from_chain,
     poisson_closure_report,
@@ -433,8 +433,9 @@ def _comparison_payload(report):
     }
 
 
-# The checks draw from seeds seed to seed + 4, and a stream's seed is below 2^64.
-_MAX_VERIFY_SEED = (1 << 64) - 5
+# Percolation, the recursive sampler and the field draw at seeds seed,
+# seed + 1 and seed + 2, and a stream's seed is below 2^64.
+_MAX_VERIFY_SEED = (1 << 64) - 3
 
 
 def _cmd_verify(config):
@@ -443,7 +444,9 @@ def _cmd_verify(config):
     if config.draws < 1:
         raise DomainError("--draws must be positive")
     if not 0 <= config.seed <= _MAX_VERIFY_SEED:
-        raise DomainError("--seed must lie in [0, 2^64 - 5]: the checks use seeds seed to seed + 4")
+        raise DomainError(
+            "--seed must lie in [0, 2^64 - 3]: the samplers use seeds seed to seed + 2"
+        )
     alpha = as_fraction(config.alpha)
     tolerance = as_fraction(config.tolerance)
     _check_alpha(alpha)
@@ -452,19 +455,16 @@ def _cmd_verify(config):
     tolerance = float(tolerance)
     _check_tolerance(tolerance)
     field = field_from_chain(tree, params)
-    percolation = functools.partial(sample_percolation_many, tree, params)
-    recursive = functools.partial(sample_recursive_many, tree, params)
-    poisson = functools.partial(sample_poisson_field_many, field)
-    # Split seed ranges per check; compare_laws itself uses seed and seed+1.
-    perc_vs_rec = compare_laws(
-        percolation, recursive, tree.n, n_draws=config.draws, alpha=float(alpha), seed=config.seed
-    )
-    pois_vs_rec = compare_laws(
-        poisson, recursive, tree.n, n_draws=config.draws, alpha=float(alpha), seed=config.seed + 2
-    )
-    closure = poisson_closure_report(
-        tree, params, field, config.draws, config.seed + 4, tolerance=tolerance
-    )
+    # Each sampler runs once and its words become pattern counts at once;
+    # both chi-squares read the one recursive sample, and the closure
+    # reads the field sample that its chi-square reads.
+    draws, seed = config.draws, config.seed
+    percolation = _pattern_histogram(sample_percolation_many(tree, params, draws, seed), tree.n)
+    recursive = _pattern_histogram(sample_recursive_many(tree, params, draws, seed + 1), tree.n)
+    poisson = _pattern_histogram(sample_poisson_field_many(field, draws, seed + 2), tree.n)
+    perc_vs_rec = compare_laws(percolation, recursive, tree.n, alpha=float(alpha))
+    pois_vs_rec = compare_laws(poisson, recursive, tree.n, alpha=float(alpha))
+    closure = poisson_closure_report(tree, params, poisson, tolerance=tolerance)
     passed = perc_vs_rec.passed and pois_vs_rec.passed and closure.passed
     payload = {
         "command": "verify",
@@ -619,7 +619,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(verify, params=True)
     # defaults live in RunConfig; an absent flag parses to None and is dropped
     verify.add_argument("--draws", type=int, help="draws per sampler")
-    verify.add_argument("--seed", type=int, help="base seed; checks use split streams")
+    verify.add_argument(
+        "--seed", type=int,
+        help="0 to 2^64 - 3; percolation draws at seed, recursion at seed + 1, field at seed + 2",
+    )
     verify.add_argument("--alpha", metavar="RAT", help="chi-square level")
     verify.add_argument("--tolerance", metavar="RAT", help="closure tolerance in sigma units")
 

@@ -8,9 +8,12 @@ The sampler draws each atom's arrivals over all draws at once and
 scatters them, so its work follows the field's total intensity, not
 its number of atoms.  Sampling that field and comparing zero-pattern
 frequencies against the chain's exact probabilities closes the loop
-numerically; a two-sample chi-square confirms the two chain samplers
+numerically; a two-sample chi-square confirms that two samplers
 simulate the same law; its tail is a closed form in the standard
 library (:func:`_chi2_tail`), accurate to about 1e-11 relative.
+Both checks read samples already reduced to pattern counts
+(:func:`_pattern_histogram`), so one sample can serve several checks:
+``treerep verify`` draws each of its three samplers once.
 
 Intensities are double-precision floats (the exact engine guarantees
 them to ~1e-12 relative); Monte-Carlo tolerances dwarf that.
@@ -105,13 +108,22 @@ def sample_poisson_field_many(field: PoissonField, n_draws, seed) -> np.ndarray:
     return words
 
 
-def _at_least_one_draw(n_draws):
-    """``n_draws`` as a positive integer, else :class:`DomainError`:
-    :func:`compare_laws` and :func:`poisson_closure_report` divide by it."""
-    n_draws = _nonnegative(n_draws, "n_draws")
-    if n_draws < 1:
-        raise DomainError("n_draws must be at least 1, got %d" % n_draws)
-    return n_draws
+def _draws_of(counts, n):
+    """Number of draws in a sample's pattern counts over ``n`` vertices.
+
+    The counts are 2^n nonnegative integers, entry x the draws of
+    pattern x, as :func:`_pattern_histogram` gives them; anything else,
+    or a sample of no draw, is a :class:`DomainError`:
+    :func:`compare_laws` and :func:`poisson_closure_report` divide by
+    the draw count.
+    """
+    counts = np.asarray(counts)
+    if counts.shape != (1 << n,) or counts.dtype.kind not in "iu" or (counts < 0).any():
+        raise DomainError("pattern counts over %d vertices are 2^%d nonnegative integers" % (n, n))
+    draws = int(counts.sum())
+    if draws < 1:
+        raise DomainError("a sample needs at least one draw, got %d" % draws)
+    return draws
 
 
 def _check_alpha(alpha):
@@ -184,28 +196,29 @@ class ComparisonReport:
     passed: bool
 
 
-def compare_laws(sampler_a, sampler_b, n, n_draws=100_000, alpha=0.01, seed=0):
-    """Chi-square homogeneity test between two pattern samplers.
+def compare_laws(counts_a, counts_b, n, alpha=0.01):
+    """Chi-square homogeneity test between two drawn samples.
 
-    Samplers are callables ``(n_draws, seed) -> packed unsigned words``
-    over the same ``n <= 12`` vertices; they receive split seeds
-    (``seed`` and ``seed + 1``).  Cells start as all 2^n patterns and
-    the smallest-count cells are merged pairwise (ties by pattern id)
-    until every expected count reaches 5, the standard validity
+    ``counts_a`` and ``counts_b`` are the samples' pattern counts over
+    the same ``n <= 12`` vertices (see :func:`_pattern_histogram`), with
+    equally many draws, at least one.  Cells start as all 2^n patterns
+    and the smallest-count cells are merged pairwise (ties by pattern
+    id) until every expected count reaches 5, the standard validity
     threshold.  The p-value is :func:`_chi2_tail` of the statistic, a
     closed form accurate to about 1e-11 relative.  Fails loudly if
     pooling cannot get there, or if both samples fall on one pattern,
-    which no number of draws mends; refuses ``n_draws < 1`` before
-    sampling.
+    which no number of draws mends.
     """
     if not 1 <= n <= MAX_FIELD_ORDER:
         raise DomainError("pattern chi-square needs 1 <= n <= %d" % MAX_FIELD_ORDER)
     _check_alpha(alpha)
-    n_draws = _at_least_one_draw(n_draws)
-    hist_a = _pattern_histogram(sampler_a(n_draws, seed), n)
-    hist_b = _pattern_histogram(sampler_b(n_draws, seed + 1), n)
-    total_a = int(hist_a.sum())
-    total_b = int(hist_b.sum())
+    total_a = _draws_of(counts_a, n)
+    total_b = _draws_of(counts_b, n)
+    if total_a != total_b:
+        raise DomainError("the samples hold %d and %d draws: a comparison needs "
+                          "equally many" % (total_a, total_b))
+    hist_a = np.asarray(counts_a)
+    hist_b = np.asarray(counts_b)
     share = min(total_a, total_b) / (total_a + total_b)
     seen = np.flatnonzero(hist_a + hist_b)
     if len(seen) == 1:
@@ -241,7 +254,7 @@ def compare_laws(sampler_a, sampler_b, n, n_draws=100_000, alpha=0.01, seed=0):
         p_value=p_value,
         alpha=alpha,
         cells=len(cells),
-        draws=n_draws,
+        draws=total_a,
         passed=p_value >= alpha,
     )
 
@@ -263,23 +276,24 @@ class ClosureReport:
     passed: bool
 
 
-def poisson_closure_report(tree, params, field, n_draws, seed, tolerance=4.0):
-    """Sample ``field``, the chain's Poisson field, and compare all zero patterns.
+def poisson_closure_report(tree, params, counts, tolerance=4.0):
+    """Compare a field sample's zero patterns with the chain's exact law.
 
-    Works on arrays over the 2^n masks: the draws' pattern histogram is
-    summed over submasks one vertex at a time, so entry m counts the
-    draws inside m, and the draws all-zero on I are those inside its
-    complement.  The exact side is one ``prob_all_zero`` call per mask.
-    A gap where the exact probability is 0 or 1 counts as infinitely
-    many sigmas; the worst set is the first mask with the largest
-    deviation, and None when every deviation is 0.  ``n_draws < 1`` and
-    a ``tolerance`` that is not >= 0 (NaN included) are
-    :class:`DomainError`, raised before sampling.
+    ``counts`` are the pattern counts of draws from the chain's Poisson
+    field (see :func:`_pattern_histogram`), at least one draw.  Works on
+    arrays over the 2^n masks: a copy of the counts is summed over
+    submasks one vertex at a time, so entry m counts the draws inside
+    m, and the draws all-zero on I are those inside its complement.
+    The exact side is one ``prob_all_zero`` call per mask.  A gap where
+    the exact probability is 0 or 1 counts as infinitely many sigmas;
+    the worst set is the first mask with the largest deviation, and None
+    when every deviation is 0.  Counts of no draw and a ``tolerance``
+    that is not >= 0 (NaN included) are :class:`DomainError`, raised
+    before any exact probability is computed.
     """
-    n_draws = _at_least_one_draw(n_draws)
+    n_draws = _draws_of(counts, tree.n)
     _check_tolerance(tolerance)
-    words = sample_poisson_field_many(field, n_draws, seed)
-    inside = _pattern_histogram(words, tree.n)
+    inside = np.array(counts, dtype=np.int64)
     for b in range(tree.n):
         level = inside.reshape(-1, 2, 1 << b)
         level[:, 1] += level[:, 0]

@@ -298,8 +298,10 @@ def is_representable(tree, params, sweep=None) -> Verdict:
 def phase_scan(tree, r_values, p_values):
     """Verdict at every grid point; returns PhasePoints sorted by (r, p).
 
-    Grid values must lie strictly inside (0, 1), and each is checked as
-    it is read.  The points share one :class:`SweepPlan`.  They are taken
+    Grid values must lie strictly inside (0, 1).  The two grids are read
+    in turn, one value of each at a time, and each value is checked as
+    it is read, so a bad value is refused however long the other grid
+    is.  The points share one :class:`SweepPlan`.  They are taken
     in blocks of ``CHUNK_EVENTS`` // events points, and each block runs
     one float pass on the float weights of its points' ``ChainParams``
     (:func:`~treerep.chain_model.float_weights`), which
@@ -316,8 +318,14 @@ def phase_scan(tree, r_values, p_values):
             raise DomainError("scan grids must lie strictly inside (0, 1)")
         return x
 
-    rs = sorted(set(map(inside, r_values)))
-    ps = sorted(set(map(inside, p_values)))
+    rs, ps = set(), set()
+    missing = object()  # pads the shorter grid
+    for r, p in itertools.zip_longest(r_values, p_values, fillvalue=missing):
+        if r is not missing:
+            rs.add(inside(r))
+        if p is not missing:
+            ps.add(inside(p))
+    rs, ps = sorted(rs), sorted(ps)
     plan = SweepPlan(tree)
     grid = [(r, p) for r in rs for p in ps]
     size = max(1, CHUNK_EVENTS // int(plan.ends[-1]))

@@ -7,7 +7,12 @@ from fractions import Fraction
 import numpy as np
 
 from treerep.chain_model import Weights, as_fraction, prob_all_zero, scaled_params
-from treerep.mc_verify import ClosureReport, sample_poisson_field_many
+from treerep.mc_verify import (
+    ClosureReport,
+    _pattern_histogram,
+    compare_laws,
+    sample_poisson_field_many,
+)
 from treerep.signed_measure import MeasureValue, connected_log_events, signed_products
 from treerep.tree_core import DomainError, VertexSet, is_connected
 
@@ -223,6 +228,22 @@ def bernoulli_field_sampler(atoms):
         return words
 
     return sample
+
+
+def drawn_counts(sampler, n, n_draws, seed):
+    """Pattern counts over ``n`` vertices of ``sampler(n_draws, seed)``."""
+    return _pattern_histogram(sampler(n_draws, seed), n)
+
+
+def compare_samplers(sampler_a, sampler_b, n, n_draws, seed=0, alpha=0.01):
+    """``compare_laws`` on ``sampler_a``'s draws at ``seed`` and
+    ``sampler_b``'s at ``seed + 1``."""
+    return compare_laws(
+        drawn_counts(sampler_a, n, n_draws, seed),
+        drawn_counts(sampler_b, n, n_draws, seed + 1),
+        n,
+        alpha=alpha,
+    )
 
 
 def loop_closure_report(tree, params, field, n_draws, seed, tolerance=4.0):

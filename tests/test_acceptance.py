@@ -32,7 +32,7 @@ from treerep.chain_model import (
     uniform_params,
 )
 from treerep.cli import RunConfig, run
-from treerep.mc_verify import compare_laws, field_from_chain, poisson_closure_report
+from treerep.mc_verify import field_from_chain, poisson_closure_report, sample_poisson_field_many
 from treerep.param_calculus import (
     EdgeMultiset,
     boundary_edge_multiset,
@@ -57,7 +57,7 @@ from treerep.tree_core import (
     star,
 )
 
-from oracles import ring_weights
+from oracles import compare_samplers, drawn_counts, ring_weights
 
 HALF = Fraction(1, 2)
 
@@ -474,7 +474,9 @@ def test_criterion_11_monte_carlo_closure():
         assert is_representable(tree, params).representable
 
         field = field_from_chain(tree, params)
-        closure = poisson_closure_report(tree, params, field, draws, seed=2026, tolerance=4.0)
+        sampled = drawn_counts(functools.partial(sample_poisson_field_many, field), tree.n,
+                               draws, 2026)
+        closure = poisson_closure_report(tree, params, sampled, tolerance=4.0)
         assert closure.checked == (1 << tree.n) - 1
         assert closure.passed, "worst set %r at %.2f sigmas" % (
             closure.worst_set,
@@ -487,6 +489,6 @@ def test_criterion_11_monte_carlo_closure():
         def recursive(n_draws, seed, tree=tree, params=params):
             return sample_recursive_many(tree, params, n_draws, seed)
 
-        report = compare_laws(percolation, recursive, tree.n, n_draws=draws, alpha=0.01, seed=2026)
+        report = compare_samplers(percolation, recursive, tree.n, draws, seed=2026, alpha=0.01)
         assert report.passed, "chi-square %.2f at p=%.4f" % (report.statistic, report.p_value)
     assert time.perf_counter() - started < 120

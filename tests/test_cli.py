@@ -145,6 +145,20 @@ def test_verify_golden(tmp_path):
     assert payload["poisson_closure"]["max_sigmas"] < 4
 
 
+def test_verify_golden_keeps_its_percolation_block():
+    # percolation draws at the seed and the recursive sampler at seed + 1;
+    # a seed layout that moves either sample changes these numbers
+    payload = json.loads((GOLDEN / "verify.json").read_bytes())
+    assert payload["seed"] == 0
+    assert payload["percolation_vs_recursive"] == {
+        "statistic": 14.984512953442563,
+        "dof": 15,
+        "p_value": 0.45253335234658043,
+        "cells": 16,
+        "passed": True,
+    }
+
+
 def test_scaling_check_golden(tmp_path):
     code, blob = run_to_file(
         ["scaling-check", "--tree", "path:3", "--r", "1/2", "--p", "1/3", "--k", "2"],
@@ -314,12 +328,14 @@ TEXT_REFUSALS = [
     (["analyze", "--tree", "path:3", "--r", "1/2"], "give --params FILE, or both --r and --p"),
     (_VERIFY + ["--draws", "0"], "--draws must be positive"),
     (_VERIFY + ["--seed", "-1"],
-     "--seed must lie in [0, 2^64 - 5]: the checks use seeds seed to seed + 4"),
+     "--seed must lie in [0, 2^64 - 3]: the samplers use seeds seed to seed + 2"),
     (_VERIFY + ["--alpha", "1_0/"], "not an exact rational: '1_0/'"),
     # the range is never listed, so a huge bound reaches the index refusal
     (["thresholds", "--n", "3..1000000000000000"], "complementary Bell index must be in 0..64"),
     (_VERIFY + ["--alpha", "1e400"], "alpha must lie in (0, 1)"),
     (_VERIFY + ["--tolerance", "1e400"], "tolerance must be >= 0 and fit in a float, got 1e400"),
+    (_VERIFY + ["--seed", str(2**64 - 2)],
+     "--seed must lie in [0, 2^64 - 3]: the samplers use seeds seed to seed + 2"),
 ]
 
 
@@ -582,22 +598,23 @@ def test_verify_refuses_a_wide_tree_before_the_full_lattice(monkeypatch, capsys)
 def test_verify_seed_range(monkeypatch, capsys, tmp_path):
     import treerep.cli as cli
 
-    # the checks use seeds seed to seed + 4, so 2^64 - 5 is the largest that runs
+    # the samplers use seeds seed to seed + 2, so 2^64 - 3 is the largest that runs
     argv = ["verify", "--tree", "path:2", "--r", "1/2", "--p", "1/2", "--draws", "2000"]
-    code, blob = run_to_file(argv + ["--seed", str(2**64 - 5)], tmp_path)
-    assert code == 0 and json.loads(blob)["seed"] == 2**64 - 5
+    code, blob = run_to_file(argv + ["--seed", str(2**64 - 3)], tmp_path)
+    assert code == 0 and json.loads(blob)["seed"] == 2**64 - 3
 
     def no_work(*args):
         raise AssertionError("the seed must be checked before the field and any sampling")
 
     monkeypatch.setattr(cli, "field_from_chain", no_work)
     monkeypatch.setattr(cli, "sample_percolation_many", no_work)
-    for seed in (-1, -(2**64), 2**64 - 4, 18446744073709551612, 2**64, 2**70):
+    for seed in (-1, -(2**64), 2**64 - 2, 18446744073709551614, 2**64, 2**70):
         assert main(argv + ["--seed", str(seed)]) == 2
-        assert "--seed must lie in [0, 2^64 - 5]" in capsys.readouterr().err
+        assert "--seed must lie in [0, 2^64 - 3]" in capsys.readouterr().err
 
 
 def test_verify_builds_the_lattice_once(monkeypatch, tmp_path):
+    import treerep.cli as cli
     import treerep.mc_verify as mc_verify
 
     calls = []
@@ -608,6 +625,14 @@ def test_verify_builds_the_lattice_once(monkeypatch, tmp_path):
         return real(tree, params)
 
     monkeypatch.setattr(mc_verify, "nu_full", counted)
+    # each sampler runs once per op, at its own seed
+    seeds = {}
+    for name in ("sample_percolation_many", "sample_recursive_many", "sample_poisson_field_many"):
+        def sampler(*args, name=name, real=getattr(cli, name)):
+            seeds.setdefault(name, []).append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, sampler)
     code, blob = run_to_file(
         ["verify", "--tree", "path:4", "--r", "1/2", "--p", "1/2", "--draws", "20000"],
         tmp_path,
@@ -615,6 +640,11 @@ def test_verify_builds_the_lattice_once(monkeypatch, tmp_path):
     assert code == 0
     assert blob == (GOLDEN / "verify.json").read_bytes()
     assert calls == [4]
+    assert seeds == {
+        "sample_percolation_many": [0],
+        "sample_recursive_many": [1],
+        "sample_poisson_field_many": [2],
+    }
 
 
 def test_treerep_runs_without_scipy(tmp_path):
@@ -713,6 +743,19 @@ def test_scan_refuses_a_stepped_grid_at_its_first_value(capsys):
     assert status == 2
     assert capsys.readouterr() == ("", "treerep: scan grids must lie strictly inside (0, 1)\n")
     assert peak < 1 << 20  # the listed grid of 10^6 + 1 Fractions alone took over 100 MB
+
+
+def test_scan_refuses_a_bad_p_grid_before_reading_a_long_r_grid(capsys):
+    argv = ["scan", "--tree", "path:2", "--r-grid", "1/1000000:1/2:1/1000000", "--p-grid", "0"]
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert capsys.readouterr() == ("", "treerep: scan grids must lie strictly inside (0, 1)\n")
+    assert peak < 1 << 20  # the r grid's 500,000 Fractions, read first, took over 100 MB
 
 
 @pytest.mark.parametrize("tree, k", [("star:7", "2"), ("star:5", "3"), ("path:2", "15")])

@@ -27,7 +27,7 @@ from treerep.mc_verify import (
 from treerep.signed_measure import MeasureValue, SignedMeasure, nu_full
 from treerep.tree_core import DomainError, VertexSet, octopus, path, spider, star
 
-from oracles import bernoulli_field_sampler, loop_closure_report
+from oracles import bernoulli_field_sampler, compare_samplers, drawn_counts, loop_closure_report
 
 F = Fraction
 
@@ -120,7 +120,7 @@ def test_pattern_histogram_temporaries_do_not_grow_with_the_draw_count():
 def test_overlapping_atoms_follow_independent_bernoulli_hits():
     atoms = ((VertexSet.of(0, 1), 0.7), (VertexSet.of(1, 2), 1.2))
     field = PoissonField(atoms=atoms)
-    report = compare_laws(
+    report = compare_samplers(
         partial(sample_poisson_field_many, field),
         bernoulli_field_sampler(atoms),
         3, n_draws=100_000, seed=13,
@@ -166,8 +166,8 @@ def test_samplers_refuse_bad_seeds_and_draw_counts():
 def test_closure_on_a_small_representable_chain():
     t = path(3)
     params = uniform_params(t, F(1, 2), F(1, 2))
-    report = poisson_closure_report(t, params, field_from_chain(t, params),
-                                    n_draws=120_000, seed=2024)
+    field = partial(sample_poisson_field_many, field_from_chain(t, params))
+    report = poisson_closure_report(t, params, drawn_counts(field, t.n, 120_000, 2024))
     assert report.checked == 7
     assert report.passed, report
     assert report.max_sigmas <= 4.0
@@ -180,7 +180,8 @@ def test_closure_on_a_small_representable_chain():
 def test_closure_matches_the_per_mask_loop(tree, seed):
     params = uniform_params(tree, F(1, 2), F(1, 2))
     field = field_from_chain(tree, params)
-    report = poisson_closure_report(tree, params, field, 20_000, seed)
+    counts = drawn_counts(partial(sample_poisson_field_many, field), tree.n, 20_000, seed)
+    report = poisson_closure_report(tree, params, counts)
     assert report == loop_closure_report(tree, params, field, 20_000, seed)
     assert report.worst_set is not None
 
@@ -190,7 +191,8 @@ def test_closure_at_r_one_has_no_deviation():
     t = path(4)
     params = uniform_params(t, F(1), F(1, 2))
     field = field_from_chain(t, params)
-    report = poisson_closure_report(t, params, field, 1000, seed=0)
+    counts = drawn_counts(partial(sample_poisson_field_many, field), t.n, 1000, 0)
+    report = poisson_closure_report(t, params, counts)
     assert report == loop_closure_report(t, params, field, 1000, seed=0)
     assert report.max_sigmas == 0.0 and report.worst_set is None and report.passed
 
@@ -201,7 +203,8 @@ def test_closure_against_another_chains_field_is_infinitely_far():
     t = path(4)
     params = uniform_params(t, F(1), F(1, 2))
     field = field_from_chain(t, uniform_params(t, F(1, 2), F(1, 2)))
-    report = poisson_closure_report(t, params, field, 1000, seed=0)
+    counts = drawn_counts(partial(sample_poisson_field_many, field), t.n, 1000, 0)
+    report = poisson_closure_report(t, params, counts)
     assert report == loop_closure_report(t, params, field, 1000, seed=0)
     assert report.max_sigmas == math.inf and report.passed is False
     assert report.worst_set == VertexSet.of(0)
@@ -210,36 +213,41 @@ def test_closure_against_another_chains_field_is_infinitely_far():
 def test_closure_refuses_fewer_than_one_draw_before_sampling(monkeypatch):
     t = path(3)
     params = uniform_params(t, F(1, 2), F(1, 2))
-    field = field_from_chain(t, params)
-    monkeypatch.setattr(mc_verify, "sample_poisson_field_many", None)  # not to be called
-    for n_draws in (0, -1):
-        with pytest.raises(DomainError, match="n_draws"):
-            poisson_closure_report(t, params, field, n_draws, seed=0)
+    monkeypatch.setattr(mc_verify, "prob_all_zero", None)  # not to be called
+    with pytest.raises(DomainError, match="a sample needs at least one draw, got 0"):
+        poisson_closure_report(t, params, np.zeros(8, dtype=np.int64))
+    for counts in (np.zeros(4, dtype=np.int64), np.full(8, -1), np.full(8, 0.5), [[1] * 8]):
+        with pytest.raises(DomainError, match="pattern counts over 3 vertices"):
+            poisson_closure_report(t, params, counts)
 
 
 @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan])
 def test_closure_refuses_a_tolerance_below_zero_before_sampling(monkeypatch, tolerance):
     t = path(3)
     params = uniform_params(t, F(1, 2), F(1, 2))
-    field = field_from_chain(t, params)
-    monkeypatch.setattr(mc_verify, "sample_poisson_field_many", None)  # not to be called
+    counts = drawn_counts(partial(sample_poisson_field_many, field_from_chain(t, params)), t.n,
+                          1000, 0)
+    monkeypatch.setattr(mc_verify, "prob_all_zero", None)  # not to be called
     with pytest.raises(DomainError, match="tolerance must be >= 0"):
-        poisson_closure_report(t, params, field, 1000, seed=0, tolerance=tolerance)
+        poisson_closure_report(t, params, counts, tolerance=tolerance)
 
 
 def test_comparison_refuses_fewer_than_one_draw_before_sampling():
-    def sampler(n_draws, seed):
-        raise AssertionError("sampled %d draws" % n_draws)
-
-    for n_draws in (0, -1):
-        with pytest.raises(DomainError, match="n_draws"):
-            compare_laws(sampler, sampler, 3, n_draws=n_draws)
+    empty = np.zeros(8, dtype=np.int64)
+    with pytest.raises(DomainError, match="a sample needs at least one draw, got 0"):
+        compare_laws(empty, empty, 3)
+    one = np.eye(8, dtype=np.int64)[0]
+    with pytest.raises(DomainError, match="the samples hold 1 and 2 draws"):
+        compare_laws(one, 2 * one, 3)
+    for counts in (np.ones(4, dtype=np.int64), np.full(8, -1), np.full(8, 0.5)):
+        with pytest.raises(DomainError, match="pattern counts over 3 vertices"):
+            compare_laws(counts, counts, 3)
 
 
 def test_chain_samplers_agree():
     t = star(3)
     params = uniform_params(t, F(1, 2), F(1, 2))
-    report = compare_laws(
+    report = compare_samplers(
         partial(sample_recursive_many, t, params),
         partial(sample_percolation_many, t, params),
         t.n, n_draws=120_000, seed=99,
@@ -252,7 +260,7 @@ def test_field_agrees_with_the_chain_sampler():
     t = path(4)
     params = uniform_params(t, F(1, 2), F(1, 2))
     field = field_from_chain(t, params)
-    report = compare_laws(
+    report = compare_samplers(
         partial(sample_poisson_field_many, field),
         partial(sample_recursive_many, t, params),
         t.n, n_draws=120_000, seed=7,
@@ -264,7 +272,7 @@ def test_different_laws_are_detected():
     t = path(3)
     a = uniform_params(t, F(1, 2), F(1, 2))
     b = uniform_params(t, F(3, 5), F(1, 2))
-    report = compare_laws(
+    report = compare_samplers(
         partial(sample_recursive_many, t, a),
         partial(sample_recursive_many, t, b),
         t.n, n_draws=50_000, seed=5,
@@ -303,7 +311,7 @@ def test_chi2_tail_is_a_falling_probability():
 def test_pooling_merges_rare_patterns():
     t = star(3)
     params = uniform_params(t, F(1, 12), F(1, 12))  # rare-corner law
-    report = compare_laws(
+    report = compare_samplers(
         partial(sample_recursive_many, t, params),
         partial(sample_percolation_many, t, params),
         t.n, n_draws=800, seed=31,
@@ -315,11 +323,11 @@ def test_pooling_merges_rare_patterns():
 def test_pooling_gives_up_without_enough_draws():
     constant = lambda n_draws, seed: np.zeros(n_draws, dtype=np.uint64)
     with pytest.raises(ValueError):
-        compare_laws(constant, constant, 2, n_draws=1000, seed=1)
+        compare_samplers(constant, constant, 2, n_draws=1000, seed=1)
     t = path(2)
     params = uniform_params(t, F(1, 2), F(1, 2))
     with pytest.raises(ValueError):
-        compare_laws(partial(sample_recursive_many, t, params),
+        compare_samplers(partial(sample_recursive_many, t, params),
                      partial(sample_recursive_many, t, params),
                      t.n, n_draws=4, seed=1)
 
@@ -330,15 +338,15 @@ def test_one_observed_pattern_is_not_a_shortage_of_draws():
     certain = partial(sample_recursive_many, t, uniform_params(t, F(1), F(1, 2)))
     with pytest.raises(DomainError, match=r"pattern with ones on VertexSet\(\{\}\): "
                        "a chi-square comparison needs two observed patterns"):
-        compare_laws(certain, certain, t.n, n_draws=200_000, seed=1)
+        compare_samplers(certain, certain, t.n, n_draws=200_000, seed=1)
     ones = lambda n_draws, seed: np.full(n_draws, 3, dtype=np.uint64)
     with pytest.raises(DomainError, match=r"ones on VertexSet\(\{0, 1\}\)"):
-        compare_laws(ones, ones, 2, n_draws=1000)
+        compare_samplers(ones, ones, 2, n_draws=1000)
     # a sparse sample that a larger one would mend keeps its own message
     t = path(2)
     params = uniform_params(t, F(1, 2), F(1, 2))
     with pytest.raises(DomainError, match="not enough draws"):
-        compare_laws(partial(sample_recursive_many, t, params),
+        compare_samplers(partial(sample_recursive_many, t, params),
                      partial(sample_recursive_many, t, params),
                      t.n, n_draws=4, seed=1)
 
@@ -348,12 +356,12 @@ def test_comparison_input_validation():
     params = uniform_params(t, F(1, 2), F(1, 2))
     sampler = partial(sample_recursive_many, t, params)
     with pytest.raises(ValueError):
-        compare_laws(sampler, sampler, 13, n_draws=100)
+        compare_samplers(sampler, sampler, 13, n_draws=100)
     with pytest.raises(ValueError):
-        compare_laws(sampler, sampler, t.n, n_draws=1000, alpha=0)
+        compare_samplers(sampler, sampler, t.n, n_draws=1000, alpha=0)
     wide = lambda n_draws, seed: np.full(n_draws, 4, dtype=np.uint64)
     with pytest.raises(ValueError):
-        compare_laws(wide, wide, 2, n_draws=1000)
+        compare_samplers(wide, wide, 2, n_draws=1000)
 
 
 def test_self_comparison_calibrates_at_one_percent():
@@ -362,6 +370,6 @@ def test_self_comparison_calibrates_at_one_percent():
     sampler = partial(sample_recursive_many, t, params)
     passes = 0
     for k in range(50):
-        report = compare_laws(sampler, sampler, t.n, n_draws=20_000, seed=11000 + 2 * k)
+        report = compare_samplers(sampler, sampler, t.n, n_draws=20_000, seed=11000 + 2 * k)
         passes += report.passed
     assert passes >= 49

@@ -106,7 +106,7 @@ SIGNATURES = {
     "build_tree": "(edges, root=0)",
     "closed_form_p0": "(b, r)",
     "closed_form_p1": "(tree, subset, r)",
-    "compare_laws": "(sampler_a, sampler_b, n, n_draws=100000, alpha=0.01, seed=0)",
+    "compare_laws": "(counts_a, counts_b, n, alpha=0.01)",
     "complementary_bell": "(n)",
     "connected_log_events": "(tree, subset)",
     "connected_subsets": "(tree)",
@@ -125,7 +125,7 @@ SIGNATURES = {
     "params_from_json": "(tree, text)",
     "path": "(n)",
     "phase_scan": "(tree, r_values, p_values)",
-    "poisson_closure_report": "(tree, params, field, n_draws, seed, tolerance=4.0)",
+    "poisson_closure_report": "(tree, params, counts, tolerance=4.0)",
     "poisson_field": "(measure)",
     "polylog_neg_order": "(n, z)",
     "prob_all_zero": "(tree, params, zero_on)",

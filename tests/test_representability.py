@@ -200,6 +200,17 @@ def test_phase_scan_checks_each_grid_value_as_it_is_read():
             phase_scan(path(2), r_values, p_values)
 
 
+def test_phase_scan_reads_the_grids_in_turn():
+    # a bad p value is refused before a long r grid is read to its end
+    def long_r_grid():
+        yield F(1, 3)
+        yield F(1, 2)
+        raise RuntimeError("the r grid was read past its second value")
+
+    with pytest.raises(DomainError, match=re.escape("scan grids must lie strictly inside (0, 1)")):
+        phase_scan(path(2), long_r_grid(), [F(0)])
+
+
 _NO_LOG = "fresh-draw probabilities must be > 0: zero-probability events have no finite log"
 
 
