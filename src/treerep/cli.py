@@ -60,28 +60,10 @@ from .mc_verify import (
     poisson_closure_report,
     sample_poisson_field_many,
 )
-from .param_calculus import (
-    EdgeMultiset,
-    boundary_edge_multiset,
-    closed_form_p0,
-    closed_form_p1,
-    d_nu_dp,
-    d_nu_dr,
-    d_nu_dr_octopus,
-    subtree_edge_multiset,
-)
+from .param_calculus import EdgeMultiset, closed_form, d_nu_dp, d_nu_dr
 from .representability import is_representable, phase_scan, scaling_check
 from .thresholds import threshold_table
-from .tree_core import (
-    DomainError,
-    VertexSet,
-    is_connected,
-    octopus,
-    path,
-    spider,
-    star,
-    tree_from_json,
-)
+from .tree_core import DomainError, VertexSet, octopus, path, spider, star, tree_from_json
 
 
 # ---------------------------------------------------------------------------
@@ -351,36 +333,12 @@ def _cmd_thresholds(config):
     return 0
 
 
-def _octopus_closed_form(config, tree, params, subset, vertices):
-    """Closed form for the center-law derivative, when it applies.
-
-    Available exactly when the tree is an ``octopus:mx2`` generator,
-    the set is the center plus the inner ring, and the multiset is the
-    center once.  Anything else reports no closed form rather than
-    guessing one.
-    """
-    kind, _, rest = (config.tree or "").partition(":")
-    if kind != "octopus":
-        return None
-    arms = rest.split("x")
-    if len(arms) != 2 or arms[1] != "2":
-        return None
-    m = int(arms[0])
-    inner = [1 + 2 * j for j in range(m)]
-    if subset != VertexSet.of(0, *inner) or vertices != [0]:
-        return None
-    p_first = [params.p[tree.edge_index(0, v)] for v in inner]
-    p_second = [params.p[tree.edge_index(v, v + 1)] for v in inner]
-    return d_nu_dr_octopus(m, p_first, p_second)
-
-
 def _cmd_deriv_check(config):
     tree = parse_tree(config.tree)
     ids = parse_vertices(config.subset)
     if max(ids) >= tree.n:  # before VertexSet shifts 1 by each id
         raise DomainError("subset contains ids outside the tree")
     subset = VertexSet.of(*ids)
-    closed = None
     if config.at in ("p0", "p1"):
         if config.r is None:
             raise DomainError("--at %s needs --r (vertex laws)" % config.at)
@@ -388,27 +346,19 @@ def _cmd_deriv_check(config):
         params = resolve_params(
             tree, dataclasses.replace(config, p=config.p if config.p is not None else base_p)
         )
-        edges = EdgeMultiset.from_string(config.multiset)
-        value = d_nu_dp(tree, params, subset, edges, at=config.at)
-        uniform_r = len(set(params.r)) == 1
-        if uniform_r and is_connected(tree, subset):
-            if config.at == "p0" and edges == boundary_edge_multiset(tree, subset):
-                if edges.total >= 2:
-                    closed = closed_form_p0(edges.total, params.r[0])
-            elif config.at == "p1" and edges == subtree_edge_multiset(tree, subset):
-                if len(subset) >= 2:
-                    closed = closed_form_p1(tree, subset, params.r[0])
-        multiset_text = str(edges)
-    elif config.at == "r1":
+        multiset = EdgeMultiset.from_string(config.multiset)
+        value = d_nu_dp(tree, params, subset, multiset, at=config.at)
+        multiset_text = str(multiset)
+    else:
         if config.p is None:
             raise DomainError("--at r1 needs --p (edge parameters)")
         params = resolve_params(
             tree, dataclasses.replace(config, r=config.r if config.r is not None else "1")
         )
-        vertices = parse_vertices(config.multiset)
-        value = d_nu_dr(tree, params, subset, vertices, at="r1")
-        closed = _octopus_closed_form(config, tree, params, subset, vertices)
-        multiset_text = ",".join(str(v) for v in sorted(vertices))
+        multiset = parse_vertices(config.multiset)
+        value = d_nu_dr(tree, params, subset, multiset, at=config.at)
+        multiset_text = ",".join(str(v) for v in sorted(multiset))
+    closed = closed_form(tree, params, subset, config.at, multiset)
     payload = {
         "command": "deriv-check",
         "tree": config.tree,

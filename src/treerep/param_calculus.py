@@ -17,8 +17,10 @@ The constant terms ``a_0`` are ``den`` times probabilities of all-zero
 events, positive whenever every ``r_v`` is (and ``den`` itself when
 ``r == 1``), so every log is defined.
 
-The closed forms at the degenerate base points ``p == 0`` and ``p == 1``
-live here as well, next to the derivative core that certifies them.
+The closed forms at the degenerate base points ``p == 0``, ``p == 1``
+and ``r == 1`` live here as well, next to the derivative core that
+certifies them.  :func:`closed_form` alone decides which one a partial
+must match, from the labelled tree and never from how it was spelled.
 """
 
 from __future__ import annotations
@@ -360,3 +362,36 @@ def d_nu_dr_octopus(m, p_first, p_second) -> Fraction:
     for a, b in zip(p_first, p_second):
         value *= (1 - a) * b
     return value
+
+
+def closed_form(tree, params, subset, at, multiset):
+    """The closed form that the partial of nu(S) at ``at`` must match, or None.
+
+    ``multiset`` is the derivative's: an :class:`EdgeMultiset` at
+    ``"p0"`` and ``"p1"``, vertex ids with repetition at ``"r1"``.  With
+    a uniform vertex law and S connected, S's boundary edges (two or
+    more) at ``"p0"`` give :func:`closed_form_p0`, and the edges of its
+    spanning subtree (|S| >= 2) at ``"p1"`` give :func:`closed_form_p1`.
+    At ``"r1"``, when the tree's edges are those of ``octopus(m, 2)``,
+    m the root's child count, S is the center plus the inner ring and
+    the multiset is the center once, :func:`d_nu_dr_octopus` applies.
+    Anything else gets None, not a guess.
+    """
+    if at == "r1":
+        m = len(tree.children[tree.root])
+        inner = range(1, 2 * m, 2)
+        arms = {(0, v) for v in inner} | {(v, v + 1) for v in inner}
+        if m < 3 or set(tree.edges) != arms or subset != VertexSet.of(0, *inner):
+            return None
+        if list(multiset) != [0]:
+            return None
+        p_first = [params.p[tree.edge_index(0, v)] for v in inner]
+        p_second = [params.p[tree.edge_index(v, v + 1)] for v in inner]
+        return d_nu_dr_octopus(m, p_first, p_second)
+    if len(set(params.r)) != 1 or not is_connected(tree, subset):
+        return None
+    if at == "p0" and multiset == boundary_edge_multiset(tree, subset) and multiset.total >= 2:
+        return closed_form_p0(multiset.total, params.r[0])
+    if at == "p1" and multiset == subtree_edge_multiset(tree, subset) and len(subset) >= 2:
+        return closed_form_p1(tree, subset, params.r[0])
+    return None

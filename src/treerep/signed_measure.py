@@ -39,9 +39,11 @@ MAX_LATTICE_ORDER = 16
 
 
 def _log_ratio(num: int, den: int) -> float:
-    """log(num/den) of positive ints, relatively accurate even when num ~ den."""
+    """log(num/den) of positive ints, relatively accurate near 1 and far from it."""
     if num == den:
         return 0.0
+    if 2 * num < den:  # log1p's argument would round toward -1
+        return -_log_ratio(den, num)
     try:
         return math.log1p((num - den) / den)
     except OverflowError:

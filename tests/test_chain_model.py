@@ -61,10 +61,14 @@ def test_make_params_maps():
     params = make_params(t, {0: "1/2", 1: "1/3", 2: "1/4"}, {"0-1": "1/5", "1-2": "1/6"})
     assert params.r == (HALF, Fraction(1, 3), Fraction(1, 4))
     assert params.p == (Fraction(1, 5), Fraction(1, 6))
-    with pytest.raises(ValueError):
-        make_params(t, {0: "1/2"}, "1/2")
-    with pytest.raises(ValueError):
-        make_params(t, "1/2", "3/2")
+    for r_spec, p_spec, message in [
+        ({0: "1/2"}, "1/2", "per-vertex r must cover all 3 vertices"),
+        ("1/2", {"0-1": "1/2"}, "per-edge p must cover all 2 edges"),
+        ("2", "1/2", r"r values must lie in \[0, 1\]"),
+        ("1/2", "3/2", r"p values must lie in \[0, 1\]"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            make_params(t, r_spec, p_spec)
 
 
 @pytest.mark.parametrize("key", [9, -1, "9", "-1", "x", "1-5", 1.5])
@@ -146,6 +150,8 @@ def test_prob_all_zero_frozen_values():
     assert prob_all_zero(t3, params3, VertexSet.of(0, 1)) == Fraction(3, 8)
     assert prob_all_zero(t3, params3, VertexSet.of(1)) == HALF
     assert prob_all_zero(t3, params3, VertexSet()) == 1
+    with pytest.raises(DomainError, match="zero_on contains ids outside the tree"):
+        prob_all_zero(t3, params3, VertexSet.of(3))
 
 
 def test_prob_all_zero_pair_distance_formula():

@@ -336,6 +336,10 @@ TEXT_REFUSALS = [
     (_VERIFY + ["--tolerance", "1e400"], "tolerance must be >= 0 and fit in a float, got 1e400"),
     (_VERIFY + ["--seed", str(2**64 - 2)],
      "--seed must lie in [0, 2^64 - 3]: the samplers use seeds seed to seed + 2"),
+    (["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "p0", "--multiset", "1-2"],
+     "--at p0 needs --r (vertex laws)"),
+    (["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "r1", "--multiset", "0"],
+     "--at r1 needs --p (edge parameters)"),
 ]
 
 
@@ -904,6 +908,24 @@ def test_deriv_check_closed_form_wiring(tmp_path):
     assert payload["derivative"] == "0"
     assert payload["closed_form"] is None
     assert payload["matches"] is None
+
+
+def test_deriv_check_closed_form_reads_the_tree_not_its_spelling(tmp_path):
+    # octopus(3, 2) six ways: the r1 closed form follows the tree itself
+    tree_file = tmp_path / "octopus.json"
+    tree_file.write_text(tree_to_json(treerep.octopus(3, 2)))
+    specs = ["octopus:3x2", "octopus:3x02", "octopus:+3x2", "octopus:3x2 ", "spider:3x2",
+             str(tree_file)]
+    for spec in specs:
+        code, blob = run_to_file(
+            ["deriv-check", "--tree", spec, "--set", "0,1,3,5", "--at", "r1", "--p", "1/2",
+             "--multiset", "0"],
+            tmp_path,
+        )
+        payload = json.loads(blob)
+        assert code == 0, spec
+        assert (payload["derivative"], payload["closed_form"]) == ("-1/64", "-1/64"), spec
+        assert payload["matches"] is True, spec
 
 
 def test_config_digest_scope():

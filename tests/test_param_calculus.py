@@ -17,6 +17,7 @@ from treerep.param_calculus import (
     DEFAULT_JET_CAP,
     EdgeMultiset,
     boundary_edge_multiset,
+    closed_form,
     closed_form_p0,
     closed_form_p1,
     d_nu_dp,
@@ -30,6 +31,7 @@ from treerep.thresholds import f_k, f_poly
 from treerep.tree_core import (
     DomainError,
     VertexSet,
+    build_tree,
     connected_subsets,
     is_connected,
     octopus,
@@ -253,6 +255,8 @@ def test_p1_distinguished_matches_closed_form():
     # the degree-3 polylog factor vanishes exactly at r = 1/2
     assert d_nu_dp(t, uniform_params(t, F(1, 2), 0), s, edges, at="p1") == 0
     assert closed_form_p1(t, s, F(1, 2)) == 0
+    with pytest.raises(DomainError, match=r"r must lie strictly inside \(0, 1\)"):
+        closed_form_p1(t, s, 1)
     # same spanning shape inside a bigger tree gives the same value
     t2 = spider(3, 2)
     s2 = VertexSet.of(0, 1, 3, 5)
@@ -287,7 +291,7 @@ def test_closed_forms_on_random_trees():
             if b >= 2:
                 edges = boundary_edge_multiset(t, s)
                 got = d_nu_dp(t, params, s, edges, at="p0")
-                assert got == closed_form_p0(b, r)
+                assert got == closed_form_p0(b, r) == closed_form(t, params, s, "p0", edges)
                 seen_p0 += 1
                 # dropping any one edge lands below the threshold order
                 head = edges.support[0]
@@ -297,7 +301,7 @@ def test_closed_forms_on_random_trees():
             if len(s) >= 2:
                 edges = subtree_edge_multiset(t, s)
                 got = d_nu_dp(t, params, s, edges, at="p1")
-                assert got == closed_form_p1(t, s, r)
+                assert got == closed_form_p1(t, s, r) == closed_form(t, params, s, "p1", edges)
                 seen_p1 += 1
     assert seen_p0 >= 8 and seen_p1 >= 8
 
@@ -323,6 +327,40 @@ def test_octopus_r_calculus():
     # every multiset avoiding the center vanishes (orders 1 and 2)
     for vertices in ([1], [4], [6], [1, 4], [1, 1], [1, 2]):
         assert d_nu_dr(t, params, s, vertices, at="r1") == 0
+
+
+def test_closed_form_is_chosen_from_the_tree():
+    s = VertexSet.of(0, 1, 3, 5)
+    p_spec = {"0-1": F(1, 3), "1-2": F(2, 5), "0-3": F(1, 4), "3-4": F(3, 7),
+              "0-5": F(2, 7), "5-6": F(1, 2)}
+    # one labelled tree, however it was built or its edges listed
+    for t in (octopus(3, 2), spider(3, 2), build_tree(octopus(3, 2).edges[::-1])):
+        params = make_params(t, F(1, 2), p_spec)
+        assert closed_form(t, params, s, "r1", [0]) == F(-3, 98)
+        assert d_nu_dr(t, params, s, [0], at="r1") == F(-3, 98)
+    t = octopus(4, 2)
+    half = uniform_params(t, F(1, 2), F(1, 2))
+    assert closed_form(t, half, VertexSet.of(0, 1, 3, 5, 7), "r1", [0]) == F(-1, 256)
+    # another set, multiset, tree or base point has none
+    for tree, subset, multiset, at in [
+        (t, s, [0], "r1"),
+        (t, VertexSet.of(0, 1, 3, 5, 7), [0, 0], "r1"),
+        (t, VertexSet.of(0, 1, 3, 5, 7), [1], "r1"),
+        (octopus(3, 3), VertexSet.of(0, 1, 4, 7), [0], "r1"),
+        (spider(2, 2), VertexSet.of(0, 1, 3), [0], "r1"),
+        (build_tree([(1, 0), (1, 2), (1, 3), (3, 4), (1, 5), (5, 6)]), s, [0], "r1"),
+        (t, VertexSet.of(0, 1), boundary_edge_multiset(t, VertexSet.of(0, 1)), "params"),
+        (t, VertexSet.of(1, 3), boundary_edge_multiset(t, VertexSet.of(1, 3)), "p0"),
+        (t, VertexSet.of(1), subtree_edge_multiset(t, VertexSet.of(1)), "p1"),
+        (path(3), VertexSet.of(1), boundary_edge_multiset(path(3), VertexSet.of(1)), "p1"),
+    ]:
+        params = uniform_params(tree, F(1, 2), F(1, 2))
+        assert closed_form(tree, params, subset, at, multiset) is None
+    # a vertex law that is not uniform has no p0 or p1 form
+    mixed = make_params(t, {v: F(1, 2 + v % 2) for v in range(t.n)}, F(1, 2))
+    edges = boundary_edge_multiset(t, VertexSet.of(0, 1))
+    assert closed_form(t, mixed, VertexSet.of(0, 1), "p0", edges) is None
+    assert closed_form(t, half, VertexSet.of(0, 1), "p0", edges) == closed_form_p0(4, F(1, 2))
 
 
 def test_octopus_closed_form_values():

@@ -15,6 +15,7 @@ from treerep.chain_model import (
 from treerep.signed_measure import (
     MeasureValue,
     SignedMeasure,
+    connected_log_events,
     nu_connected,
     nu_full,
     restrict_measure,
@@ -189,6 +190,8 @@ def test_nu_connected_rejects_disconnected():
         nu_connected(t, params, VertexSet.of(0, 2))
     with pytest.raises(ValueError):
         nu_connected(t, params, VertexSet())
+    with pytest.raises(DomainError, match="subset contains ids outside the tree"):
+        connected_log_events(t, VertexSet.of(3, 4))
 
 
 def test_zero_r_rejected_one_allowed():
@@ -214,6 +217,14 @@ def test_log_value_relative_accuracy():
     ref = _slow_log(tiny.ratio)
     assert 0 < ref < 1e-6  # the interesting regime: heavy float cancellation
     assert abs(tiny.log_value - ref) <= 1e-12 * abs(ref)
+
+
+def test_log_value_at_one_and_far_from_one():
+    assert MeasureValue(7, 7).log_value == 0.0
+    # past float range, and far below 1, where log1p's argument rounds to -1
+    for num, den in [(10**400, 3), (3, 10**400), (1, 10**20), (1, 10**10 + 1)]:
+        want = math.log(num) - math.log(den)
+        assert abs(MeasureValue(num, den).log_value - want) <= 1e-12 * abs(want)
 
 
 def test_restrict_measure_pair_to_point():
@@ -375,3 +386,8 @@ def test_measure_value_guards():
         MeasureValue.from_ratio(Fraction(0))
     mv = MeasureValue.from_ratio(Fraction(7, 5))
     assert (mv.num, mv.den) == (7, 5)
+    measure = SignedMeasure(2, {1: mv})
+    with pytest.raises(KeyError, match="measure entries are indexed by nonempty subsets"):
+        measure.value(0)
+    with pytest.raises(KeyError, match="no entry for subset 3"):
+        measure.value(VertexSet.of(0, 1))

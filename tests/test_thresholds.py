@@ -73,6 +73,8 @@ def test_eulerian_rows():
         assert sum(row) == math.factorial(m)
         assert all(c > 0 for c in row)
         assert row == row[::-1]
+    with pytest.raises(DomainError, match="m must be nonnegative"):
+        eulerian_coeffs(-1)
 
 
 def test_polylog_exact_values():
@@ -116,6 +118,8 @@ def test_r1_reference_digits():
     vals = [r1(n) for n in range(3, 20)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1
+    with pytest.raises(DomainError, match="r1 needs m >= 3"):
+        r1(2)
 
 
 def test_r0_reference_digits():
@@ -127,6 +131,8 @@ def test_r0_reference_digits():
         else:
             assert abs(r0(n) - want) < 1e-4
     assert r0(5) == r0(6)  # index 6 contributes nothing positive
+    with pytest.raises(DomainError, match="r0 needs k >= 3"):
+        r0(2)
 
 
 def test_orders_must_be_integers():

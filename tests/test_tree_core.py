@@ -30,21 +30,28 @@ def test_vertex_set_basics():
     for bad in (1.5, True, "1"):
         with pytest.raises(DomainError, match="vertex id must be an integer"):
             VertexSet.of(0, bad)
+    with pytest.raises(DomainError, match="vertex ids are nonnegative integers"):
+        VertexSet.of(-1)
 
 
 def test_build_tree_validation():
-    with pytest.raises(ValueError):
-        build_tree([(0, 1), (1, 2), (2, 0)])  # cycle
-    with pytest.raises(ValueError):
-        build_tree([(0, 1), (2, 3)])  # disconnected
-    with pytest.raises(ValueError):
-        build_tree([(0, 1)], root=5)  # root absent
-    with pytest.raises(ValueError):
-        build_tree([(0, 1), (0, 1)])  # duplicate edge
-    with pytest.raises(ValueError):
-        build_tree([(0, 0)])  # self-loop
-    with pytest.raises(ValueError):
-        build_tree([(0, 2)])  # ids not dense
+    for edges, root, message in [
+        # a cycle, two disjoint edges, a root past every id and sparse ids
+        # all miss n - 1 edges, so the edge count refuses them first
+        ([(0, 1), (1, 2), (2, 0)], 0, r"edge count 3 != n-1 = 2 \(cycle or missing vertices\)"),
+        ([(0, 1), (2, 3)], 0, "edge count 2 != n-1 = 3"),
+        ([(0, 1)], 5, "edge count 1 != n-1 = 5"),
+        ([(0, 2)], 0, "edge count 1 != n-1 = 2"),
+        # n - 1 edges that hold a cycle leave a vertex unreached
+        ([(0, 1), (1, 2), (0, 2), (3, 4)], 0, "edge list is disconnected"),
+        ([(0, 1)], -1, "root -1 not a vertex"),
+        ([(0, 1), (0, 1)], 0, "duplicate edge 0-1"),
+        ([(0, 0)], 0, "self-loop at vertex 0"),
+        ([(0, -1)], 0, "vertex ids must be nonnegative"),
+        ([(i, i + 1) for i in range(24)], 0, "tree order 25 exceeds cap 24"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            build_tree(edges, root=root)
     # ids and the root are integers, never rounded or parsed from text
     for edges, root in [
         ([(0, 1.5)], 0),
@@ -93,6 +100,14 @@ def test_generators():
     ]:
         with pytest.raises(DomainError, match="must be an integer"):
             build(*args)
+    for build, args, message in [
+        (path, (0,), "path needs at least one vertex"),
+        (star, (0,), "star needs at least one leaf"),
+        (spider, (0, 1), "spider needs k >= 1 legs of length >= 1"),
+        (spider, (1, 0), "spider needs k >= 1 legs of length >= 1"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            build(*args)
 
 
 def test_is_connected():
@@ -104,6 +119,11 @@ def test_is_connected():
     s = spider(3, 2)
     assert is_connected(s, VertexSet.of(0, 1, 3, 5))
     assert not is_connected(s, VertexSet.of(1, 3))
+    for routine in (is_connected, spanning_subtree):
+        with pytest.raises(DomainError, match="subset contains ids outside the tree"):
+            routine(t, VertexSet.of(0, 5))
+    with pytest.raises(DomainError, match="subset must be nonempty"):
+        spanning_subtree(t, VertexSet())
 
 
 def test_spanning_subtree_path_endpoints():
@@ -153,6 +173,8 @@ def test_subdivide_counts_and_contraction():
     for k in (2.5, 2.0, "2", True):
         with pytest.raises(DomainError, match="k must be an integer"):
             subdivide(t, k)
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        subdivide(t, 0)
 
 
 def _contract(tree, originals):
