@@ -10,7 +10,7 @@ its number of atoms.  Sampling that field and comparing zero-pattern
 frequencies against the chain's exact probabilities closes the loop
 numerically; a two-sample chi-square confirms that two samplers
 simulate the same law; its tail is a closed form in the standard
-library (:func:`_chi2_tail`), accurate to about 1e-11 relative.
+library (:func:`_chi2_tail`), accurate to about 1e-10 relative.
 Both checks read samples already reduced to pattern counts
 (:func:`_pattern_histogram`), so one sample can serve several checks:
 ``treerep verify`` draws each of its three samplers once.
@@ -21,7 +21,7 @@ them to ~1e-12 relative); Monte-Carlo tolerances dwarf that.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,8 +31,6 @@ import numpy as np
 from .chain_model import _blocks, _rng, prob_all_zero, scaled_params
 from .signed_measure import SignedMeasure, nu_full
 from .tree_core import DomainError, VertexSet, _nonnegative
-
-MAX_FIELD_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -46,14 +44,8 @@ class PoissonField:
     atoms: tuple
 
 
-def _require_field_order(n):
-    if n > MAX_FIELD_ORDER:
-        raise DomainError("fields are capped at %d vertices" % MAX_FIELD_ORDER)
-
-
 def poisson_field(measure: SignedMeasure) -> PoissonField:
     """Validate nonnegativity and collect the positive atoms."""
-    _require_field_order(measure.n)
     atoms = []
     for bits in measure:
         value = measure.value(bits)
@@ -68,7 +60,6 @@ def poisson_field(measure: SignedMeasure) -> PoissonField:
 
 def field_from_chain(tree, params) -> PoissonField:
     """Poisson field of a representable chain (raises if any mass is negative)."""
-    _require_field_order(tree.n)
     return poisson_field(nu_full(tree, params))
 
 
@@ -118,7 +109,8 @@ def _draws_of(counts, n):
     the draw count.
     """
     counts = np.asarray(counts)
-    if counts.shape != (1 << n,) or counts.dtype.kind not in "iu" or (counts < 0).any():
+    # no array holds 2^63 entries, so a larger n is refused before 1 << n is built
+    if n >= 63 or counts.shape != (1 << n,) or counts.dtype.kind not in "iu" or (counts < 0).any():
         raise DomainError("pattern counts over %d vertices are 2^%d nonnegative integers" % (n, n))
     draws = int(counts.sum())
     if draws < 1:
@@ -160,7 +152,9 @@ def _chi2_tail(dof, statistic):
     Below the mean (y < dof/2, dof >= 3) Q is 1 minus the second sum, so
     a value near 1 carries no rounding of many terms, which could make
     it rise by an ulp as the statistic grows.  Accurate to about 1e-11
-    relative at dof <= 4095.
+    relative at dof <= 4095 and 1e-10 at dof <= 65535, the most that 16
+    vertices give: the largest term's exponent carries rounding that
+    grows with dof.
     """
     y = statistic / 2
     if y <= 0:
@@ -200,17 +194,18 @@ def compare_laws(counts_a, counts_b, n, alpha=0.01):
     """Chi-square homogeneity test between two drawn samples.
 
     ``counts_a`` and ``counts_b`` are the samples' pattern counts over
-    the same ``n <= 12`` vertices (see :func:`_pattern_histogram`), with
-    equally many draws, at least one.  Cells start as all 2^n patterns
-    and the smallest-count cells are merged pairwise (ties by pattern
-    id) until every expected count reaches 5, the standard validity
+    the same ``n >= 1`` vertices (see :func:`_pattern_histogram`), with
+    equally many draws, at least one, so each sample expects half of a
+    cell's pooled count.  Cells start as all 2^n patterns and the two
+    smallest cells (ties by pattern id) are merged, through a heap,
+    until every expected count reaches 5, the standard validity
     threshold.  The p-value is :func:`_chi2_tail` of the statistic, a
-    closed form accurate to about 1e-11 relative.  Fails loudly if
+    closed form accurate to about 1e-10 relative.  Fails loudly if
     pooling cannot get there, or if both samples fall on one pattern,
     which no number of draws mends.
     """
-    if not 1 <= n <= MAX_FIELD_ORDER:
-        raise DomainError("pattern chi-square needs 1 <= n <= %d" % MAX_FIELD_ORDER)
+    if n < 1:
+        raise DomainError("pattern chi-square needs n >= 1")
     _check_alpha(alpha)
     total_a = _draws_of(counts_a, n)
     total_b = _draws_of(counts_b, n)
@@ -219,33 +214,30 @@ def compare_laws(counts_a, counts_b, n, alpha=0.01):
                           "equally many" % (total_a, total_b))
     hist_a = np.asarray(counts_a)
     hist_b = np.asarray(counts_b)
-    share = min(total_a, total_b) / (total_a + total_b)
-    seen = np.flatnonzero(hist_a + hist_b)
+    pooled = hist_a + hist_b
+    seen = np.flatnonzero(pooled)
     if len(seen) == 1:
         raise DomainError(
             "every draw of both samples is the pattern with ones on %r: "
             "a chi-square comparison needs two observed patterns" % VertexSet(int(seen[0]))
         )
 
-    # each cell: [pooled count, tie-break key, count_a, count_b]
-    cells = sorted(
-        [int(hist_a[i] + hist_b[i]), i, int(hist_a[i]), int(hist_b[i])]
-        for i in range(1 << n)
-    )
-    while len(cells) > 1 and cells[0][0] * share < 5:
-        lo = cells.pop(0)
-        hi = cells.pop(0)
-        bisect.insort(cells, [lo[0] + hi[0], min(lo[1], hi[1]), lo[2] + hi[2], lo[3] + hi[3]])
-    if len(cells) < 2 or cells[0][0] * share < 5:
+    # each cell: [pooled count, tie-break key, count_a, count_b]; keys stay
+    # unique, so the heap pops cells in the order of a sorted list
+    cells = [list(c) for c in zip(pooled.tolist(), range(1 << n), hist_a.tolist(), hist_b.tolist())]
+    heapq.heapify(cells)
+    while len(cells) > 1 and cells[0][0] < 10:  # an expected count pooled / 2 below 5
+        lo = heapq.heappop(cells)
+        hi = heapq.heappop(cells)
+        heapq.heappush(cells, [lo[0] + hi[0], min(lo[1], hi[1]), lo[2] + hi[2], lo[3] + hi[3]])
+    if len(cells) < 2 or cells[0][0] < 10:
         raise DomainError("not enough draws: pooling cannot reach expected counts of 5")
 
     statistic = 0.0
-    grand = total_a + total_b
-    for pooled, _, count_a, count_b in cells:
-        expect_a = total_a * pooled / grand
-        expect_b = total_b * pooled / grand
-        statistic += (count_a - expect_a) ** 2 / expect_a
-        statistic += (count_b - expect_b) ** 2 / expect_b
+    for size, _, count_a, count_b in sorted(cells):
+        expect = size / 2
+        statistic += (count_a - expect) ** 2 / expect
+        statistic += (count_b - expect) ** 2 / expect
     dof = len(cells) - 1
     p_value = _chi2_tail(dof, statistic)
     return ComparisonReport(

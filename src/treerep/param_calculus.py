@@ -375,7 +375,8 @@ def closed_form(tree, params, subset, at, multiset):
     At ``"r1"``, when the tree's edges are those of ``octopus(m, 2)``,
     m the root's child count, S is the center plus the inner ring and
     the multiset is the center once, :func:`d_nu_dr_octopus` applies.
-    Anything else gets None, not a guess.
+    Anything else, a vertex law outside (0, 1) at ``"p0"`` and ``"p1"``
+    included, gets None, not a guess.
     """
     if at == "r1":
         m = len(tree.children[tree.root])
@@ -388,7 +389,7 @@ def closed_form(tree, params, subset, at, multiset):
         p_first = [params.p[tree.edge_index(0, v)] for v in inner]
         p_second = [params.p[tree.edge_index(v, v + 1)] for v in inner]
         return d_nu_dr_octopus(m, p_first, p_second)
-    if len(set(params.r)) != 1 or not is_connected(tree, subset):
+    if len(set(params.r)) != 1 or not 0 < params.r[0] < 1 or not is_connected(tree, subset):
         return None
     if at == "p0" and multiset == boundary_edge_multiset(tree, subset) and multiset.total >= 2:
         return closed_form_p0(multiset.total, params.r[0])

@@ -42,8 +42,11 @@ MAX_VERDICT_ORDER = 20
 # boundary events (a set with more is split), and sweeps a chunk for
 # several grid points at once only while events times points stay within
 # it.  A chunk's working arrays hold about a dozen numbers per event and
-# point, so the pass stays within about 1 MB on any tree and grid
-# (star(16) has 86M events), and a sweep stops at its witness's chunk.
+# point, about 1 MB, but its masks are deduplicated through a flag and an
+# int64 rank per mask of the tree, 9 * 2^n bytes.  So the pass's peak
+# grows with n: tracemalloc reads 5.5 MiB above the plan on spider(6,3)
+# (n = 19) and 10.0 MiB with a seventh one-vertex leg (n = 20), at
+# r = p = 1/2.  A sweep stops at its witness's chunk.
 CHUNK_EVENTS = 1 << 13
 
 # A float sign is kept only when it clears its proved error bound by

@@ -1,5 +1,6 @@
 """Independent oracles that the tests check the engine against."""
 
+import bisect
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,8 @@ import numpy as np
 from treerep.chain_model import Weights, as_fraction, prob_all_zero, scaled_params
 from treerep.mc_verify import (
     ClosureReport,
+    ComparisonReport,
+    _chi2_tail,
     _pattern_histogram,
     compare_laws,
     sample_poisson_field_many,
@@ -243,6 +246,65 @@ def compare_samplers(sampler_a, sampler_b, n, n_draws, seed=0, alpha=0.01):
         drawn_counts(sampler_b, n, n_draws, seed + 1),
         n,
         alpha=alpha,
+    )
+
+
+def sorted_list_compare_laws(counts_a, counts_b, n, alpha=0.01):
+    """Reference for ``mc_verify.compare_laws``: a sorted list of cells.
+
+    Pops the two smallest cells off the front of the list and inserts
+    their merge with ``bisect.insort``, and weighs each cell by the
+    samples' shares of the grand total, refusing what the engine refuses
+    with the same messages.  Quadratic in the 2^n cells.
+    """
+    if n < 1:
+        raise DomainError("pattern chi-square needs n >= 1")
+    if not 0 < alpha < 1:
+        raise DomainError("alpha must lie in (0, 1)")
+    hist_a = np.asarray(counts_a)
+    hist_b = np.asarray(counts_b)
+    for hist in (hist_a, hist_b):
+        if hist.shape != (1 << n,) or hist.dtype.kind not in "iu" or (hist < 0).any():
+            raise DomainError("pattern counts over %d vertices are 2^%d nonnegative integers"
+                              % (n, n))
+        if hist.sum() < 1:
+            raise DomainError("a sample needs at least one draw, got 0")
+    total_a, total_b = int(hist_a.sum()), int(hist_b.sum())
+    if total_a != total_b:
+        raise DomainError("the samples hold %d and %d draws: a comparison needs "
+                          "equally many" % (total_a, total_b))
+    share = min(total_a, total_b) / (total_a + total_b)
+    seen = np.flatnonzero(hist_a + hist_b)
+    if len(seen) == 1:
+        raise DomainError(
+            "every draw of both samples is the pattern with ones on %r: "
+            "a chi-square comparison needs two observed patterns" % VertexSet(int(seen[0]))
+        )
+    cells = sorted(
+        [int(hist_a[i] + hist_b[i]), i, int(hist_a[i]), int(hist_b[i])] for i in range(1 << n)
+    )
+    while len(cells) > 1 and cells[0][0] * share < 5:
+        lo = cells.pop(0)
+        hi = cells.pop(0)
+        bisect.insort(cells, [lo[0] + hi[0], min(lo[1], hi[1]), lo[2] + hi[2], lo[3] + hi[3]])
+    if len(cells) < 2 or cells[0][0] * share < 5:
+        raise DomainError("not enough draws: pooling cannot reach expected counts of 5")
+    statistic = 0.0
+    grand = total_a + total_b
+    for pooled, _, count_a, count_b in cells:
+        expect_a = total_a * pooled / grand
+        expect_b = total_b * pooled / grand
+        statistic += (count_a - expect_a) ** 2 / expect_a
+        statistic += (count_b - expect_b) ** 2 / expect_b
+    p_value = _chi2_tail(len(cells) - 1, statistic)
+    return ComparisonReport(
+        statistic=statistic,
+        dof=len(cells) - 1,
+        p_value=p_value,
+        alpha=alpha,
+        cells=len(cells),
+        draws=total_a,
+        passed=p_value >= alpha,
     )
 
 

@@ -588,15 +588,21 @@ def test_value_error_under_the_multiset_parser_escapes(monkeypatch):
         main(argv + ["--multiset", "0-1"])
 
 
-def test_verify_refuses_a_wide_tree_before_the_full_lattice(monkeypatch, capsys):
-    import treerep.mc_verify as mc_verify
+def test_verify_is_bounded_by_the_lattice_cap(monkeypatch, capsys, tmp_path):
+    import treerep.cli as cli
 
-    def no_lattice(tree, params):
-        raise AssertionError("the field cap must be checked before nu_full")
+    def never(*args):
+        raise AssertionError("a sampler ran on a tree above the lattice cap")
 
-    monkeypatch.setattr(mc_verify, "nu_full", no_lattice)
-    assert main(["verify", "--tree", "path:13", "--r", "1/2", "--p", "1/2"]) == 2
-    assert "capped at 12 vertices" in capsys.readouterr().err
+    with monkeypatch.context() as patch:
+        for name in ("sample_percolation_many", "sample_recursive_many",
+                     "sample_poisson_field_many"):
+            patch.setattr(cli, name, never)
+        assert main(["verify", "--tree", "path:17", "--r", "1/2", "--p", "1/2"]) == 2
+    assert capsys.readouterr() == ("", "treerep: full measures are capped at 16 vertices\n")
+    argv = ["verify", "--tree", "path:13", "--r", "1/2", "--p", "1/2", "--draws", "20000"]
+    code, blob = run_to_file(argv, tmp_path)
+    assert code == 0 and json.loads(blob)["passed"] is True
 
 
 def test_verify_seed_range(monkeypatch, capsys, tmp_path):
@@ -926,6 +932,20 @@ def test_deriv_check_closed_form_reads_the_tree_not_its_spelling(tmp_path):
         assert code == 0, spec
         assert (payload["derivative"], payload["closed_form"]) == ("-1/64", "-1/64"), spec
         assert payload["matches"] is True, spec
+
+
+@pytest.mark.parametrize(
+    "at, multiset",
+    [("p0", "1-2,3-4,5-6"), ("p1", "0-1,0-3,0-5")],
+)
+def test_deriv_check_at_r_one_reports_no_closed_form(tmp_path, at, multiset):
+    # the closed forms hold for 0 < r < 1; at r = 1 the partial is still reported
+    argv = ["deriv-check", "--tree", "spider:3x2", "--set", "0,1,3,5", "--at", at, "--r", "1",
+            "--multiset", multiset]
+    code, blob = run_to_file(argv, tmp_path)
+    payload = json.loads(blob)
+    assert code == 0
+    assert (payload["derivative"], payload["closed_form"], payload["matches"]) == ("0", None, None)
 
 
 def test_config_digest_scope():

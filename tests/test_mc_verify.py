@@ -27,7 +27,13 @@ from treerep.mc_verify import (
 from treerep.signed_measure import MeasureValue, SignedMeasure, nu_full
 from treerep.tree_core import DomainError, VertexSet, octopus, path, spider, star
 
-from oracles import bernoulli_field_sampler, compare_samplers, drawn_counts, loop_closure_report
+from oracles import (
+    bernoulli_field_sampler,
+    compare_samplers,
+    drawn_counts,
+    loop_closure_report,
+    sorted_list_compare_laws,
+)
 
 F = Fraction
 
@@ -244,6 +250,55 @@ def test_comparison_refuses_fewer_than_one_draw_before_sampling():
             compare_laws(counts, counts, 3)
 
 
+def _pooling_cases():
+    """Pattern-count pairs over n vertices that exercise chi-square pooling."""
+    rng = np.random.default_rng(2024)
+    for n in range(1, 15):
+        for draws in (1, 7, 60, 900, 30_000):
+            # skewed laws leave many small and empty cells to pool
+            law = rng.dirichlet(np.full(1 << n, 0.3))
+            yield n, rng.multinomial(draws, law), rng.multinomial(draws, law)
+    for n, k in ((3, 1), (6, 2), (9, 4), (12, 1)):  # every pooled count ties
+        yield n, np.full(1 << n, k), np.full(1 << n, k)
+    sparse = np.zeros(1 << 10, dtype=np.int64)
+    sparse[[3, 77, 512, 1000]] = [40, 3, 1, 50]
+    yield 10, sparse, sparse[::-1].copy()
+    one = np.zeros(1 << 5, dtype=np.int64)
+    one[9] = 100
+    yield 5, one, one  # a single observed pattern
+    yield 4, np.eye(16, dtype=np.int64)[2], np.eye(16, dtype=np.int64)[5]  # too few draws
+    yield 4, np.eye(16, dtype=np.int64)[2], 2 * np.eye(16, dtype=np.int64)[5]  # unequal totals
+    yield 3, np.zeros(8, dtype=np.int64), np.ones(8, dtype=np.int64)  # no draw
+
+
+def _outcome(compare, counts_a, counts_b, n):
+    try:
+        return compare(counts_a, counts_b, n)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_heap_pooling_matches_the_sorted_list_oracle():
+    outcomes = set()
+    for n, counts_a, counts_b in _pooling_cases():
+        got = _outcome(compare_laws, counts_a, counts_b, n)
+        want = _outcome(sorted_list_compare_laws, counts_a, counts_b, n)
+        # == on the report compares its floats bit for bit
+        assert got == want, (n, got, want)
+        outcomes.add(type(got).__name__ if isinstance(got, ComparisonReport) else got[:20])
+    assert outcomes == {"ComparisonReport", "not enough draws: po", "every draw of both s",
+                        "the samples hold 1 a", "a sample needs at le"}
+
+
+def test_comparison_refuses_an_order_no_array_can_hold():
+    counts = np.ones(8, dtype=np.int64)
+    for n in (0, -1):
+        with pytest.raises(DomainError, match="pattern chi-square needs n >= 1"):
+            compare_laws(counts, counts, n)
+    with pytest.raises(DomainError, match="pattern counts over 10000000000000 vertices"):
+        compare_laws(counts, counts, 10**13)  # refused before 1 << n is built
+
+
 def test_chain_samplers_agree():
     t = star(3)
     params = uniform_params(t, F(1, 2), F(1, 2))
@@ -281,7 +336,7 @@ def test_different_laws_are_detected():
     assert report.p_value < 1e-6
 
 
-# 2^12 - 1: the most degrees of freedom compare_laws can produce
+# 2^12 - 1: the most degrees of freedom a 12-vertex comparison can produce
 _TAIL_DOFS = list(range(1, 41)) + [41, 63, 64, 100, 127, 128, 255, 256, 511, 1000, 2047, 3001, 4095]
 
 
@@ -294,6 +349,18 @@ def test_chi2_tail_matches_scipy():
         kept = want > 1e-300
         assert kept[0]
         np.testing.assert_allclose(got[kept], want[kept], rtol=1e-11, atol=0, err_msg="dof %d" % dof)
+
+
+def test_chi2_tail_matches_scipy_up_to_sixteen_vertices():
+    # up to 2^16 - 1, the most degrees of freedom a 16-vertex comparison can produce
+    special = pytest.importorskip("scipy.special")
+    for dof in (4096, 8191, 16383, 32767, 32768, 65535):
+        xs = np.concatenate([np.linspace(0.2 * dof, 3 * dof, 57),
+                             np.linspace(0.9 * dof, 1.1 * dof, 41)])
+        want = special.chdtrc(dof, xs)
+        got = np.array([mc_verify._chi2_tail(dof, float(x)) for x in xs])
+        kept = want > 1e-300
+        np.testing.assert_allclose(got[kept], want[kept], rtol=2e-10, atol=0, err_msg="dof %d" % dof)
 
 
 def test_chi2_tail_is_a_falling_probability():
@@ -355,8 +422,6 @@ def test_comparison_input_validation():
     t = path(2)
     params = uniform_params(t, F(1, 2), F(1, 2))
     sampler = partial(sample_recursive_many, t, params)
-    with pytest.raises(ValueError):
-        compare_samplers(sampler, sampler, 13, n_draws=100)
     with pytest.raises(ValueError):
         compare_samplers(sampler, sampler, t.n, n_draws=1000, alpha=0)
     wide = lambda n_draws, seed: np.full(n_draws, 4, dtype=np.uint64)

@@ -361,6 +361,12 @@ def test_closed_form_is_chosen_from_the_tree():
     edges = boundary_edge_multiset(t, VertexSet.of(0, 1))
     assert closed_form(t, mixed, VertexSet.of(0, 1), "p0", edges) is None
     assert closed_form(t, half, VertexSet.of(0, 1), "p0", edges) == closed_form_p0(4, F(1, 2))
+    # nor a uniform vertex law outside (0, 1), where the closed forms refuse
+    spanning = subtree_edge_multiset(t, VertexSet.of(0, 1))
+    for r in (0, 1):
+        at_r = uniform_params(t, r, F(1, 2))
+        assert closed_form(t, at_r, VertexSet.of(0, 1), "p0", edges) is None
+        assert closed_form(t, at_r, VertexSet.of(0, 1), "p1", spanning) is None
 
 
 def test_octopus_closed_form_values():
