@@ -110,7 +110,8 @@ def _draws_of(counts, n):
     """
     counts = np.asarray(counts)
     # no array holds 2^63 entries, so a larger n is refused before 1 << n is built
-    if n >= 63 or counts.shape != (1 << n,) or counts.dtype.kind not in "iu" or (counts < 0).any():
+    shape_ok = n < 63 and counts.shape == (1 << n,)
+    if not shape_ok or counts.dtype.kind not in "iu" or (counts < 0).any():
         raise DomainError("pattern counts over %d vertices are 2^%d nonnegative integers" % (n, n))
     draws = int(counts.sum())
     if draws < 1:
