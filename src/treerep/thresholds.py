@@ -13,7 +13,7 @@ critical resampling levels:
   not the small-p mass of this module's chain: that mass is positive on
   all of (0, 1) (see ``param_calculus.closed_form_p0``).
 
-Root finding is sign-change bisection with exact rational evaluation, so
+Root finding halves a sign-change interval with exact rational evaluation, so
 the only float rounding happens in the final conversion.
 """
 
