@@ -322,12 +322,13 @@ def _rng(seed):
 # The samplers work through their draws this many at a time, so every
 # temporary is an (n, _BLOCK) block of tens of KB whatever n_draws is;
 # only the packed output grows with it.  It is even, so every block but
-# the last reads whole raw words of each slot's stream.
+# the last reads whole raw words of each slot's stream.  The Poisson
+# field places its arrivals in blocks of this size too.
 _BLOCK = 1 << 14
 
 
 def _blocks(n_draws):
-    """``(start, stop)`` of each block of :data:`_BLOCK` draws, the last one shorter."""
+    """``(start, stop)`` of each block of :data:`_BLOCK` draws or arrivals, the last shorter."""
     for lo in range(0, n_draws, _BLOCK):
         yield lo, min(lo + _BLOCK, n_draws)
 

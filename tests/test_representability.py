@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import treerep.representability as representability
-from treerep.chain_model import ChainParams, float_weights, uniform_params
+from treerep.chain_model import ChainParams, float_weights, scaled_params, uniform_params
 from treerep.param_calculus import EdgeMultiset, d_nu_dp
 from treerep.representability import (
     MAX_VERDICT_ORDER,
@@ -18,11 +18,12 @@ from treerep.representability import (
     phase_scan,
     scaling_check,
 )
-from treerep.signed_measure import nu_full, restrict_measure
+from treerep.signed_measure import connected_log_events, nu_connected, nu_full, restrict_measure
 from treerep.tree_core import (
     DomainError,
     VertexSet,
     build_tree,
+    connected_subsets,
     is_connected,
     octopus,
     path,
@@ -44,6 +45,53 @@ def test_paths_are_representable_on_a_grid():
                 assert v.representable and v.witness is None
     v = is_representable(path(8), uniform_params(path(8), F(3, 10), F(7, 10)))
     assert v.representable
+
+
+def test_sets_with_at_most_four_boundary_events_are_never_negative():
+    """No connected set S with |lam| <= 2 has nu(S) < 0, so paths are representable.
+
+    nu(S) sums (-1)^|J| log P(X(J + outer) = 0) over the subsets J of
+    lam (:func:`~treerep.signed_measure.connected_log_events`), so S has
+    2^|lam| boundary events.  |lam| = 1 only for a singleton {v}, whose
+    nu is log P(Z) - log P(Z, X_v = 0) >= 0, with Z = {X(outer) = 0}.
+    For lam = {a, b}, nu(S) >= 0 says exactly that the events {X_a = 0}
+    and {X_b = 0} are positively correlated given Z.  Each edge's
+    copy-or-resample kernel K is TP2, K00 K11 - K01 K10 = 1 - p >= 0, so
+    the chain's law, vertex factors times TP2 edge factors, satisfies
+    the FKG lattice condition, and so does its restriction to Z, a
+    sublattice.  Decreasing events are then positively correlated
+    (Fortuin, Kasteleyn and Ginibre; the four functions theorem of
+    Ahlswede and Daykin allows the zero weights of p = 0).  This is the
+    tree case of the result that positively associated Markov chains
+    are Poisson representable.  Every connected set of a path is an
+    interval, with lam its one or two ends, so every path is
+    representable at every parameter point.
+    """
+    rng = random.Random(20261020)
+
+    def chain(t):
+        # laws in [1/100, 99/100], a fifth of the edges at p = 0 or p = 1
+        params = random_params(rng, t, denom=100)
+        p = tuple(rng.choice((F(0), F(1))) if rng.random() < 0.2 else x for x in params.p)
+        return ChainParams(r=params.r, p=p)
+
+    small = negative = 0
+    for _ in range(100):
+        t = random_tree(rng, rng.randint(2, 10))
+        params = chain(t)
+        weights = scaled_params(t, params)
+        for bits in connected_subsets(t):
+            s = VertexSet(bits)
+            sign = nu_connected(t, weights, s).sign
+            if len(connected_log_events(t, s)) <= 4:
+                assert sign >= 0, (t.edges, params, s)
+                small += 1
+            negative += sign < 0
+    # 1,687 sets with |lam| <= 2 checked, and 56 sets with |lam| >= 3 negative
+    assert small >= 1500 and negative >= 50
+    for n in range(2, 13):
+        verdict = is_representable(path(n), chain(path(n)))
+        assert verdict.representable and verdict.checked_sets == n * (n + 1) // 2
 
 
 def test_octopus_flips_across_one_half_at_large_p():

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 
 from treerep.tree_core import (
@@ -16,10 +19,13 @@ from treerep.tree_core import (
     tree_to_json,
 )
 
+from conftest import random_tree
+
 
 def test_vertex_set_basics():
     s = VertexSet.of(0, 2, 5)
     assert 2 in s and 1 not in s
+    assert -1 not in s and -1 not in VertexSet(5)
     assert len(s) == 3
     assert tuple(s) == (0, 2, 5)
     assert (s | VertexSet.of(1)).bits == 0b100111
@@ -201,20 +207,30 @@ def test_connected_subsets_counts():
     for k in (2, 3, 5):
         sets = list(connected_subsets(star(k)))
         assert len(sets) == 2**k + k
-    # every emitted mask is genuinely connected
-    t = spider(3, 2)
-    sets = list(connected_subsets(t))
-    assert len(sets) == len(set(sets))
-    for bits in sets:
-        assert is_connected(t, VertexSet(bits))
-    # brute-force cross-check on a small irregular tree
-    irregular = build_tree([(0, 1), (1, 2), (1, 3), (3, 4)])
-    expect = {
-        bits
-        for bits in range(1, 1 << irregular.n)
-        if is_connected(irregular, VertexSet(bits))
-    }
-    assert set(connected_subsets(irregular)) == expect
+    # brute force: every connected mask exactly once, on random trees
+    # with random roots, a long path, a wide star, a spider, a broom (a
+    # 5-vertex path with 8 leaves on its last vertex) and an irregular tree
+    rng = random.Random(20261020)
+    broom = build_tree([(i, i + 1) for i in range(4)] + [(4, 5 + j) for j in range(8)])
+    trees = [random_tree(rng, n) for n in range(1, 13) for _ in range(3)]
+    trees += [path(12), star(10), spider(3, 2), broom]
+    trees.append(build_tree([(0, 1), (1, 2), (1, 3), (3, 4)]))
+    for t in trees:
+        expect = [bits for bits in range(1, 1 << t.n) if is_connected(t, VertexSet(bits))]
+        assert sorted(connected_subsets(t)) == expect
+
+
+def test_connected_subsets_streams():
+    # star(16) has 65,552 connected sets, a list of them over 2 MiB; the
+    # generator holds one chain of nested frames, about 12 KiB
+    t = star(16)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in connected_subsets(t))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2**16 + 16 and peak < 64 << 10
 
 
 def test_json_round_trip():
