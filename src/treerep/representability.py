@@ -33,7 +33,13 @@ from .chain_model import (
     scaled_params,
     uniform_params,
 )
-from .signed_measure import _require_positive_r, nu_connected, nu_full, restrict_measure
+from .signed_measure import (
+    _require_positive_r,
+    nu_connected,
+    nu_full,
+    restrict_measure,
+    set_boundaries,
+)
 from .tree_core import DomainError, VertexSet, as_int, connected_subsets, subdivide
 
 MAX_VERDICT_ORDER = 20
@@ -86,7 +92,8 @@ class SweepPlan:
     int64 masks.  Set i has one boundary event ``J | outer[i]`` with
     sign (-1)^|J| for every J inside ``lam[i]`` (the inner boundary plus
     the leaves of the induced subtree; for a singleton, the vertex),
-    in the order of :func:`~treerep.signed_measure.connected_log_events`.
+    in the order of :func:`~treerep.signed_measure.connected_log_events`;
+    :func:`~treerep.signed_measure.set_boundaries` gives the masks.
     Its ``2^lam_size[i]`` events occupy positions ``starts[i]`` to
     ``ends[i]`` of one stream over all sets.  A plan is read-only once
     built, so the grid points of a scan share one.
@@ -98,21 +105,8 @@ class SweepPlan:
                 "full verdicts are capped at %d vertices" % MAX_VERDICT_ORDER
             )
         self.tree = tree
-        self._bit = np.left_shift(1, np.arange(tree.n, dtype=np.int64))
-        masks = np.array(tree.neighbor_masks, dtype=np.int64)
-        adjacency = masks[:, None] >> np.arange(tree.n) & 1
-        degree = adjacency.sum(axis=0)
         sets = np.fromiter(connected_subsets(tree), dtype=np.int64)
-        parts = []
-        for lo in range(0, len(sets), CHUNK_EVENTS):  # bounds the (sets x n) arrays
-            inside = sets[lo : lo + CHUNK_EVENTS, None] & self._bit != 0
-            within = inside @ adjacency  # each vertex's neighbours inside the set
-            lam = inside & ((within < degree) | (within <= 1))
-            outer = ~inside & (within > 0)
-            parts.append(
-                (inside.sum(axis=1), lam @ self._bit, outer @ self._bit, lam.sum(axis=1))
-            )
-        size, lam, outer, lam_size = (np.concatenate(col) for col in zip(*parts))
+        size, lam, outer, lam_size = set_boundaries(tree, sets)
         order = np.lexsort((sets, size))
         self.sets, self.lam, self.outer = sets[order], lam[order], outer[order]
         self.lam_size = lam_size[order]
@@ -349,15 +343,14 @@ def scaling_check(tree, r, p, k) -> bool:
     subset; any mismatch returns False.  Both measures hold their pairs
     in lowest terms (``nu_full`` divides by the gcds before each cross
     product, ``restrict_measure`` reduces every level), so equal pairs
-    are equal ratios.  A subdivided tree above ``MAX_TREE_ORDER``
+    are equal ratios.  At k = 1 the subdivision is the tree itself, and
+    every check of any k still runs.  A subdivided tree above ``MAX_TREE_ORDER``
     vertices is refused by :func:`~treerep.tree_core.subdivide` before it
     is built, and one above ``MAX_LATTICE_ORDER`` by
     :func:`~treerep.signed_measure.nu_full` before any table is built.
     """
     if as_int(k, "subdivision factor") < 1:
         raise DomainError("subdivision factor must be >= 1")
-    if k == 1:
-        return True
     r = as_fraction(r)
     p = as_fraction(p)
     big, originals = subdivide(tree, k)

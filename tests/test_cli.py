@@ -340,6 +340,15 @@ TEXT_REFUSALS = [
      "--at p0 needs --r (vertex laws)"),
     (["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "r1", "--multiset", "0"],
      "--at r1 needs --p (edge parameters)"),
+    # k = 1 subdivides nothing, yet checks its tree and laws as any k does
+    (["scaling-check", "--tree", "path:3", "--r", "2", "--p", "1/3", "--k", "1"],
+     "r values must lie in [0, 1]"),
+    (["scaling-check", "--tree", "path:3", "--r", "0", "--p", "1/3", "--k", "1"],
+     "fresh-draw probabilities must be > 0: zero-probability events have no finite log"),
+    (["scaling-check", "--tree", "path:3", "--r", "1/2", "--p", "3/2", "--k", "1"],
+     "p values must lie in [0, 1]"),
+    (["scaling-check", "--tree", "path:20", "--r", "1/2", "--p", "1/3", "--k", "1"],
+     "full measures are capped at 16 vertices"),
 ]
 
 
@@ -771,10 +780,12 @@ def test_scan_refuses_a_bad_p_grid_before_reading_a_long_r_grid(capsys):
     assert peak < 1 << 20  # the r grid's 500,000 Fractions, read first, took over 100 MB
 
 
-@pytest.mark.parametrize("tree, k", [("star:7", "2"), ("star:5", "3"), ("path:2", "15")])
+@pytest.mark.parametrize(
+    "tree, k", [("star:7", "2"), ("star:5", "3"), ("path:2", "15"), ("spider:5x3", "1")]
+)
 def test_scaling_check_runs_up_to_the_lattice_cap(tmp_path, tree, k):
     argv = ["scaling-check", "--tree", tree, "--r", "1/2", "--p", "1/3", "--k", k]
-    code, blob = run_to_file(argv, tmp_path)  # 15, 16 and 16 vertices after splitting
+    code, blob = run_to_file(argv, tmp_path)  # 15, 16, 16 and 16 vertices after splitting
     assert code == 0
     assert json.loads(blob)["passed"] is True
 
@@ -784,8 +795,12 @@ def test_scaling_check_above_the_lattice_cap_builds_no_table(monkeypatch, capsys
     def no_table(tree, weights):
         raise AssertionError("a lattice table was built")
 
+    def no_sets(tree):
+        raise AssertionError("connected sets were enumerated")
+
     monkeypatch.setattr(chain_model, "prob_all_zero_table", no_table)
     monkeypatch.setattr(signed_measure, "prob_all_zero_table", no_table)
+    monkeypatch.setattr(signed_measure, "connected_subsets", no_sets)
     assert main(_without(_SCALING, "--k") + ["--k", k]) == 2
     assert capsys.readouterr() == ("", "treerep: full measures are capped at 16 vertices\n")
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import treerep.signed_measure as signed_measure
 from treerep.chain_model import (
     ChainParams,
     make_params,
@@ -27,6 +28,7 @@ from treerep.tree_core import (
     connected_subsets,
     is_connected,
     path,
+    spider,
     star,
 )
 
@@ -339,6 +341,51 @@ def test_nu_full_matches_the_fraction_reference():
         assert _pairs(measure) == expect
         assert list(measure.entries) == list(expect)
         assert all(type(v.num) is int and type(v.den) is int for v in measure.entries.values())
+
+
+def _spy_paths(monkeypatch):
+    """Record which path each nu_full call takes, in order."""
+    taken = []
+    for name in ("_sparse_entries", "_dense_entries"):
+        real = getattr(signed_measure, name)
+
+        def spy(*args, real=real, name=name):
+            taken.append(name.strip("_").split("_")[0])
+            return real(*args)
+
+        monkeypatch.setattr(signed_measure, name, spy)
+    return taken
+
+
+def test_both_paths_match_the_fraction_reference(monkeypatch):
+    taken = _spy_paths(monkeypatch)
+    rng = random.Random(73)
+    trees = [path(1), path(12), star(11), spider(3, 3)] + [
+        random_tree(rng, n) for n in range(1, 13) for _ in range(2)
+    ]
+    for t in trees:
+        params = _mixed_params(rng, t)
+        expect = fraction_nu_full(t, params)
+        for sparse in (True, False):
+            monkeypatch.setattr(signed_measure, "_sparse_pays", lambda n, events: sparse)
+            measure = nu_full(t, params)
+            assert _pairs(measure) == expect
+            assert list(measure.entries) == list(expect)
+            assert all(type(v.num) is int and type(v.den) is int for v in measure.entries.values())
+    assert taken == ["sparse", "dense"] * len(trees)
+
+
+@pytest.mark.parametrize(
+    "tree, path_taken",
+    [(star(10), "dense"), (star(12), "dense"), (path(16), "sparse"), (spider(5, 3), "sparse")],
+    ids=["star(10)", "star(12)", "path(16)", "spider(5,3)"],
+)
+def test_wide_stars_take_the_dense_path_and_skinny_trees_the_sparse(monkeypatch, tree, path_taken):
+    # forced onto the sparse path, star(10) and star(12) ran 6 and 10 times slower
+    taken = _spy_paths(monkeypatch)
+    measure = nu_full(tree, uniform_params(tree, Fraction(2, 5), Fraction(3, 10)))
+    assert taken == [path_taken]
+    assert len(measure) == (1 << tree.n) - 1
 
 
 def test_nu_full_is_exact_past_int64():
