@@ -12,14 +12,20 @@ Then ``exp(-nu(union of sets hitting I)) = P(X(I) == 0)`` for every I, and
 
 Every value is carried as an exact pair of positive integers
 ``(num, den)`` with ``nu = log(num/den)``, so signs are decided by integer
-comparison; the float ``log_value`` is advisory.  :func:`nu_full` builds
-the integer probability table of all 2^n masks in one bottom-up pass,
-then every entry at once as a multiplicative Möbius transform of it,
-one level per vertex on arrays of integer pairs.  ``nu`` vanishes on
+comparison; the float ``log_value`` is advisory.  ``nu`` vanishes on
 disconnected sets, and for connected sets there is a boundary-indexed
 short formula (:func:`nu_connected`) that agrees with the full lattice
 but only needs exponentially many terms in the boundary size rather
-than in |V|.
+than in |V|.  :func:`nu_full` builds the integer probability table of
+all 2^n masks in one bottom-up pass.  When the connected sets have few
+boundary events against the n * 2^(n-1) steps of a transform, it reads
+each connected entry off that table by the short formula and gives
+every other mask one shared exact zero (path(16): 136 connected sets of
+65,535, 241 → 37 ms); otherwise, as on wide stars, it builds every entry
+at once as a multiplicative Möbius transform of the table, one level
+per vertex on arrays of integer pairs.  :func:`set_boundaries` holds
+the boundary rule for many sets at once, for :func:`nu_full` and the
+verdict sweep plans alike.
 """
 
 from __future__ import annotations
@@ -203,10 +209,14 @@ def nu_full(tree, params) -> SignedMeasure:
 
     The sparse path is taken when 4 * events <= n * 2^n, where events is
     the sum of 2^|λ(S)| over the connected sets and the dense transform
-    takes n * 2^(n-1) level steps.  In process, best of three, dense →
-    sparse (2 vCPUs, Python 3.11.7): path(16) 200 → 35 ms, spider(5, 3)
-    220 → 40 ms; but star(10), whose events outnumber its level steps
-    fourfold, 17 → 106 ms, and star(12) 209 → 2,136 ms.
+    takes n * 2^(n-1) level steps; that is, when events are at most half
+    the level steps.  In process, best of three, each path forced, dense
+    → sparse (2 vCPUs, Python 3.11.7): path(16) 241 → 37 ms and
+    spider(5, 3) 259 → 41 ms, but star(10) 18 → 112 ms and star(12)
+    247 → 2,392 ms, whose events outnumber their level steps 10 and 20
+    times.  Over 71 measures of 9-16 vertices, sparse took 0.08-0.78 of
+    dense's time at ratios up to one half, 0.72-1.54 from one half to
+    0.9, and 1.14-11.7 above.
     """
     weights = scaled_params(tree, params)
     _require_positive_r(weights)

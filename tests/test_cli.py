@@ -604,12 +604,14 @@ def test_verify_is_bounded_by_the_lattice_cap(monkeypatch, capsys, tmp_path):
     import treerep.cli as cli
 
     def never(*args):
-        raise AssertionError("a sampler ran on a tree above the lattice cap")
+        raise AssertionError("a sampler, table or set enumeration ran above the lattice cap")
 
     with monkeypatch.context() as patch:
         for name in ("sample_percolation_many", "sample_recursive_many",
                      "sample_poisson_field_many"):
             patch.setattr(cli, name, never)
+        patch.setattr(signed_measure, "prob_all_zero_table", never)
+        patch.setattr(signed_measure, "connected_subsets", never)
         assert main(["verify", "--tree", "path:17", "--r", "1/2", "--p", "1/2"]) == 2
     assert capsys.readouterr() == ("", "treerep: full measures are capped at 16 vertices\n")
     argv = ["verify", "--tree", "path:13", "--r", "1/2", "--p", "1/2", "--draws", "20000"]
