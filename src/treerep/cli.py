@@ -183,45 +183,41 @@ def parse_tree(spec):
         if len(args) != arity:
             raise DomainError("tree %r needs %d integer size(s), e.g. %s" % (spec, arity, example))
         return builder(*args)
+    return tree_from_json(_read(spec, "tree"))
+
+
+def _read(path, what):
+    """The text of a UTF-8 file; one that cannot be read names its ``what``."""
     try:
-        with open(spec, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError("cannot read tree file %r: %s" % (spec, exc)) from None
-    return tree_from_json(text)
+        raise DomainError("cannot read %s file %r: %s" % (what, path, exc)) from None
 
 
-def _param_spec(text, count, flag):
-    """A scalar rational, or exactly ``count`` comma-separated ones."""
+def _param_spec(text, keys, flag):
+    """A scalar rational, or one per key as a ``{key: value}`` map."""
     parts = [part.strip() for part in text.split(",")]
     if len(parts) == 1:
         return as_fraction(parts[0])
-    if len(parts) != count:
+    if len(parts) != len(keys):
         raise DomainError(
             "%s takes one value or %d comma-separated values, got %d"
-            % (flag, count, len(parts))
+            % (flag, len(keys), len(parts))
         )
-    return [as_fraction(part) for part in parts]
+    return {key: as_fraction(part) for key, part in zip(keys, parts)}
 
 
 def resolve_params(tree, config):
-    """ChainParams from ``--params FILE`` or ``--r``/``--p`` specs."""
+    """ChainParams from ``--params FILE`` or from ``--r`` and ``--p``, never both."""
     if config.params is not None:
-        try:
-            with open(config.params, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DomainError("cannot read params file %r: %s" % (config.params, exc)) from None
-        return params_from_json(tree, text)
+        if config.r is not None or config.p is not None:
+            raise DomainError("give --params FILE, or --r and --p, not both")
+        return params_from_json(tree, _read(config.params, "params"))
     if config.r is None or config.p is None:
         raise DomainError("give --params FILE, or both --r and --p")
-    r_spec = _param_spec(config.r, tree.n, "--r")
-    if isinstance(r_spec, list):
-        r_spec = dict(enumerate(r_spec))
-    p_spec = _param_spec(config.p, len(tree.edges), "--p")
-    if isinstance(p_spec, list):
-        p_spec = {"%d-%d" % edge: value for edge, value in zip(tree.edges, p_spec)}
-    return make_params(tree, r_spec, p_spec)
+    r_spec = _param_spec(config.r, range(tree.n), "--r")
+    return make_params(tree, r_spec, _param_spec(config.p, tree.edges, "--p"))
 
 
 def parse_vertices(text) -> list:
@@ -339,22 +335,23 @@ def _cmd_deriv_check(config):
     if max(ids) >= tree.n:  # before VertexSet shifts 1 by each id
         raise DomainError("subset contains ids outside the tree")
     subset = VertexSet.of(*ids)
+    # the base point fixes the law that a flag leaves out; --params gives both
+    laws = config
     if config.at in ("p0", "p1"):
-        if config.r is None:
+        if config.r is None and config.params is None:
             raise DomainError("--at %s needs --r (vertex laws)" % config.at)
-        base_p = "0" if config.at == "p0" else "1"
-        params = resolve_params(
-            tree, dataclasses.replace(config, p=config.p if config.p is not None else base_p)
-        )
+        if config.params is None and config.p is None:
+            laws = dataclasses.replace(config, p="0" if config.at == "p0" else "1")
+        params = resolve_params(tree, laws)
         multiset = EdgeMultiset.from_string(config.multiset)
         value = d_nu_dp(tree, params, subset, multiset, at=config.at)
         multiset_text = str(multiset)
     else:
-        if config.p is None:
+        if config.p is None and config.params is None:
             raise DomainError("--at r1 needs --p (edge parameters)")
-        params = resolve_params(
-            tree, dataclasses.replace(config, r=config.r if config.r is not None else "1")
-        )
+        if config.params is None and config.r is None:
+            laws = dataclasses.replace(config, r="1")
+        params = resolve_params(tree, laws)
         multiset = parse_vertices(config.multiset)
         value = d_nu_dr(tree, params, subset, multiset, at=config.at)
         multiset_text = ",".join(str(v) for v in sorted(multiset))

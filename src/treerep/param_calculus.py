@@ -326,10 +326,10 @@ def closed_form_p1(tree, subset, r) -> Fraction:
     r = as_fraction(r)
     if not 0 < r < 1:
         raise DomainError("r must lie strictly inside (0, 1)")
-    closure = spanning_subtree(tree, subset).bits
-    value = Fraction(-1) ** (closure.bit_count() - 1) * (1 - r) / r
-    for v in VertexSet(closure):
-        j = (tree.neighbor_masks[v] & closure).bit_count()
+    s = subset.bits  # connected, so its own spanning subtree
+    value = Fraction(-1) ** (s.bit_count() - 1) * (1 - r) / r
+    for v in subset:
+        j = (tree.neighbor_masks[v] & s).bit_count()
         if j >= 2:
             value *= -f_poly(j, r)
     return value

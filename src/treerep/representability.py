@@ -14,6 +14,17 @@ comparison of two int products, so near-ties and witnesses are always
 decided exactly.  The witness is the first negative set in (size, bit
 pattern) order, and ``Verdict.checked_sets`` is its position in that
 order.
+
+Sets with |lam| <= 2 (lam: the inner boundary plus the induced leaves)
+are never negative.  With Z = {X(outer) = 0}, a singleton's nu is
+log P(Z) - log P(Z, X_v = 0) >= 0, and for lam = {a, b}, nu(S) >= 0
+says that {X_a = 0} and {X_b = 0} are positively correlated given Z.
+Each edge's copy-or-resample kernel is TP2, K00 K11 - K01 K10 = 1 - p
+>= 0, so the chain's law and its restriction to the sublattice Z meet
+the FKG lattice condition, under which decreasing events are positively
+correlated (Fortuin, Kasteleyn and Ginibre 1971; Ahlswede and Daykin
+1978 allow the zero weights of p = 0).  A path's connected sets are
+intervals, with lam their ends, so every path is representable.
 """
 
 from __future__ import annotations

@@ -239,9 +239,9 @@ def set_boundaries(tree, sets):
     it (the inner boundary and the leaves of the induced subtree; for a
     singleton, the vertex), ``outer`` the vertices outside it with a
     neighbour inside, and ``size`` and ``lam_size`` count the set and
-    ``lam``.  This is the rule of :func:`connected_log_events`, for every
-    set at once in numpy; all four are int64 arrays in the order of
-    ``sets``.
+    ``lam``.  This is the rule of :func:`connected_log_events` for every
+    set at once in numpy, which pays only over many sets (see there);
+    all four are int64 arrays in the order of ``sets``.
     """
     bit = np.left_shift(1, np.arange(tree.n, dtype=np.int64))
     masks = np.array(tree.neighbor_masks, dtype=np.int64)
@@ -274,6 +274,10 @@ def connected_log_events(tree, subset):
     (outer boundary) minus (v plus outer boundary).  One pass over S
     finds lam, the outer boundary and the edges inside S, which tell
     whether S is connected.  Returns a list of ``(sign, bits)`` pairs.
+    This loop is :func:`set_boundaries`' rule for one set, kept since
+    :func:`nu_connected` takes about 3,800 sets a scan-deck pass one at a
+    time: 4.3 µs a set, events listed, against 26-29 µs through a one-row
+    :func:`set_boundaries` (octopus(3, 2), spider(3, 2); 2 vCPUs).
     """
     s = subset.bits
     if s == 0:

@@ -31,26 +31,18 @@ MAX_BELL_INDEX = 64
 _BISECT_TOL = Fraction(1, 10**13)
 
 
-@lru_cache(maxsize=None)
-def _stirling2_row(n):
-    """Stirling numbers of the second kind S(n, 0..n)."""
-    if n == 0:
-        return (1,)
-    prev = _stirling2_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        row[k] = k * (prev[k] if k <= n - 1 else 0) + prev[k - 1]
-    return tuple(row)
-
-
+@lru_cache(maxsize=None, typed=True)
 def complementary_bell(n):
     """Alternating sum of Stirling partition counts: sum_k (-1)^k S(n,k).
 
     The sequence runs 1, -1, 0, 1, 1, -2, -9, -9, 50, ... and measures the
-    surplus of even- over odd-block set partitions.
+    surplus of even- over odd-block set partitions.  Its exponential
+    generating function exp(1 - e^x) has derivative -e^x times itself,
+    which gives the recurrence b(m+1) = -sum_k C(m, k) b(k).
     """
-    row = _stirling2_row(_bell_index(n))
-    return sum((-1) ** k * row[k] for k in range(n + 1))
+    if _bell_index(n) == 0:
+        return 1
+    return -sum(math.comb(n - 1, k) * complementary_bell(k) for k in range(n))
 
 
 def _bell_index(n):
@@ -71,13 +63,8 @@ def eulerian_coeffs(m):
         raise DomainError("m must be nonnegative")
     if m == 0:
         return (1,)
-    prev = eulerian_coeffs(m - 1)
-    row = []
-    for k in range(max(m, 1)):
-        a = (k + 1) * prev[k] if k < len(prev) else 0
-        b = (m - k) * prev[k - 1] if 0 <= k - 1 < len(prev) else 0
-        row.append(a + b)
-    return tuple(row)
+    prev = (0,) + eulerian_coeffs(m - 1) + (0,)
+    return tuple((k + 1) * prev[k + 1] + (m - k) * prev[k] for k in range(m))
 
 
 def _eval_poly(coeffs, z: Fraction) -> Fraction:

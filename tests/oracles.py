@@ -17,7 +17,8 @@ from treerep.mc_verify import (
     sample_poisson_field_many,
 )
 from treerep.signed_measure import MeasureValue, connected_log_events, signed_products
-from treerep.tree_core import DomainError, VertexSet, is_connected
+from treerep.thresholds import f_poly
+from treerep.tree_core import DomainError, VertexSet, is_connected, spanning_subtree
 
 
 def neighbors(tree):
@@ -518,3 +519,43 @@ def fraction_jet_partial(tree, base, subset, field, slots, mults):
     zero = FractionJet.constant(mults, 0)
     series = (zero + even).log_series() - (zero + odd).log_series()
     return series.coefficient(mults) * math.prod(math.factorial(m) for m in mults)
+
+
+def stirling_complementary_bell(n):
+    """Reference for ``thresholds.complementary_bell``: sum_k (-1)^k S(n, k).
+
+    Builds the Stirling numbers of the second kind row by row from
+    S(n, k) = k S(n-1, k) + S(n-1, k-1), the definition the recurrence
+    replaced.
+    """
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0] + [k * (row[k] if k < m else 0) + row[k - 1] for k in range(1, m + 1)]
+    return sum((-1) ** k * s for k, s in enumerate(row))
+
+
+def bounds_checked_eulerian_row(m):
+    """Reference for ``thresholds.eulerian_coeffs``: the triangle row with
+    every coefficient's neighbours bounds-checked, built up from A_0 = 1."""
+    row = (1,)
+    for i in range(1, m + 1):
+        prev, row = row, []
+        for k in range(max(i, 1)):
+            a = (k + 1) * prev[k] if k < len(prev) else 0
+            b = (i - k) * prev[k - 1] if 0 <= k - 1 < len(prev) else 0
+            row.append(a + b)
+        row = tuple(row)
+    return row
+
+
+def spanning_subtree_closed_form_p1(tree, subset, r):
+    """Reference for ``param_calculus.closed_form_p1`` that reads the
+    degrees of the spanning subtree of ``subset``, which is ``subset``
+    itself when it is connected."""
+    closure = spanning_subtree(tree, subset).bits
+    value = Fraction(-1) ** (closure.bit_count() - 1) * (1 - r) / r
+    for v in VertexSet(closure):
+        j = (tree.neighbor_masks[v] & closure).bit_count()
+        if j >= 2:
+            value *= -f_poly(j, r)
+    return value

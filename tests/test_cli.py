@@ -349,6 +349,17 @@ TEXT_REFUSALS = [
      "p values must lie in [0, 1]"),
     (["scaling-check", "--tree", "path:20", "--r", "1/2", "--p", "1/3", "--k", "1"],
      "full measures are capped at 16 vertices"),
+    # --params and --r/--p are alternatives, refused before the file is read
+    (["analyze", "--tree", "path:3", "--params", "missing.json", "--r", "9/10", "--p", "1/7"],
+     "give --params FILE, or --r and --p, not both"),
+    (_VERIFY[:3] + ["--params", "missing.json", "--p", "1/2"],
+     "give --params FILE, or --r and --p, not both"),
+    (["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "p0", "--multiset", "1-2",
+      "--params", "missing.json", "--r", "1/5"],
+     "give --params FILE, or --r and --p, not both"),
+    (["deriv-check", "--tree", "path:3", "--set", "0,1", "--at", "r1", "--multiset", "0",
+      "--params", "missing.json", "--p", "1/2"],
+     "give --params FILE, or --r and --p, not both"),
 ]
 
 
@@ -573,6 +584,34 @@ def test_key_error_under_the_tree_file_parser_escapes(monkeypatch, tmp_path):
     tree.write_text('{"edges": [[0, 1]]}')
     with pytest.raises(KeyError, match="internal bug"):
         main(["analyze", "--tree", str(tree), "--r", "1/2", "--p", "1/2"])
+
+
+@pytest.mark.parametrize(
+    "at, flags, multiset",
+    [
+        ("p0", ["--r", "1/2"], "1-2,3-4,5-6"),
+        ("p1", ["--r", "1/2"], "0-1,0-3,0-5"),
+        ("r1", ["--p", "1/3,2/5,1/4,3/7,2/7,1/2"], "0"),
+    ],
+)
+def test_deriv_check_reads_its_laws_from_a_params_file(tmp_path, at, flags, multiset):
+    # the file's r at p0 and p1, its p at r1: the same partial and closed
+    # form as the flags that give those laws
+    laws = tmp_path / "laws.json"
+    laws.write_text(json.dumps({
+        "r": "1/2",
+        "p": {"0-1": "1/3", "1-2": "2/5", "0-3": "1/4", "3-4": "3/7", "0-5": "2/7", "5-6": "1/2"},
+    }))
+    argv = ["deriv-check", "--tree", "octopus:3x2", "--set", "0,1,3,5", "--at", at,
+            "--multiset", multiset]
+    code, by_file = run_to_file(argv + ["--params", str(laws)], tmp_path)
+    assert code == 0
+    assert run_to_file(argv + flags, tmp_path)[0] == 0
+    by_flags = json.loads((tmp_path / "artifact").read_text())
+    by_file = json.loads(by_file)
+    assert by_file.pop("config") != by_flags.pop("config")
+    assert by_file == by_flags
+    assert by_file["matches"] is True
 
 
 def test_multiset_naming_a_non_edge_exits_2(capsys):

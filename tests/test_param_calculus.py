@@ -41,7 +41,7 @@ from treerep.tree_core import (
 )
 
 from conftest import random_params, random_tree
-from oracles import fraction_jet_partial
+from oracles import fraction_jet_partial, spanning_subtree_closed_form_p1
 
 F = Fraction
 
@@ -304,6 +304,22 @@ def test_closed_forms_on_random_trees():
                 assert got == closed_form_p1(t, s, r) == closed_form(t, params, s, "p1", edges)
                 seen_p1 += 1
     assert seen_p0 >= 8 and seen_p1 >= 8
+
+
+def test_closed_form_p1_matches_the_spanning_subtree_form_on_random_trees():
+    # a connected set is its own spanning subtree, so reading its degrees
+    # off the set itself changes no value
+    rng = random.Random(20261020)
+    checked = 0
+    for _ in range(12):
+        t = random_tree(rng, rng.randint(2, 9))
+        r = F(rng.randint(1, 19), 20)
+        for bits in connected_subsets(t):
+            s = VertexSet(bits)
+            if len(s) >= 2:
+                assert closed_form_p1(t, s, r) == spanning_subtree_closed_form_p1(t, s, r)
+                checked += 1
+    assert checked >= 100
 
 
 def test_octopus_r_calculus():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import treerep.representability as representability
+import treerep.signed_measure as signed_measure
 from treerep.chain_model import ChainParams, float_weights, scaled_params, uniform_params
 from treerep.param_calculus import EdgeMultiset, d_nu_dp
 from treerep.representability import (
@@ -260,6 +261,32 @@ def test_phase_scan_reads_the_grids_in_turn():
 
 
 _NO_LOG = "fresh-draw probabilities must be > 0: zero-probability events have no finite log"
+
+
+def test_a_verdicts_exact_path_shares_one_probability_cache(monkeypatch):
+    # A margin of 2^60 sends more sets to the exact path (108 sweeps for
+    # 210 events here, against 20 for 32 at the default), so the test does
+    # not rest on the margin's value.  Sets with common events must share
+    # their sweeps: one cache per set would sweep every event.
+    monkeypatch.setattr(representability, "MARGIN", 2.0**60)
+    sweeps, events = [], []
+    sweep, list_events = signed_measure.prob_all_zero, signed_measure.connected_log_events
+
+    def counted_sweep(*args):
+        sweeps.append(args[2])
+        return sweep(*args)
+
+    def counted_events(tree, subset):
+        found = list_events(tree, subset)
+        events.extend(found)
+        return found
+
+    monkeypatch.setattr(signed_measure, "prob_all_zero", counted_sweep)
+    monkeypatch.setattr(signed_measure, "connected_log_events", counted_events)
+    t = octopus(3, 2)
+    verdict = is_representable(t, uniform_params(t, F(11, 20), F(19, 20)))
+    assert verdict.representable
+    assert 0 < len(sweeps) < len(events)
 
 
 def test_a_vertex_law_of_zero_has_one_refusal():

@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import bounds_checked_eulerian_row, stirling_complementary_bell
 from treerep.tree_core import DomainError
 from treerep.thresholds import (
+    MAX_BELL_INDEX,
     complementary_bell,
     eulerian_coeffs,
     f_k,
@@ -60,6 +62,14 @@ def test_complementary_bell_against_egf():
             series[i] += coeff * power[i]
     for n in range(order):
         assert complementary_bell(n) == series[n] * math.factorial(n)
+
+
+def test_recurrence_rows_match_their_reference_definitions():
+    # every index threshold_table can reach: bell_c(n) for n <= 64, A_m for m = n - 1 <= 63
+    for n in range(MAX_BELL_INDEX + 1):
+        assert complementary_bell(n) == stirling_complementary_bell(n), n
+    for m in range(MAX_BELL_INDEX):
+        assert eulerian_coeffs(m) == bounds_checked_eulerian_row(m), m
 
 
 def test_eulerian_rows():
