@@ -187,7 +187,7 @@ def parse_tree(spec):
 
 
 def _read(path, what):
-    """The text of a UTF-8 file; one that cannot be read names its ``what``."""
+    """The text of a UTF-8 file, or a DomainError that names it as the ``what`` file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()

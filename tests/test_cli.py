@@ -604,11 +604,10 @@ def test_deriv_check_reads_its_laws_from_a_params_file(tmp_path, at, flags, mult
     }))
     argv = ["deriv-check", "--tree", "octopus:3x2", "--set", "0,1,3,5", "--at", at,
             "--multiset", multiset]
-    code, by_file = run_to_file(argv + ["--params", str(laws)], tmp_path)
-    assert code == 0
-    assert run_to_file(argv + flags, tmp_path)[0] == 0
-    by_flags = json.loads((tmp_path / "artifact").read_text())
-    by_file = json.loads(by_file)
+    file_code, by_file = run_to_file(argv + ["--params", str(laws)], tmp_path)
+    flags_code, by_flags = run_to_file(argv + flags, tmp_path)
+    assert file_code == flags_code == 0
+    by_file, by_flags = json.loads(by_file), json.loads(by_flags)
     assert by_file.pop("config") != by_flags.pop("config")
     assert by_file == by_flags
     assert by_file["matches"] is True
