@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import bounds_checked_eulerian_row, stirling_complementary_bell
 from treerep.tree_core import DomainError
 from treerep.thresholds import (
     MAX_BELL_INDEX,
@@ -18,6 +17,8 @@ from treerep.thresholds import (
     r_star,
     threshold_table,
 )
+
+from oracles import bounds_checked_eulerian_row, stirling_complementary_bell
 
 # published reference rows: n -> (bell_c, r_star, r0, r1)
 REFERENCE = {
