@@ -28,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .chain_model import _blocks, _rng, prob_all_zero, scaled_params
+# prob_all_zero is unused here; perfbench/tracing.py binds it, and stops on a missing binding
+from .chain_model import _blocks, _rng, prob_all_zero, prob_all_zero_table, scaled_params
 from .signed_measure import SignedMeasure, nu_full
 from .tree_core import DomainError, VertexSet, _nonnegative
 
@@ -270,16 +271,16 @@ def poisson_closure_report(tree, params, counts, tolerance=4.0):
     arrays over the 2^n masks: a copy of the counts is summed over
     submasks one vertex at a time, so entry m counts the draws inside
     m, and the draws all-zero on I are those inside its complement.
-    The exact side is one ``prob_all_zero`` call per mask.  A gap where
-    the exact probability is 0 or 1 counts as infinitely many sigmas;
-    the worst set is the first mask with the largest deviation, and None
-    when every deviation is 0.  ``tolerance`` bounds the largest of the
-    2^n - 1 correlated deviations, with no allowance for their number:
-    over seeds 0-19 of ``treerep verify``, a correct field's worst read
-    3.43 sigmas at 12 vertices and 3.65 at 16.  Counts of no draw and a
-    ``tolerance`` that is not >= 0 (NaN included) are
-    :class:`DomainError`, raised before any exact probability is
-    computed.
+    The exact side is one ``prob_all_zero_table`` sweep over all masks.
+    A gap where the exact probability is 0 or 1 counts as infinitely
+    many sigmas; the worst set is the first mask with the largest
+    deviation, and None when every deviation is 0.  ``tolerance``
+    bounds the largest of the 2^n - 1 correlated deviations, with no
+    allowance for their number: over seeds 0-19 of ``treerep verify``,
+    a correct field's worst read 3.43 sigmas at 12 vertices and 3.65 at
+    16.  Counts of no draw and a ``tolerance`` that is not >= 0 (NaN
+    included) are :class:`DomainError`, raised before any exact
+    probability is computed.
     """
     n_draws = _draws_of(counts, tree.n)
     _check_tolerance(tolerance)
@@ -290,9 +291,7 @@ def poisson_closure_report(tree, params, counts, tolerance=4.0):
     zeros = inside[::-1][1:]  # entry I - 1 is inside[full ^ I], for I = 1 .. full
     weights = scaled_params(tree, params)
     # int / int is correctly rounded, so each is float() of the exact Fraction
-    exact = np.array(
-        [prob_all_zero(tree, weights, VertexSet(m)) / weights.one for m in range(1, 1 << tree.n)]
-    )
+    exact = np.array([z / weights.one for z in prob_all_zero_table(tree, weights)[1:]])
     sigma = np.sqrt(exact * (1.0 - exact) / n_draws)
     gap = np.abs(zeros / n_draws - exact)
     with np.errstate(divide="ignore", invalid="ignore"):

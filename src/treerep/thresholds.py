@@ -13,8 +13,10 @@ critical resampling levels:
   not the small-p mass of this module's chain: that mass is positive on
   all of (0, 1) (see ``param_calculus.closed_form_p0``).
 
-Root finding halves a sign-change interval with exact rational evaluation, so
-the only float rounding happens in the final conversion.
+Root finding bisects the bracket [-(m-1)/a, -1/a] that Vieta's formulas
+give for the largest root of the Eulerian polynomial A_m, a being its
+linear coefficient, with exact integer evaluation, until both ends round
+to the same ``r_star`` and ``r1``: both are correctly rounded.
 """
 
 from __future__ import annotations
@@ -28,42 +30,53 @@ from .chain_model import as_fraction
 from .tree_core import DomainError, as_int
 
 MAX_BELL_INDEX = 64
-_BISECT_TOL = Fraction(1, 10**13)
 
 
-@lru_cache(maxsize=None, typed=True)
 def complementary_bell(n):
     """Alternating sum of Stirling partition counts: sum_k (-1)^k S(n,k).
 
     The sequence runs 1, -1, 0, 1, 1, -2, -9, -9, 50, ... and measures the
     surplus of even- over odd-block set partitions.  Its exponential
     generating function exp(1 - e^x) has derivative -e^x times itself,
-    which gives the recurrence b(m+1) = -sum_k C(m, k) b(k).
+    which gives the recurrence b(m+1) = -sum_k C(m, k) b(k).  The index
+    is checked before the cache, which then sees only ints.
     """
-    if _bell_index(n) == 0:
+    return _complementary_bell(_bell_index(n))
+
+
+@lru_cache(maxsize=None)
+def _complementary_bell(n):
+    if n == 0:
         return 1
-    return -sum(math.comb(n - 1, k) * complementary_bell(k) for k in range(n))
+    return -sum(math.comb(n - 1, k) * _complementary_bell(k) for k in range(n))
 
 
 def _bell_index(n):
-    """``n`` if it is an integer in 0..MAX_BELL_INDEX, else a :class:`DomainError`."""
-    if not 0 <= as_int(n, "complementary Bell index") <= MAX_BELL_INDEX:
+    """``n`` as an int in 0..MAX_BELL_INDEX, else a :class:`DomainError`."""
+    n = as_int(n, "complementary Bell index")
+    if not 0 <= n <= MAX_BELL_INDEX:
         raise DomainError("complementary Bell index must be in 0..%d" % MAX_BELL_INDEX)
     return n
 
 
-@lru_cache(maxsize=None, typed=True)
 def eulerian_coeffs(m):
     """Coefficients of the Eulerian polynomial A_m(z), ascending in z.
 
     A_0 = 1; A_m has degree m - 1 with the triangle recurrence
-    <m,k> = (k+1)<m-1,k> + (m-k)<m-1,k-1>.
+    <m,k> = (k+1)<m-1,k> + (m-k)<m-1,k-1>.  The index is checked before
+    the cache, which then sees only ints.
     """
-    if as_int(m, "m") < 0:
+    m = as_int(m, "m")
+    if m < 0:
         raise DomainError("m must be nonnegative")
+    return _eulerian_row(m)
+
+
+@lru_cache(maxsize=None)
+def _eulerian_row(m):
     if m == 0:
         return (1,)
-    prev = (0,) + eulerian_coeffs(m - 1) + (0,)
+    prev = (0,) + _eulerian_row(m - 1) + (0,)
     return tuple((k + 1) * prev[k + 1] + (m - k) * prev[k] for k in range(m))
 
 
@@ -90,44 +103,48 @@ def polylog_neg_order(n, z):
 
 
 @lru_cache(maxsize=None)
-def _largest_negative_eulerian_root(m) -> Fraction:
-    """Largest negative root of A_m, bracketed by an outward doubling scan.
+def _largest_negative_eulerian_root(m):
+    """Correctly rounded floats of A_m's largest root rho and of 1/(1 - rho), m >= 2.
 
-    A_m(0) = 1 > 0 and consecutive negative roots are separated by factors
-    of ~10, so the first dyadic point with a nonpositive value brackets
-    the largest root together with its predecessor.
+    A_m is real-rooted with A_m(0) = 1, so its roots rho_i are negative
+    and, by Vieta, the 1/|rho_i| sum to its linear coefficient a.  The
+    largest of those m - 1 reciprocals, 1/|rho|, is at least their mean
+    and at most their sum, so rho lies in [-(m-1)/a, -1/a] and A_m > 0
+    on (-1/a, 0].  The bracket is kept as integers, lo/den <= rho <=
+    hi/den with A_m(lo/den) <= 0 <= A_m(hi/den), and halved; each
+    midpoint's sign is read off one integer Horner pass, with no
+    ``Fraction`` to normalise.  Bisection stops once both ends give the
+    same float for rho and for 1/(1 - rho): int / int is correctly
+    rounded, and rho is -1 (m = 2, where the bracket is one point) or
+    irrational (A_m's end coefficients are 1, so -1 is its only
+    candidate rational root), so it lies on no rounding boundary and
+    the loop ends.  That -(m-1)/a also lies above A_m's second root, so
+    that A_m <= 0 there, is tested for every m = 2..63 a table row
+    reaches.
     """
     coeffs = eulerian_coeffs(m)
-    z = Fraction(-1, 1 << 30)
-    while True:
-        val = _eval_poly(coeffs, z)
-        if val == 0:
-            return z
-        if val < 0:
-            break
-        z *= 2
-        if z < -(1 << 40):  # cannot happen: A_m(z) -> +/-inf with known sign
-            raise RuntimeError("root scan failed to bracket")
-    lo, hi = z, z / 2  # A(lo) < 0 < A(hi)
-    while hi - lo > _BISECT_TOL:
-        mid = (lo + hi) / 2
-        val = _eval_poly(coeffs, mid)
-        if val == 0:
-            return mid
-        if val < 0:
+    lo, hi, den = -(m - 1), -1, coeffs[1]
+    while lo / den != hi / den or den / (den - lo) != den / (den - hi):
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2  # exact: both ends are even
+        value, scale = coeffs[-1], 1  # den^(m-1) * A_m(mid/den), sign and all
+        for c in reversed(coeffs[:-1]):
+            scale *= den
+            value = value * mid + c * scale
+        if value < 0:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    return lo / den, den / (den - lo)
 
 
 def r_star(n) -> float:
-    """Largest strictly negative root of ``Li_{1-n}``, for ``n >= 3``.
+    """Largest strictly negative root of ``Li_{1-n}``, correctly rounded, for ``n >= 3``.
 
     The nonzero roots of ``Li_{1-n}`` are the roots of the Eulerian
     polynomial ``A_{n-1}``; these are simple, real and negative.
     """
-    return float(_largest_negative_eulerian_root(_r_star_index(n) - 1))
+    return _largest_negative_eulerian_root(_r_star_index(n) - 1)[0]
 
 
 def _r_star_index(n):
@@ -138,11 +155,13 @@ def _r_star_index(n):
 
 
 def r1(m) -> float:
-    """Sign-change location of ``f_poly(m, .)`` in (0, 1): 1/(1 - r_star)."""
+    """Sign-change location of ``f_poly(m, .)`` in (0, 1): 1/(1 - r_star).
+
+    Correctly rounded from the exact root, not from the float ``r_star(m)``.
+    """
     if as_int(m, "m") < 3:
         raise DomainError("r1 needs m >= 3")
-    rho = _largest_negative_eulerian_root(m - 1)
-    return float(1 / (1 - rho))
+    return _largest_negative_eulerian_root(m - 1)[1]
 
 
 def r0(k):

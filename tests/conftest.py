@@ -49,3 +49,18 @@ def random_params(rng: random.Random, tree, denom=12, interior=True):
     r = tuple(Fraction(rng.randint(lo, hi), denom) for _ in range(tree.n))
     p = tuple(Fraction(rng.randint(lo, hi), denom) for _ in tree.edges)
     return ChainParams(r=r, p=p)
+
+
+def mixed_params(rng, tree):
+    """Each parameter over its own denominator, with r = 1 and p in {0, 1} mixed in."""
+
+    def draw(lo, ends):
+        if rng.random() < 0.15:
+            return Fraction(rng.choice(ends))
+        d = rng.randint(2, 31)
+        return Fraction(rng.randint(lo, d), d)
+
+    return ChainParams(
+        r=tuple(draw(1, (1,)) for _ in range(tree.n)),
+        p=tuple(draw(0, (0, 1)) for _ in tree.edges),
+    )

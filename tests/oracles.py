@@ -312,20 +312,41 @@ def sorted_list_compare_laws(counts_a, counts_b, n, alpha=0.01):
 def loop_closure_report(tree, params, field, n_draws, seed, tolerance=4.0):
     """Reference for ``mc_verify.poisson_closure_report``: one mask at a time.
 
-    Takes the same field draws, counts the draws all-zero on each
-    nonempty set I straight from the words, and keeps a running maximum
-    of the deviations in sigma units, updated only on a strictly larger
-    one, so the worst set is the first mask that reaches the maximum.
+    Takes the same field draws and counts the draws all-zero on each
+    nonempty set I straight from the words.
     """
     words = sample_poisson_field_many(field, n_draws, seed)
+    return _mask_closure_report(
+        tree, params, lambda bits: int(np.count_nonzero(words & np.uint64(bits) == 0)),
+        n_draws, tolerance,
+    )
+
+
+def counts_closure_report(tree, params, counts, tolerance=4.0):
+    """Reference for ``mc_verify.poisson_closure_report`` on pattern counts.
+
+    The draws all-zero on each nonempty set I are the counts of the
+    patterns disjoint from I, summed mask by mask.
+    """
+    counts = np.asarray(counts)
+    patterns = np.arange(len(counts))
+    return _mask_closure_report(
+        tree, params, lambda bits: int(counts[patterns & bits == 0].sum()),
+        int(counts.sum()), tolerance,
+    )
+
+
+def _mask_closure_report(tree, params, zeros_on, n_draws, tolerance):
+    """One ``prob_all_zero`` call per nonempty mask, with a running maximum
+    of the deviations in sigma units, updated only on a strictly larger
+    one, so the worst set is the first mask that reaches the maximum."""
     weights = scaled_params(tree, params)
     worst = 0.0
     worst_set = None
     for bits in range(1, 1 << tree.n):
-        zeros = int(np.count_nonzero(words & np.uint64(bits) == 0))
         exact = prob_all_zero(tree, weights, VertexSet(bits)) / weights.one
         sigma = math.sqrt(exact * (1.0 - exact) / n_draws)
-        gap = abs(zeros / n_draws - exact)
+        gap = abs(zeros_on(bits) / n_draws - exact)
         sigmas = gap / sigma if sigma > 0 else (0.0 if gap == 0 else math.inf)
         if sigmas > worst:
             worst = sigmas

@@ -6,6 +6,7 @@ chosen tolerances either hold forever or never.
 """
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -27,9 +28,11 @@ from treerep.mc_verify import (
 from treerep.signed_measure import MeasureValue, SignedMeasure, nu_full
 from treerep.tree_core import DomainError, VertexSet, octopus, path, spider, star
 
+from conftest import mixed_params, random_tree
 from oracles import (
     bernoulli_field_sampler,
     compare_samplers,
+    counts_closure_report,
     drawn_counts,
     loop_closure_report,
     sorted_list_compare_laws,
@@ -192,6 +195,24 @@ def test_closure_matches_the_per_mask_loop(tree, seed):
     assert report.worst_set is not None
 
 
+def test_closure_matches_the_per_mask_oracle_on_heterogeneous_chains():
+    # the exact side is one table sweep, the oracle's one prob_all_zero call
+    # per mask; every float must agree. Half the samples come from the chain
+    # itself, half from another law, which puts gaps where the exact
+    # probability is 0 or 1
+    rng = random.Random(11)
+    sigmas = []
+    for trial in range(40):
+        t = random_tree(rng, 1 + trial % 10)
+        params = mixed_params(rng, t)
+        law = params if trial % 2 else uniform_params(t, F(1, 2), F(1, 2))
+        counts = drawn_counts(partial(sample_recursive_many, t, law), t.n, 500, trial)
+        report = poisson_closure_report(t, params, counts)
+        assert report == counts_closure_report(t, params, counts), trial
+        sigmas.append(report.max_sigmas)
+    assert math.inf in sigmas and any(0 < s < math.inf for s in sigmas)
+
+
 def test_closure_at_r_one_has_no_deviation():
     # every vertex is 0 with probability 1 and the field has no atom
     t = path(4)
@@ -219,7 +240,7 @@ def test_closure_against_another_chains_field_is_infinitely_far():
 def test_closure_refuses_fewer_than_one_draw_before_sampling(monkeypatch):
     t = path(3)
     params = uniform_params(t, F(1, 2), F(1, 2))
-    monkeypatch.setattr(mc_verify, "prob_all_zero", None)  # not to be called
+    monkeypatch.setattr(mc_verify, "prob_all_zero_table", None)  # not to be called
     with pytest.raises(DomainError, match="a sample needs at least one draw, got 0"):
         poisson_closure_report(t, params, np.zeros(8, dtype=np.int64))
     for counts in (np.zeros(4, dtype=np.int64), np.full(8, -1), np.full(8, 0.5), [[1] * 8]):
@@ -233,7 +254,7 @@ def test_closure_refuses_a_tolerance_below_zero_before_sampling(monkeypatch, tol
     params = uniform_params(t, F(1, 2), F(1, 2))
     counts = drawn_counts(partial(sample_poisson_field_many, field_from_chain(t, params)), t.n,
                           1000, 0)
-    monkeypatch.setattr(mc_verify, "prob_all_zero", None)  # not to be called
+    monkeypatch.setattr(mc_verify, "prob_all_zero_table", None)  # not to be called
     with pytest.raises(DomainError, match="tolerance must be >= 0"):
         poisson_closure_report(t, params, counts, tolerance=tolerance)
 

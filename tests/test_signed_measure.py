@@ -32,7 +32,7 @@ from treerep.tree_core import (
     star,
 )
 
-from conftest import random_params, random_tree
+from conftest import mixed_params, random_params, random_tree
 from oracles import fraction_nu_full, fraction_restrict_measure
 
 HALF = Fraction(1, 2)
@@ -290,21 +290,6 @@ def _pairs(measure):
     return {m: (v.num, v.den) for m, v in measure.entries.items()}
 
 
-def _mixed_params(rng, tree):
-    """Each parameter over its own denominator, with r = 1 and p in {0, 1} mixed in."""
-
-    def draw(lo, ends):
-        if rng.random() < 0.15:
-            return Fraction(rng.choice(ends))
-        d = rng.randint(2, 31)
-        return Fraction(rng.randint(lo, d), d)
-
-    return ChainParams(
-        r=tuple(draw(1, (1,)) for _ in range(tree.n)),
-        p=tuple(draw(0, (0, 1)) for _ in tree.edges),
-    )
-
-
 # eleven distinct primes just below 2^31, one denominator per parameter
 # of a 6-vertex chain: their product, the common factor of the integer
 # encoding, is about 2^341, so any entry squeezed through int64 would wrap
@@ -320,7 +305,7 @@ def test_zero_table_is_the_sweep_at_every_mask():
         random_tree(rng, rng.randint(2, 9)) for _ in range(30)
     ]
     for t in trees:
-        weights = scaled_params(t, _mixed_params(rng, t))
+        weights = scaled_params(t, mixed_params(rng, t))
         table = prob_all_zero_table(t, weights)
         assert len(table) == 1 << t.n
         for mask in range(1 << t.n):
@@ -335,7 +320,7 @@ def test_nu_full_matches_the_fraction_reference():
         random_tree(rng, n) for n in range(1, 11) for _ in range(4)
     ]
     for t in trees:
-        params = _mixed_params(rng, t)
+        params = mixed_params(rng, t)
         measure = nu_full(t, params)
         expect = fraction_nu_full(t, params)
         assert _pairs(measure) == expect
@@ -364,7 +349,7 @@ def test_both_paths_match_the_fraction_reference(monkeypatch):
         random_tree(rng, n) for n in range(1, 13) for _ in range(2)
     ]
     for t in trees:
-        params = _mixed_params(rng, t)
+        params = mixed_params(rng, t)
         expect = fraction_nu_full(t, params)
         for sparse in (True, False):
             monkeypatch.setattr(signed_measure, "_sparse_pays", lambda n, events: sparse)
@@ -407,7 +392,7 @@ def test_restrict_measure_matches_the_fraction_products():
     rng = random.Random(71)
     for _ in range(40):
         t = random_tree(rng, rng.randint(1, 9))
-        measure = nu_full(t, _mixed_params(rng, t))
+        measure = nu_full(t, mixed_params(rng, t))
         full = (1 << t.n) - 1
         for keep in {0, full, rng.randint(0, full), rng.randint(0, full)}:
             got = restrict_measure(measure, VertexSet(keep))

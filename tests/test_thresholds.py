@@ -113,12 +113,55 @@ def test_r_star_reference_digits():
         r_star(2)
 
 
+def _eulerian_value(m, z):
+    acc = Fraction(0)
+    for c in reversed(eulerian_coeffs(m)):
+        acc = acc * z + c
+    return acc
+
+
+def test_r_star_is_a_sign_change_of_the_eulerian_polynomial():
+    # every n the CLI takes: A_{n-1} changes sign across the returned root
+    # at relative +-2^-50, or vanishes on it; and across the ends of the
+    # bisection's bracket [-(m-1)/a, -1/a], a being A_m's linear coefficient
+    for n in range(3, MAX_BELL_INDEX + 1):
+        a = eulerian_coeffs(n - 1)[1]
+        lower, upper = Fraction(2 - n, a), Fraction(-1, a)
+        assert _eulerian_value(n - 1, lower) <= 0 <= _eulerian_value(n - 1, upper), n
+        root = Fraction(r_star(n))
+        step = root / 2**50
+        below = _eulerian_value(n - 1, root + step)  # root < 0: the lower point
+        above = _eulerian_value(n - 1, root - step)
+        assert _eulerian_value(n - 1, root) == 0 or below < 0 < above, n
+
+
+def _rounding_interval(x):
+    """The ends of the reals that round to the float ``x``, as Fractions."""
+    x = Fraction(x)
+    lower = Fraction(math.nextafter(float(x), -math.inf))
+    upper = Fraction(math.nextafter(float(x), math.inf))
+    return (x + lower) / 2, (x + upper) / 2
+
+
+def test_r_star_and_r1_are_correctly_rounded():
+    # the exact root lies strictly inside the reals that round to r_star(n),
+    # and 1 - 1/r, increasing in r, maps those that round to r1(n) around it
+    for n in range(3, MAX_BELL_INDEX + 1):
+        lo, hi = _rounding_interval(r_star(n))
+        assert _eulerian_value(n - 1, lo) < 0 < _eulerian_value(n - 1, hi), n
+        lo, hi = _rounding_interval(r1(n))
+        assert _eulerian_value(n - 1, 1 - 1 / lo) < 0 < _eulerian_value(n - 1, 1 - 1 / hi), n
+
+
 def test_r_star_against_numpy_roots():
-    for n in range(3, 41):
-        coeffs = eulerian_coeffs(n - 1)
-        roots = np.roots(list(coeffs)[::-1])
-        neg = max(r.real for r in roots if abs(r.imag) < 1e-9 and r.real < 0)
-        assert abs(r_star(n) - neg) < 1e-8
+    # A_m is palindromic, so its largest root is 1 over its most negative
+    # one, which np.roots gives to a few ulps; this shows that the root
+    # returned is the largest, not another one, at every n the CLI takes
+    for n in range(3, MAX_BELL_INDEX + 1):
+        roots = np.roots(list(eulerian_coeffs(n - 1))[::-1])
+        most_negative = max(roots, key=abs)
+        assert most_negative.imag == 0 and most_negative.real < 0
+        assert abs(r_star(n) * most_negative.real - 1) < 1e-12, n
 
 
 def test_r1_reference_digits():
@@ -149,6 +192,7 @@ def test_r0_reference_digits():
 def test_orders_must_be_integers():
     # every entry point that takes an order refuses a non-integer itself
     calls = [
+        complementary_bell,
         lambda n: eulerian_coeffs(n),
         lambda n: polylog_neg_order(n, Fraction(-1, 2)),
         r_star,
@@ -160,7 +204,7 @@ def test_orders_must_be_integers():
     ]
     eulerian_coeffs(3)  # a cached integer order must not let 3.0 through
     for call in calls:
-        for n in (3.5, 3.0, "4", True):
+        for n in (3.5, 3.0, "4", True, [3]):  # [3] is unhashable: refused before any cache
             with pytest.raises(DomainError, match="must be an integer"):
                 call(n)
 
