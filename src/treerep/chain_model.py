@@ -12,9 +12,9 @@ probability, and its callers differ only in the factors ``keep`` that
 mark the vertices that must be zero.  It uses ring operations only, so
 it runs on the integers of :func:`scaled_params` (every probability
 times one common denominator) for exact values and verdicts, and with
-0/1 object arrays in them for derivatives; on float64 rows of masks for the
-certified float filter; and on object arrays that broadcast over all
-2^n masks at once for full measures.
+0/1 object arrays in them for derivatives; on rows of masks, float64 for
+the certified float filter and exact for the scaling check; and on
+object arrays that broadcast over all 2^n masks at once for full measures.
 
 The two samplers draw every coin with :func:`_coins`.  Each coin slot
 (a vertex's fresh draws, an edge's resample or cut decisions) reads a
@@ -256,7 +256,7 @@ def _sweep(tree, w, keep):
 
 
 def prob_all_zero_many(tree, weights, masks):
-    """:func:`prob_all_zero` in float64 for P points and every mask of an int64 array.
+    """:func:`prob_all_zero` for every mask of an int64 array, in one sweep.
 
     :func:`_sweep` on the ``(P, 1)`` columns of :func:`float_weights`,
     one numpy operation per step for all points and masks at once, with
@@ -264,9 +264,12 @@ def prob_all_zero_many(tree, weights, masks):
     table.  Every value is a sum or product of values in [0, 1], and
     multiplying by 0.0 or 1.0 is exact; along any input-to-output path
     of one mask's sweep there are at most 7 roundings per edge (two
-    inputs, five operations) and 3 at the root.
+    inputs, five operations) and 3 at the root.  On the integers of
+    :func:`scaled_params` the rows are object arrays, and so is the
+    result, one exact ``den * P`` per mask.
     """
-    return _sweep(tree, weights, 1.0 - ((masks >> np.arange(tree.n)[:, None]) & 1))
+    keep = 1 - ((masks >> np.arange(tree.n)[:, None]) & 1)
+    return _sweep(tree, weights, keep.astype(float if isinstance(weights.one, float) else object))
 
 
 def prob_all_zero_table(tree, weights):

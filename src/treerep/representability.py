@@ -25,6 +25,9 @@ the FKG lattice condition, under which decreasing events are positively
 correlated (Fortuin, Kasteleyn and Ginibre 1971; Ahlswede and Daykin
 1978 allow the zero weights of p = 0).  A path's connected sets are
 intervals, with lam their ends, so every path is representable.
+
+:func:`scaling_check` works on the same boundary events of connected
+sets, with no 2^n table, so only the tree cap bounds it.
 """
 
 from __future__ import annotations
@@ -44,8 +47,12 @@ from .chain_model import (
     scaled_params,
     uniform_params,
 )
+# nu_full and restrict_measure are unused; perfbench/tracing.py binds them, and stops without them
 from .signed_measure import (
+    _SET_BLOCK,
     _require_positive_r,
+    _set_products,
+    _submask_events,
     nu_connected,
     nu_full,
     restrict_measure,
@@ -344,28 +351,62 @@ def phase_scan(tree, r_values, p_values):
     return points
 
 
+def _connected_products(tree, weights, keep):
+    """``(s, even, odd)``, nu(s) = log(even / odd), per connected set s meeting ``keep``.
+
+    Values are in the integer ``weights`` of
+    :func:`~treerep.chain_model.scaled_params`.  The sets come
+    ``_SET_BLOCK`` at a time, and the distinct event masks of a block
+    get their values from one :func:`~treerep.chain_model.prob_all_zero_many`.
+    """
+    stream = connected_subsets(tree)
+    while True:
+        sets = np.fromiter(itertools.islice(stream, _SET_BLOCK), dtype=np.int64)
+        if not len(sets):
+            return
+        sets = sets[sets & keep != 0]
+        if not len(sets):
+            continue
+        _, lam, outer, _ = set_boundaries(tree, sets)
+        masks = {m for l, o in zip(lam.tolist(), outer.tolist()) for _, m in _submask_events(l, o)}
+        masks = np.fromiter(masks, dtype=np.int64, count=len(masks))
+        prob = dict(zip(masks.tolist(), prob_all_zero_many(tree, weights, masks).tolist()))
+        yield from _set_products(sets, lam, outer, prob.__getitem__)
+
+
 def scaling_check(tree, r, p, k) -> bool:
-    """Subdivision consistency of the measure, checked entry by entry.
+    """Subdivision consistency of the measure, checked set by set.
 
     Splitting every edge into ``k`` equal-parameter segments and then
     restricting the subdivided measure back to the original vertices
     must reproduce the original tree's measure with the aggregated
-    parameter p' = 1 - (1-p)^k.  Exact comparison over every nonempty
-    subset; any mismatch returns False.  Both measures hold their pairs
-    in lowest terms (``nu_full`` divides by the gcds before each cross
-    product, ``restrict_measure`` reduces every level), so equal pairs
-    are equal ratios.  At k = 1 the subdivision is the tree itself, and
-    every check of any k still runs.  A subdivided tree above ``MAX_TREE_ORDER``
-    vertices is refused by :func:`~treerep.tree_core.subdivide` before it
-    is built, and one above ``MAX_LATTICE_ORDER`` by
-    :func:`~treerep.signed_measure.nu_full` before any table is built.
+    parameter p' = 1 - (1-p)^k.  The restriction at A sums the subdivided
+    sets whose trace on the original vertices is A.  Disconnected sets
+    carry no mass and a connected set's trace is connected or empty, so
+    each connected A of the original tree gives one equation: the
+    product of the (even, odd) pairs of the subdivided connected sets
+    with trace A equals A's pair at p', by one cross-multiplication.
+    Empty traces are dropped, as the restriction drops them, and both
+    sides must have the same traces; any mismatch returns False.  At
+    k = 1 the subdivision is the tree itself, and every check still runs.
+    A subdivided tree above ``MAX_TREE_ORDER`` vertices is refused by
+    :func:`~treerep.tree_core.subdivide` before it is built.
     """
     if as_int(k, "subdivision factor") < 1:
         raise DomainError("subdivision factor must be >= 1")
     r = as_fraction(r)
     p = as_fraction(p)
     big, originals = subdivide(tree, k)
-    restricted = restrict_measure(nu_full(big, uniform_params(big, r, p)), originals)
-    p_prime = 1 - (1 - p) ** k
-    direct = nu_full(tree, uniform_params(tree, r, p_prime))
-    return restricted.entries == direct.entries
+    fine = scaled_params(big, uniform_params(big, r, p))
+    _require_positive_r(fine)
+    coarse = scaled_params(tree, uniform_params(tree, r, 1 - (1 - p) ** k))
+    traces = {}
+    for s, even, odd in _connected_products(big, fine, originals.bits):
+        a = s & originals.bits
+        e, o = traces.get(a, (1, 1))
+        traces[a] = (e * even, o * odd)
+    for a, even, odd in _connected_products(tree, coarse, originals.bits):
+        got = traces.pop(a, None)
+        if got is None or got[0] * odd != got[1] * even:
+            return False
+    return not traces

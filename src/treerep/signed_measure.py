@@ -24,8 +24,8 @@ every other mask one shared exact zero (path(16): 136 connected sets of
 65,535, 241 → 37 ms); otherwise, as on wide stars, it builds every entry
 at once as a multiplicative Möbius transform of the table, one level
 per vertex on arrays of integer pairs.  :func:`set_boundaries` holds
-the boundary rule for many sets at once, for :func:`nu_full` and the
-verdict sweep plans alike.
+the boundary rule for many sets at once, for :func:`nu_full`, the
+verdict sweep plans and the scaling check alike.
 """
 
 from __future__ import annotations
@@ -40,11 +40,12 @@ import numpy as np
 from .chain_model import prob_all_zero, prob_all_zero_table, scaled_params
 from .tree_core import DomainError, VertexSet, connected_subsets
 
-# Full-lattice measures keep 2^n exact entries; wider trees are refused.
+# Full-lattice measures keep 2^n exact entries; wider trees are refused.  Of
+# the commands, this bounds verify alone: scaling-check needs no lattice.
 MAX_LATTICE_ORDER = 16
 
 # set_boundaries takes at most this many sets at a time, which bounds its
-# (sets x n) arrays.
+# (sets x n) arrays; the scaling check sweeps the events of as many at once.
 _SET_BLOCK = 1 << 13
 
 
@@ -165,12 +166,20 @@ def _dense_entries(n, table):
     return {m: MeasureValue(a, b) for m, (a, b) in enumerate(pairs, start=1)}
 
 
+def _set_products(sets, lam, outer, prob):
+    """``(s, even, odd)`` per set s: :func:`signed_products` of its boundary events.
+
+    ``sets``, ``lam`` and ``outer`` are arrays of :func:`set_boundaries`,
+    and ``prob(bits)`` gives an event's value.
+    """
+    for s, l, o in zip(sets.tolist(), lam.tolist(), outer.tolist()):
+        yield (s, *signed_products(_submask_events(l, o), prob))
+
+
 def _sparse_entries(n, table, sets, lam, outer):
     """Connected entries from their boundary events; every other entry is zero."""
     entries = dict.fromkeys(range(1, 1 << n), MeasureValue(1, 1))
-    prob = table.tolist().__getitem__
-    for s, l, o in zip(sets.tolist(), lam.tolist(), outer.tolist()):
-        even, odd = signed_products(_submask_events(l, o), prob)
+    for s, even, odd in _set_products(sets, lam, outer, table.tolist().__getitem__):
         g = math.gcd(even, odd)
         entries[s] = MeasureValue(even // g, odd // g)
     return entries

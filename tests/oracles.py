@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from treerep.chain_model import Weights, as_fraction, prob_all_zero, scaled_params
+from treerep.chain_model import (
+    Weights,
+    as_fraction,
+    prob_all_zero,
+    scaled_params,
+    uniform_params,
+)
 from treerep.mc_verify import (
     ClosureReport,
     ComparisonReport,
@@ -16,9 +22,15 @@ from treerep.mc_verify import (
     compare_laws,
     sample_poisson_field_many,
 )
-from treerep.signed_measure import MeasureValue, connected_log_events, signed_products
+from treerep.signed_measure import (
+    MeasureValue,
+    connected_log_events,
+    nu_full,
+    restrict_measure,
+    signed_products,
+)
 from treerep.thresholds import f_poly
-from treerep.tree_core import DomainError, VertexSet, is_connected, spanning_subtree
+from treerep.tree_core import DomainError, VertexSet, is_connected, spanning_subtree, subdivide
 
 
 def neighbors(tree):
@@ -423,6 +435,20 @@ def fraction_restrict_measure(measure, keep):
         out[a] = _pair(product)
         a = (a - 1) & kb
     return out
+
+
+def lattice_scaling_check(tree, r, p, k):
+    """Reference for ``representability.scaling_check`` on the full lattice.
+
+    Restricts the subdivided tree's full measure to the original vertices
+    and compares it, entry by entry, with the original tree's full measure
+    at p' = 1 - (1-p)^k.  Both hold lowest-terms pairs, so equal pairs are
+    equal ratios.  Bounded by ``MAX_LATTICE_ORDER`` subdivided vertices.
+    """
+    big, originals = subdivide(tree, k)
+    restricted = restrict_measure(nu_full(big, uniform_params(big, r, p)), originals)
+    direct = nu_full(tree, uniform_params(tree, r, 1 - (1 - p) ** k))
+    return restricted.entries == direct.entries
 
 
 def _pair(x):

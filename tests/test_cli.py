@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 import treerep
-from treerep import chain_model, signed_measure, thresholds
+from treerep import chain_model, representability, signed_measure, thresholds
 from treerep.chain_model import as_fraction
 from treerep.cli import (
     RunConfig,
@@ -347,8 +347,8 @@ TEXT_REFUSALS = [
      "fresh-draw probabilities must be > 0: zero-probability events have no finite log"),
     (["scaling-check", "--tree", "path:3", "--r", "1/2", "--p", "3/2", "--k", "1"],
      "p values must lie in [0, 1]"),
-    (["scaling-check", "--tree", "path:20", "--r", "1/2", "--p", "1/3", "--k", "1"],
-     "full measures are capped at 16 vertices"),
+    (["scaling-check", "--tree", "path:3", "--r", "1/2", "--p", "1/3", "--k", "12"],
+     "subdivided order 25 exceeds cap 24"),
     # --params and --r/--p are alternatives, refused before the file is read
     (["analyze", "--tree", "path:3", "--params", "missing.json", "--r", "9/10", "--p", "1/7"],
      "give --params FILE, or --r and --p, not both"),
@@ -830,19 +830,36 @@ def test_scaling_check_runs_up_to_the_lattice_cap(tmp_path, tree, k):
     assert json.loads(blob)["passed"] is True
 
 
+def _no_lattice(monkeypatch):
+    """Make every full-lattice table, measure and restriction raise."""
+
+    def no_lattice(*args):
+        raise AssertionError("a full-lattice table, measure or restriction was built")
+
+    monkeypatch.setattr(chain_model, "prob_all_zero_table", no_lattice)
+    monkeypatch.setattr(signed_measure, "prob_all_zero_table", no_lattice)
+    monkeypatch.setattr(representability, "nu_full", no_lattice)
+    monkeypatch.setattr(representability, "restrict_measure", no_lattice)
+
+
 @pytest.mark.parametrize("k", ["8", "11"])  # 17 and 23 vertices after splitting
-def test_scaling_check_above_the_lattice_cap_builds_no_table(monkeypatch, capsys, k):
-    def no_table(tree, weights):
-        raise AssertionError("a lattice table was built")
+def test_scaling_check_above_the_lattice_cap_builds_no_table(monkeypatch, tmp_path, k):
+    _no_lattice(monkeypatch)
+    code, blob = run_to_file(_without(_SCALING, "--k") + ["--k", k], tmp_path)
+    assert code == 0
+    assert json.loads(blob)["passed"] is True
 
-    def no_sets(tree):
-        raise AssertionError("connected sets were enumerated")
 
-    monkeypatch.setattr(chain_model, "prob_all_zero_table", no_table)
-    monkeypatch.setattr(signed_measure, "prob_all_zero_table", no_table)
-    monkeypatch.setattr(signed_measure, "connected_subsets", no_sets)
-    assert main(_without(_SCALING, "--k") + ["--k", k]) == 2
-    assert capsys.readouterr() == ("", "treerep: full measures are capped at 16 vertices\n")
+@pytest.mark.parametrize(
+    "tree, k", [("path:4", "5"), ("spider:3x2", "3"), ("path:20", "1"), ("star:4", "5"),
+                ("path:2", "23")],
+)
+def test_scaling_check_runs_up_to_the_tree_cap(monkeypatch, tmp_path, tree, k):
+    _no_lattice(monkeypatch)  # 16, 19, 20, 21 and 24 vertices after splitting
+    argv = ["scaling-check", "--tree", tree, "--r", "2/5", "--p", "3/10", "--k", k]
+    code, blob = run_to_file(argv, tmp_path)
+    assert code == 0
+    assert json.loads(blob)["passed"] is True
 
 
 _NO_LOG = "fresh-draw probabilities must be > 0: zero-probability events have no finite log"

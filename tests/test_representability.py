@@ -8,6 +8,7 @@ import pytest
 
 import treerep.representability as representability
 import treerep.signed_measure as signed_measure
+import treerep.tree_core as tree_core
 from treerep.chain_model import ChainParams, float_weights, scaled_params, uniform_params
 from treerep.param_calculus import EdgeMultiset, d_nu_dp
 from treerep.representability import (
@@ -33,6 +34,7 @@ from treerep.tree_core import (
 )
 
 from conftest import random_params, random_tree
+from oracles import lattice_scaling_check
 
 F = Fraction
 
@@ -205,15 +207,56 @@ def test_scaling_check_fixtures():
 
 @pytest.mark.parametrize("tree, k", [(star(7), 2), (star(5), 3), (path(2), 15)])
 def test_scaling_check_runs_up_to_the_lattice_cap(tree, k):
+    # the largest subdivisions the lattice oracle takes
     assert tree.n + (k - 1) * (tree.n - 1) in (15, 16)
+    assert scaling_check(tree, F(1, 2), F(1, 3), k) is True
+    assert lattice_scaling_check(tree, F(1, 2), F(1, 3), k) is True
+
+
+@pytest.mark.parametrize("tree, k", [(path(3), 8), (spider(3, 2), 3), (star(3), 7), (path(2), 23)])
+def test_scaling_check_runs_up_to_the_tree_cap(tree, k):
+    assert 16 < tree.n + (k - 1) * (tree.n - 1) <= 24  # 17, 19, 22 and 24 vertices
     assert scaling_check(tree, F(1, 2), F(1, 3), k) is True
 
 
-def test_scaling_check_is_bounded_by_the_lattice_and_tree_caps():
-    with pytest.raises(DomainError, match="full measures are capped at 16 vertices"):
-        scaling_check(path(3), F(1, 2), F(1, 3), 8)  # 17 vertices
-    with pytest.raises(DomainError, match="subdivided order 25 exceeds cap 24"):
-        scaling_check(path(3), F(1, 2), F(1, 3), 12)
+def test_scaling_check_is_bounded_by_the_tree_cap(monkeypatch):
+    def no_tree(edges, root=0):
+        raise AssertionError("a subdivided tree was built")
+
+    t = path(3)
+    monkeypatch.setattr(tree_core, "build_tree", no_tree)
+    for k in (12, 10**9):  # 25 vertices, or 2 * 10^9 + 1
+        with pytest.raises(DomainError, match="subdivided order %d exceeds cap 24" % (2 * k + 1)):
+            scaling_check(t, F(1, 2), F(1, 3), k)
+
+
+def test_scaling_check_agrees_with_the_lattice_oracle():
+    # random trees subdivided to at most 16 vertices, the oracle's cap, with
+    # p = 0, p = 1 and r = 1 among the laws
+    rng = random.Random(20261021)
+    for _ in range(120):
+        t = random_tree(rng, rng.randint(1, 7))
+        k = rng.randint(1, 1 + (16 - t.n) // max(t.n - 1, 1))
+        r = rng.choice([F(1), F(1, 2), F(rng.randint(1, 11), 12)])
+        p = rng.choice([F(0), F(1), F(1, 3), F(rng.randint(0, 12), 12)])
+        assert scaling_check(t, r, p, k) == lattice_scaling_check(t, r, p, k)
+
+
+def test_scaling_check_refutes_a_subdivision_into_k_plus_one_segments(monkeypatch):
+    # The mutant splits each edge into k + 1 segments while p' still uses k.
+    # Excluded inputs cannot tell k from k + 1: a single vertex has no edge
+    # to split, p = 0 and p = 1 give p' = p for every k (edges copy, or
+    # resample, all along a split edge), and r = 1 makes every value 0 and
+    # every measure zero.
+    monkeypatch.setattr(
+        representability, "subdivide", lambda tree, k: tree_core.subdivide(tree, k + 1)
+    )
+    rng = random.Random(37)
+    for _ in range(60):
+        t = random_tree(rng, rng.randint(2, 6))
+        k = rng.randint(1, max(1, (16 - t.n) // (t.n - 1)))
+        r, p = F(rng.randint(1, 11), 12), F(rng.randint(1, 11), 12)
+        assert scaling_check(t, r, p, k) is False, (t.edges, r, p, k)
 
 
 def test_scaling_needs_the_aggregated_parameter():
@@ -323,7 +366,8 @@ def test_verdict_input_validation():
         phase_scan(t, [F(1, 2)], [0])
     with pytest.raises(ValueError):
         phase_scan(t, [1], [F(1, 2)])
-    for k in (3, 10**9):  # 22 vertices after splitting, or 2 * 10^9 + 1
+    assert scaling_check(path(8), F(1, 2), F(1, 2), 3)  # 22 vertices after splitting
+    for k in (4, 10**9):  # 29 vertices after splitting, or 7 * 10^9 + 1
         with pytest.raises(ValueError):
             scaling_check(path(8), F(1, 2), F(1, 2), k)
     with pytest.raises(ValueError):
