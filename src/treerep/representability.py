@@ -47,7 +47,8 @@ from .chain_model import (
     scaled_params,
     uniform_params,
 )
-# nu_full and restrict_measure are unused; perfbench/tracing.py binds them, and stops without them
+# nu_full and restrict_measure are unused here; perfbench/tracing.py binds
+# them, and stops on a missing binding
 from .signed_measure import (
     _SET_BLOCK,
     _require_positive_r,
