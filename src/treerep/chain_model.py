@@ -266,7 +266,9 @@ def prob_all_zero_many(tree, weights, masks):
     of one mask's sweep there are at most 7 roundings per edge (two
     inputs, five operations) and 3 at the root.  On the integers of
     :func:`scaled_params` the rows are object arrays, and so is the
-    result, one exact ``den * P`` per mask.
+    result, one exact ``den * P`` per mask.  Arrays planted in those
+    integer weights broadcast against the mask axis, which is the last:
+    weights of shape ``(2, 1)`` give a ``2 x masks`` table.
     """
     keep = 1 - ((masks >> np.arange(tree.n)[:, None]) & 1)
     return _sweep(tree, weights, keep.astype(float if isinstance(weights.one, float) else object))

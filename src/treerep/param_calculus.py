@@ -5,14 +5,15 @@ parameters ``p_e`` and vertex laws ``r_v``, multilinear in each.  So with
 ``eps_i`` added to each of k differentiated entries, ``P(eps)`` is the
 sum over subsets T of the k slots of ``a_T * prod_{i in T} eps_i``, and
 its values at the 2^k corners of the 0/1 cube give every ``a_T`` by
-finite differences: exact mixed partials, no floats.  One sweep on the
-integer encoding of :func:`~treerep.chain_model.scaled_params`, with a
-``[0, 1]`` array planted on its own axis for each slot, returns
-``den * P`` at every corner at once.  nu(S) is the signed sum of the logs
-of the probabilities of
-:func:`~treerep.signed_measure.connected_log_events`, and each log's
-partial follows from the ``a_T`` by Faà di Bruno's formula, where
-``den`` cancels.  That formula is the one place that builds Fractions.
+finite differences: exact mixed partials, no floats.  nu(S) is the
+signed sum of the logs of the probabilities of
+:func:`~treerep.signed_measure.connected_log_events`.  One
+:func:`~treerep.chain_model.prob_all_zero_many` call on the integer
+encoding of :func:`~treerep.chain_model.scaled_params`, with a ``[0, 1]``
+array planted on its own axis for each slot and the events' masks on the
+last axis, returns ``den * P`` at every corner for every event at once.
+Each log's partial follows from its event's ``a_T`` by Faà di Bruno's
+formula, where ``den`` cancels.  That formula is the one place that builds Fractions.
 The constant terms ``a_0`` are ``den`` times probabilities of all-zero
 events, positive whenever every ``r_v`` is (and ``den`` itself when
 ``r == 1``), so every log is defined.
@@ -31,8 +32,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain_model import ChainParams, as_fraction, prob_all_zero, scaled_params
-from .signed_measure import _require_positive_r, connected_log_events
+# prob_all_zero is unused here; perfbench/tracing.py binds it, and stops on a missing binding
+from .chain_model import ChainParams, as_fraction, prob_all_zero, prob_all_zero_many, scaled_params
+from .signed_measure import _SET_BLOCK, _require_positive_r, connected_log_events
 from .thresholds import f_poly
 from .tree_core import DomainError, VertexSet, as_int, is_connected, spanning_subtree
 
@@ -159,17 +161,22 @@ def _jet_partial(tree, base, subset, field, slots, mults):
     The one derivative core behind :func:`d_nu_dp` and :func:`d_nu_dr`:
     it checks the request (a vertex law of 0, which has no log, is the
     :class:`DomainError` of :func:`~treerep.signed_measure.nu_full`) and
-    plants ``eps_i``, an object array ``[0, 1]`` on the axis of stride
-    2^i, in slot i of the integer weights of
+    plants ``eps_i``, an object array ``[0, 1]`` of shape
+    ``(2,) + (1,) * (i + 1)``, in slot i of the integer weights of
     :func:`~treerep.chain_model.scaled_params`.  With ``p_e = c/d`` on the
     edge above ``v`` and ``r_v = a/b``, ``p_e + eps`` scales to
     ``p = c + d*eps`` and ``copy = ((d - c) - d*eps) * b_v``, and
     ``r_v + eps`` to ``r = a + b*eps`` and ``rbar = (b - a) - b*eps``.
-    Each event's sweep then returns ``den * P`` at every corner of the
-    cube, entry T of its flattened table being the corner with
-    ``eps_i = 1`` for the slots i in T; differences along each axis turn
-    it into the coefficients ``a_T``, which :func:`_log_partial_terms`
-    combines over the common denominator ``a_0**order``.
+    The sweep's keep rows put the event masks on the last axis, so one
+    :func:`~treerep.chain_model.prob_all_zero_many` call returns a
+    ``(2^k, events)`` table of ``den * P``: row T is the corner with
+    ``eps_i = 1`` for the slots i in T.  The empty event needs no case of
+    its own, as ``copy + p * (r + rbar)`` does not depend on ``eps`` and
+    its column is ``den`` throughout.  Differences along each corner
+    axis turn the table into the coefficients ``a_T`` of every event,
+    which :func:`_log_partial_terms` combines, event by event, over the
+    common denominator ``a_0**order``.  Events go ``_SET_BLOCK >> k`` to
+    a call, so no call holds more than ``_SET_BLOCK`` values.
     """
     if not subset.bits:
         raise DomainError("subset must be nonempty")
@@ -185,8 +192,10 @@ def _jet_partial(tree, base, subset, field, slots, mults):
     if not is_connected(tree, subset):
         return Fraction(0)
     r, rbar, p, copy = list(w.r), list(w.rbar), list(w.p), list(w.copy)
+    k = len(slots)
     for i, slot in enumerate(slots):
-        eps = np.array([0, 1], dtype=object).reshape((2,) + (1,) * i)
+        # slot i's axis has stride 2^i among the corners; the last axis is the masks'
+        eps = np.array([0, 1], dtype=object).reshape((2,) + (1,) * (i + 1))
         if field == "p":
             v = tree.parent_edge.index(slot)
             d = base.p[slot].denominator
@@ -202,18 +211,21 @@ def _jet_partial(tree, base, subset, field, slots, mults):
         raise AssertionError("boundary events must split evenly between the signs")
     terms = _log_partial_terms(mults)
     total = Fraction(0)
-    for sign, bits in events:
-        # the empty event's sweep is the constant den, broadcast to every corner
-        corners = np.broadcast_to(
-            prob_all_zero(tree, weights, VertexSet(bits)), (2,) * len(slots)
-        ).flatten()
-        for b in range(len(slots)):
-            level = corners.reshape(-1, 2, 1 << b)
+    block = _SET_BLOCK >> k
+    for lo in range(0, len(events), block):
+        chunk = events[lo : lo + block]
+        masks = np.array([bits for _, bits in chunk], dtype=np.int64)
+        corners = prob_all_zero_many(tree, weights, masks)
+        table = np.ascontiguousarray(corners).reshape(1 << k, len(chunk))
+        for b in range(k):
+            level = table.reshape(-1, 2, 1 << b, len(chunk))
             level[:, 1] -= level[:, 0]
-        a = corners.tolist()
-        powers = [a[0] ** j for j in range(order + 1)]
-        num = sum(c * powers[order - len(pi)] * math.prod(a[t] for t in pi) for c, pi in terms)
-        total += sign * Fraction(num, powers[order])
+        for (sign, _), a in zip(chunk, table.T.tolist()):
+            powers = [a[0] ** j for j in range(order + 1)]
+            num = sum(
+                c * powers[order - len(pi)] * math.prod(a[t] for t in pi) for c, pi in terms
+            )
+            total += sign * Fraction(num, powers[order])
     return total
 
 

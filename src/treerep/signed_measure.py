@@ -45,7 +45,8 @@ from .tree_core import DomainError, VertexSet, connected_subsets
 MAX_LATTICE_ORDER = 16
 
 # set_boundaries takes at most this many sets at a time, which bounds its
-# (sets x n) arrays; the scaling check sweeps the events of as many at once.
+# (sets x n) arrays; the scaling check sweeps the events of as many at once,
+# and a derivative sweeps at most this many (event, cube corner) values.
 _SET_BLOCK = 1 << 13
 
 

@@ -112,16 +112,22 @@ def test_every_multiset_up_to_the_cap_matches_the_fraction_reference():
             d_nu_dr(t, params, s, {0: 3, 1: DEFAULT_JET_CAP - 2})
 
 
-def test_jet_sweeps_run_on_ints_once_per_event(monkeypatch):
+def _record_sweeps(monkeypatch):
+    """Record each ``prob_all_zero_many`` call of the jet core: its masks and table."""
     sweeps = []
-    sweep = param_calculus.prob_all_zero
+    sweep = param_calculus.prob_all_zero_many
 
-    def recorded(tree, weights, zero_on):
-        value = sweep(tree, weights, zero_on)
-        sweeps.append(value.ravel().tolist() if isinstance(value, np.ndarray) else [value])
-        return value
+    def recorded(tree, weights, masks):
+        table = sweep(tree, weights, masks)
+        sweeps.append((masks.tolist(), table.ravel().tolist()))
+        return table
 
-    monkeypatch.setattr(param_calculus, "prob_all_zero", recorded)
+    monkeypatch.setattr(param_calculus, "prob_all_zero_many", recorded)
+    return sweeps
+
+
+def test_a_jet_sweeps_its_events_once_on_ints(monkeypatch):
+    sweeps = _record_sweeps(monkeypatch)
     spider32 = spider(3, 2)
     path3 = path(3)
     inner = VertexSet.of(0, 1, 3, 5)
@@ -136,8 +142,35 @@ def test_jet_sweeps_run_on_ints_once_per_event(monkeypatch):
     ]:
         sweeps.clear()
         request(_mixed_params(random.Random(7), t))
-        assert len(sweeps) == len(connected_log_events(t, s))
-        assert all(type(c) is int for coeffs in sweeps for c in coeffs)
+        assert len(sweeps) == 1
+        masks, corners = sweeps[0]
+        assert masks == [bits for _, bits in connected_log_events(t, s)]
+        assert all(type(c) is int for c in corners)
+    assert 0 in masks  # path(3)'s whole set, swept last
+
+
+def test_a_jet_wider_than_one_block_sweeps_every_event_once(monkeypatch):
+    # 256 events x 2^6 corners: two blocks of 2^13 values
+    sweeps = _record_sweeps(monkeypatch)
+    t = star(13)
+    s = VertexSet.of(*range(8))
+    edges = [(0, leaf) for leaf in range(8, 14)]
+    assert boundary_edge_multiset(t, s) == EdgeMultiset.of(*edges)
+    for r in (F(1, 3), F(2, 5), F(9, 20)):
+        sweeps.clear()
+        params = uniform_params(t, r, F(1, 2))
+        assert d_nu_dp(t, params, s, edges, at="p0") == closed_form_p0(6, r)
+        assert [len(masks) for masks, _ in sweeps] == [128, 128]
+        events = [bits for _, bits in connected_log_events(t, s)]
+        assert [m for masks, _ in sweeps for m in masks] == events
+    # at p0 the leaves in S copy the centre, so every nonempty J gives one
+    # event and a block of them sums to 0; at a generic point each counts
+    params = uniform_params(t, F(2, 5), F(1, 3))
+    blocks = d_nu_dp(t, params, s, edges)
+    sweeps.clear()
+    monkeypatch.setattr(param_calculus, "_SET_BLOCK", 1 << 14)
+    assert d_nu_dp(t, params, s, edges) == blocks != 0
+    assert len(sweeps) == 1
 
 
 def test_edge_multiset():
