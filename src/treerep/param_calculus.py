@@ -13,7 +13,8 @@ encoding of :func:`~treerep.chain_model.scaled_params`, with a ``[0, 1]``
 array planted on its own axis for each slot and the events' masks on the
 last axis, returns ``den * P`` at every corner for every event at once.
 Each log's partial follows from its event's ``a_T`` by Faà di Bruno's
-formula, where ``den`` cancels.  That formula is the one place that builds Fractions.
+formula, where ``den`` cancels.  That formula is the one place that
+builds Fractions.
 The constant terms ``a_0`` are ``den`` times probabilities of all-zero
 events, positive whenever every ``r_v`` is (and ``den`` itself when
 ``r == 1``), so every log is defined.

@@ -9,7 +9,6 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-import numpy as np
 import pytest
 
 from treerep.chain_model import ChainParams, make_params, uniform_params
